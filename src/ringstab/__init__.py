@@ -9,8 +9,7 @@ factors the characteristic polynomial accordingly.
 
 from .dihedral import (ALPHA, PHI, PSI, TAU, DihedralElement, IrrepLabel,
                        full_group, identity, irrep_list, irrep_matrix,
-                       is_standard, planar_action, reflection, rho, rotation,
-                       standard_rep)
+                       is_standard, planar_action, reflection, rho, rotation)
 from .config import ConfigError, JobConfig, parse_config, parse_config_text
 from .dynamics import (Potential, ReleqSolution, StabilityOperator, apply_j,
                        equivariance_residual, gradient, hessian, hessian_fd,

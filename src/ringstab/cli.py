@@ -41,10 +41,6 @@ class SolverFailure(RuntimeError):
     pass
 
 
-def _build_system(cfg: JobConfig) -> RingSystem:
-    return cfg.system()
-
-
 def _apply_test_hooks(sysm: RingSystem) -> RingSystem:
     """Applied after omega resolution; the solver rebuilds the system from
     the ring specs, so the perturbation must come afterwards to survive."""
@@ -128,7 +124,7 @@ def invariant_suite(sysm: RingSystem, pot: Potential, op: StabilityOperator,
 
 
 def _pipeline(cfg: JobConfig, args):
-    sysm = _build_system(cfg)
+    sysm = cfg.system()
     pot = cfg.potential()
     sysm, omega, sol = _resolve_omega(cfg, sysm, pot)
     sysm = _apply_test_hooks(sysm)
@@ -198,7 +194,7 @@ def _cmd_verify(cfg: JobConfig, args) -> int:
 
 
 def _cmd_releq(cfg: JobConfig, args) -> int:
-    sysm = _build_system(cfg)
+    sysm = cfg.system()
     pot = cfg.potential()
     sysm, omega, sol = _resolve_omega(cfg, sysm, pot)
     sysm = _apply_test_hooks(sysm)
@@ -210,7 +206,7 @@ def _cmd_releq(cfg: JobConfig, args) -> int:
 
 
 def _cmd_diagram(cfg: JobConfig, args) -> int:
-    sysm = _build_system(cfg)
+    sysm = cfg.system()
     basis = assemble_global_basis(sysm)
     out = args.out or "."
     os.makedirs(out, exist_ok=True)

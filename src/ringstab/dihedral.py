@@ -80,30 +80,6 @@ def full_group(n: int) -> list[DihedralElement]:
     return [DihedralElement(n, j, k) for k in (0, 1) for j in range(n)]
 
 
-def compose(g: DihedralElement, h: DihedralElement) -> DihedralElement:
-    return g * h
-
-
-def inverse(g: DihedralElement) -> DihedralElement:
-    return g.inverse()
-
-
-def standard_rep(g: DihedralElement) -> np.ndarray:
-    """2x2 matrix of g in the standard planar representation.
-
-    sigma(r) is the rotation by 2*pi/n and sigma(s) = [[-1, 0], [0, 1]].
-    This is the realization with s reflecting across the vertical axis; the
-    geometric action used for ring systems is the conjugate realization
-    rho_1 (reflection across the horizontal axis), see `planar_action`.
-    """
-    theta = 2.0 * np.pi * g.rot / g.n
-    c, s = np.cos(theta), np.sin(theta)
-    rot = np.array([[c, -s], [s, c]])
-    if g.ref:
-        return rot @ np.array([[-1.0, 0.0], [0.0, 1.0]])
-    return rot
-
-
 def planar_action(g: DihedralElement) -> np.ndarray:
     """2x2 matrix of g acting on the plane with s = reflection across the x-axis.
 

@@ -114,26 +114,17 @@ def hessian(sys: RingSystem, pot: Potential) -> np.ndarray:
     """
     N = sys.npoints
     diff, dist = _pair_geometry(sys.positions)
-    H = np.zeros((2 * N, 2 * N))
-    for i in range(N):
-        for j in range(i + 1, N):
-            d = dist[i, j]
-            u = diff[i, j] / d
-            uu = np.outer(u, u)
-            if pot.kind == "vortex":
-                B = (2.0 * uu - np.eye(2)) / d ** 2
-            else:
-                B = d ** (2.0 * pot.gamma) * (np.eye(2) + 2.0 * pot.gamma * uu)
-            B = -sys.masses[i] * sys.masses[j] * B
-            H[2 * i:2 * i + 2, 2 * j:2 * j + 2] = B
-            H[2 * j:2 * j + 2, 2 * i:2 * i + 2] = B
-    for i in range(N):
-        acc = np.zeros((2, 2))
-        for j in range(N):
-            if j != i:
-                acc -= H[2 * i:2 * i + 2, 2 * j:2 * j + 2]
-        H[2 * i:2 * i + 2, 2 * i:2 * i + 2] = acc
-    return H
+    u = diff / dist[:, :, None]
+    uu = u[:, :, :, None] * u[:, :, None, :]                  # (N, N, 2, 2)
+    if pot.kind == "vortex":
+        B = (2.0 * uu - np.eye(2)) / (dist ** 2)[:, :, None, None]
+    else:
+        B = (dist ** (2.0 * pot.gamma))[:, :, None, None] * (np.eye(2) + 2.0 * pot.gamma * uu)
+    B *= -np.outer(sys.masses, sys.masses)[:, :, None, None]
+    idx = np.arange(N)
+    B[idx, idx] = 0.0
+    B[idx, idx] = -B.sum(axis=1)
+    return B.transpose(0, 2, 1, 3).reshape(2 * N, 2 * N)
 
 
 def hessian_fd(sys: RingSystem, pot: Potential, step: float = 1e-6) -> np.ndarray:

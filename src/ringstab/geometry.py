@@ -133,8 +133,8 @@ def ring_positions(n: int, spec: RingSpec) -> np.ndarray:
     """Points of one ring in deterministic order.
 
     Regular rings: angles phase + 2*pi*j/n, j ascending.  Semiregular rings:
-    pairs (+mu, -mu) shifted by 2*pi*j/n, j ascending.  The first listed
-    point of each ring is the seed used for basis construction.
+    pairs (+mu, -mu) shifted by 2*pi*j/n, j ascending; the adapted basis
+    reads each point's interleave sign from this order.
     """
     if spec.kind == "center":
         return np.zeros((1, 2))
@@ -152,6 +152,24 @@ def ring_positions(n: int, spec: RingSpec) -> np.ndarray:
         ang[0::2] = spec.half_gap + base
         ang[1::2] = -spec.half_gap + base
     return spec.radius * np.column_stack([np.cos(ang), np.sin(ang)])
+
+
+def _check_collisions(positions: np.ndarray) -> None:
+    """Raise on the first point i with a later point j within 1e-9 * rmax;
+    j is i's nearest later point.  Rows are taken in chunks of about 2^20
+    pair distances so memory stays bounded for large N."""
+    npts = len(positions)
+    tol = 1e-9 * max(np.max(np.linalg.norm(positions, axis=1)), 1.0)
+    step = max(1, (1 << 20) // npts)
+    for lo in range(0, npts, step):
+        rows = np.arange(lo, min(lo + step, npts))
+        d = np.linalg.norm(positions[None, :, :] - positions[rows, None, :], axis=2)
+        d[np.arange(npts)[None, :] <= rows[:, None]] = np.inf
+        hit = np.flatnonzero(d.min(axis=1) < tol)
+        if hit.size:
+            i = hit[0]
+            raise ValueError("collision: points %d and %d coincide"
+                             % (rows[i], int(np.argmin(d[i]))))
 
 
 def build(n: int, rings: list[RingSpec]) -> RingSystem:
@@ -176,12 +194,7 @@ def build(n: int, rings: list[RingSpec]) -> RingSystem:
         slices.append(slice(start, start + len(pts)))
         start += len(pts)
     positions = np.vstack(chunks)
-    rmax = max(np.max(np.linalg.norm(positions, axis=1)), 1.0)
-    for i in range(len(positions)):
-        d = np.linalg.norm(positions[i + 1:] - positions[i], axis=1)
-        if d.size and np.min(d) < 1e-9 * rmax:
-            j = i + 1 + int(np.argmin(d))
-            raise ValueError("collision: points %d and %d coincide" % (i, j))
+    _check_collisions(positions)
     return RingSystem(n=n, rings=list(rings), positions=positions,
                       masses=np.asarray(masses, dtype=float),
                       orbit_of=np.asarray(orbit_of, dtype=int),

@@ -2,10 +2,16 @@
 
 The 2N-dimensional displacement space of a D_n ring system splits into
 isotypic components, one per irreducible representation.  This module builds
-the projectors onto those components, the transfer maps between the two
-copies inside each two-dimensional-irrep component, and explicit adapted
-bases in which any equivariant operator is block diagonal and J takes a
-standard symplectic form.
+the adapted basis in which any equivariant operator is block diagonal and J
+takes a standard symplectic form, directly from closed-form Fourier fields:
+on each orbit the columns are radial and tangential unit fields modulated by
+cos/sin of k*theta, O(N) per column (`assemble_global_basis`).
+
+The dense 2N x 2N projectors onto the isotypic components, the transfer maps
+between the two copies inside each two-dimensional-irrep component, and the
+algebra checks built on them are verification oracles: `verify` and the
+tests use them to check the closed-form basis by an independent route, and
+the production pipeline never forms them.
 
 All inner products are taken with respect to M = diag(masses), which may be
 indefinite when masses (vorticities) change sign; orthogonalization then
@@ -18,8 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dihedral import (ALPHA, PHI, PSI, TAU, DihedralElement, IrrepLabel,
-                       irrep_list, rho)
+from .dihedral import ALPHA, PHI, PSI, TAU, IrrepLabel, irrep_list, rho
 from .dynamics import apply_j, j_matrix
 from .geometry import RingSystem
 
@@ -54,15 +59,6 @@ def averaging_operator(sys: RingSystem, kind: str, k: int) -> np.ndarray:
     return out / (2.0 * n)
 
 
-def _alternating_average(sys: RingSystem) -> np.ndarray:
-    """(1/2n) sum_j (-1)^j sigma(r^j); equals the k = n/2 cosine average."""
-    table = _sigma_table(sys)
-    out = np.zeros((2 * sys.npoints, 2 * sys.npoints))
-    for j in range(1, sys.n + 1):
-        out += (-1.0) ** j * table[(j % sys.n, 0)]
-    return out / (2.0 * sys.n)
-
-
 def _rho_range(n: int) -> range:
     return range(1, (n // 2 - 1 if n % 2 == 0 else (n - 1) // 2) + 1)
 
@@ -88,8 +84,8 @@ def projector(sys: RingSystem, label: IrrepLabel, part: tuple[int, int] | None =
         if label.kind == "alpha":
             return averaging_operator(sys, "c", 0) @ (E - S)
         if label.kind == "phi":
-            return _alternating_average(sys) @ (E + S)
-        return _alternating_average(sys) @ (E - S)
+            return averaging_operator(sys, "c", n // 2) @ (E + S)
+        return averaging_operator(sys, "c", n // 2) @ (E - S)
     if n == 2 or label.k not in _rho_range(n):
         raise ValueError("irrep %r not defined for D_%d" % (label, n))
     if part is None:
@@ -302,12 +298,6 @@ def symplectic_residuals(sys: RingSystem) -> dict[str, float]:
 # adapted bases
 
 
-def _spot(sys: RingSystem, point: int, vec) -> np.ndarray:
-    out = np.zeros(2 * sys.npoints)
-    out[2 * point:2 * point + 2] = vec
-    return out
-
-
 def translation_field(sys: RingSystem, orbit: int | None = None, direction: int = 0) -> np.ndarray:
     """Unit-vector displacement on one orbit (or all points), exact."""
     e = np.zeros(2)
@@ -319,28 +309,6 @@ def translation_field(sys: RingSystem, orbit: int | None = None, direction: int 
         sl = sys.orbit_slices[orbit]
         out.reshape(-1, 2)[sl] = e
     return out
-
-
-def _pick_independent(cands: list[np.ndarray], want: int,
-                      against: list[np.ndarray] | None = None) -> list[np.ndarray]:
-    """First `want` candidates (original vectors) independent of each other
-    and of `against`, judged by Euclidean Gram-Schmidt residual."""
-    basis = [v / np.linalg.norm(v) for v in (against or []) if np.linalg.norm(v) > 0]
-    scale = max((np.linalg.norm(v) for v in cands), default=1.0)
-    chosen = []
-    for cand in cands:
-        if len(chosen) == want:
-            break
-        r = cand.copy()
-        for b in basis:
-            r -= (b @ r) * b
-        if np.linalg.norm(r) > 1e-8 * max(scale, 1.0):
-            chosen.append(cand)
-            basis.append(r / np.linalg.norm(r))
-    if len(chosen) != want:
-        raise ValueError("decomposition mismatch: found %d of %d independent columns"
-                         % (len(chosen), want))
-    return chosen
 
 
 @dataclass
@@ -359,8 +327,7 @@ def orbit_basis(sys: RingSystem, i: int) -> dict[str, np.ndarray]:
 
     Each value is a (2N, 2m) matrix whose first m columns are exactly J times
     the last m, matching the global assembly convention.  Columns are
-    supported on orbit i except for shared directions (translations) that the
-    projectors tie to the orbit's points only.
+    supported on orbit i.
     """
     ct = _orbit_contribution(sys, i)
 
@@ -380,77 +347,76 @@ def orbit_basis(sys: RingSystem, i: int) -> dict[str, np.ndarray]:
 
 
 def _orbit_contribution(sys: RingSystem, i: int) -> OrbitContribution:
-    """Seed-and-project construction of one orbit's contribution.
+    """Closed-form construction of one orbit's contribution.
 
-    Regular orbit seeds: delta_x = n (x - O) at the first vertex; semiregular
-    use 2n (x - O).  tau gets the radial field (and the gap field for
-    semiregular rings); phi the alternating fields; each rho_k a 2- or
-    4-tuple from the p_ij projections of the seeds; the rho_1 slot (sigma)
-    leads with the orbit's horizontal translation so multi-orbit assembly can
-    combine translations across orbits.  For n = 2 the translation material
-    lives in phi instead (there are no rho components).
+    Every column is a field f_r e_r + f_t e_t on the orbit's points, with
+    e_r, e_t the radial and tangential unit vectors at polar angle theta, r
+    the radius and, on semiregular rings, eps = +1 at the +mu points and -1
+    at the -mu points:
+
+      tau        r e_r; semiregular adds eps e_t
+      phi        cos(n theta/2) e_r (phase 0), sin(n theta/2) e_t (phase
+                 pi/n); semiregular rings take both
+      rho_k      cos k theta e_r, -sin k theta e_t; semiregular adds
+                 eps sin k theta e_r, eps cos k theta e_t
+      sigma      the orbit's horizontal translation, which leads so that
+                 multi-orbit assembly can combine translations across
+                 orbits, then cos theta e_r + sin theta e_t; semiregular adds
+                 eps sin theta e_r, -eps cos theta e_t
+
+    The center carries the translation only.  For n = 2 there are no rho
+    components and the translation material lives in phi instead: the
+    translation, plus cos theta e_r on a semiregular ring.
     """
     n = sys.n
     spec = sys.rings[i]
     out = OrbitContribution(orbit=i)
+    t = translation_field(sys, orbit=i, direction=0)
     if spec.kind == "center":
-        t = translation_field(sys, orbit=i, direction=0)
         if n == 2:
             out.phi = [t]
         else:
             out.sigma = [t]
         return out
-    seed = sys.orbit_slices[i].start
-    x = sys.positions[seed]
-    scale = n if spec.kind == "regular" else 2 * n
-    dx = _spot(sys, seed, scale * x)
-    jdx = apply_j(dx)
-    d1 = _spot(sys, seed, [1.0, 0.0])
-    d2 = _spot(sys, seed, [0.0, 1.0])
+    sl = sys.orbit_slices[i]
+    x = sys.positions[sl]
+    radius = np.linalg.norm(x, axis=1)
+    e_r = x / radius[:, None]
+    e_t = np.column_stack([-e_r[:, 1], e_r[:, 0]])
+    theta = np.arctan2(x[:, 1], x[:, 0])
+    semi = spec.kind == "semiregular"
+    # ring_positions lists semiregular points as (+mu, -mu) pairs
+    eps = np.where(np.arange(len(x)) % 2 == 0, 1.0, -1.0)
+    zero = np.zeros(len(x))
 
-    ptau = projector(sys, TAU)
-    out.tau = [ptau @ dx]
-    if spec.kind == "semiregular":
-        out.tau.append(ptau @ jdx)
+    def column(f_r: np.ndarray, f_t: np.ndarray) -> np.ndarray:
+        w = np.zeros((sys.npoints, 2))
+        w[sl] = f_r[:, None] * e_r + f_t[:, None] * e_t
+        return w.reshape(-1)
 
+    out.tau = [column(radius, zero)]
+    if semi:
+        out.tau.append(column(zero, eps))
+    if n == 2:
+        out.phi = [t] + ([column(np.cos(theta), zero)] if semi else [])
+        return out
     if n % 2 == 0:
-        pphi = projector(sys, PHI)
-        cands = [pphi @ dx, pphi @ jdx]
-        if n == 2:
-            t = translation_field(sys, orbit=i, direction=0)
-            want = 1 if spec.kind == "regular" else 2
-            out.phi = [t] + (_pick_independent(cands, want - 1, against=[t])
-                             if want > 1 else [])
+        half = 0.5 * n * theta
+        phase0 = spec.phase < 0.5 * np.pi / n
+        if semi or phase0:
+            out.phi.append(column(np.cos(half), zero))
+        if semi or not phase0:
+            out.phi.append(column(zero, np.sin(half)))
+    for k in _rho_range(n):
+        c, s = np.cos(k * theta), np.sin(k * theta)
+        if k == 1:
+            out.sigma = [t, column(c, s)]
+            if semi:
+                out.sigma += [column(eps * s, zero), column(zero, -eps * c)]
         else:
-            want = 1 if spec.kind == "regular" else 2
-            out.phi = _pick_independent(cands, want)
-
-    if n > 2:
-        for k in _rho_range(sys.n):
-            p11 = projector(sys, rho(k), (1, 1))
-            p12 = projector(sys, rho(k), (1, 2))
-            # seed pools are wider than strictly needed: at special phases
-            # individual projections can vanish or collapse onto the
-            # translation, but the full vertex plane always generates V_1
-            pool = [p11 @ d1, p12 @ d2, p11 @ d2, p12 @ d1,
-                    p11 @ dx, p12 @ jdx, p11 @ jdx, p12 @ dx]
-            if k == 1:
-                t = translation_field(sys, orbit=i, direction=0)
-                if spec.kind == "regular":
-                    eps_h = 0.5 * n * (p11 @ d1 - p12 @ d2)
-                    extras = _pick_independent([eps_h] + pool, 1, against=[t])
-                else:
-                    eps_h = float(n) * (p11 @ d1 - p12 @ d2)
-                    extras = _pick_independent(
-                        [eps_h, p11 @ d2, p12 @ d1] + pool, 3, against=[t])
-                out.sigma = [t] + extras
-            else:
-                if spec.kind == "regular":
-                    out.rho[k] = _pick_independent(
-                        [p11 @ dx, p12 @ jdx, p11 @ jdx, p12 @ dx] + pool, 2)
-                else:
-                    out.rho[k] = _pick_independent(
-                        [p11 @ d1, p12 @ d2, -(p11 @ d2), p12 @ d1] + pool, 4)
+            out.rho[k] = [column(c, zero), column(zero, -s)]
+            if semi:
+                out.rho[k] += [column(eps * s, zero), column(zero, eps * c)]
     return out
 
 

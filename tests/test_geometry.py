@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import ringstab as rs
-from ringstab.dihedral import full_group, reflection, rotation
+from ringstab.dihedral import full_group, planar_action, reflection, rotation
 from ringstab.geometry import ring_positions
 
 
@@ -72,12 +72,18 @@ def test_permutation_action(n):
 
 
 def test_sigma_is_representation():
-    from ringstab.dihedral import compose
     sys = rs.build(4, [rs.regular(1.0, 1.0), rs.semiregular(2.0, 0.2, 1.5)])
     for g in (rotation(4, 3), reflection(4, 1)):
         for h in (rotation(4, 1), reflection(4, 2)):
             assert_allclose(sys.sigma_matrix(g) @ sys.sigma_matrix(h),
-                            sys.sigma_matrix(compose(g, h)), atol=1e-12)
+                            sys.sigma_matrix(g * h), atol=1e-12)
+        assert_allclose(sys.sigma_matrix(g) @ sys.sigma_matrix(g.inverse()),
+                        np.eye(2 * sys.npoints), atol=1e-12)
+        perm = sys.group_permutation(g)
+        S = sys.sigma_matrix(g)
+        for i in range(sys.npoints):
+            j = perm[i]
+            assert_allclose(S[2 * j:2 * j + 2, 2 * i:2 * i + 2], planar_action(g), atol=0)
 
 
 def test_build_validation():

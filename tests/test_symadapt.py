@@ -3,8 +3,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 import ringstab as rs
-from ringstab.dihedral import TAU, rho
+from ringstab import cli, symbasis
+from ringstab.dihedral import ALPHA, PHI, PSI, TAU, rho
 from ringstab.dynamics import apply_j
+from ringstab.geometry import RingSystem
+from ringstab.stability import factorize
 from ringstab.symbasis import (averaging_operator, gram_residual,
                                isotypic_decomposition, j_relations_check,
                                m_inner, multiplicities, omega_form,
@@ -218,3 +221,94 @@ def test_symplectic_residuals_vanish():
     res = symplectic_residuals(sys)
     assert res
     assert max(res.values()) < 1e-10
+
+
+# --- the closed-form basis against the projector oracles -------------------
+
+def grid_systems(n):
+    """The acceptance type grid of tests/test_acceptance.py at one n."""
+    for a in (0, 1):
+        for b in (0, 1, 2):
+            for c in (0, 1, 2):
+                if b + c == 0:
+                    continue
+                rings = [rs.center(1.3)] if a else []
+                rings += [rs.regular(1.0 + 1.1 * i, 1.0 + 0.5 * i,
+                                     phase=(np.pi / n if i % 2 else 0.0)) for i in range(b)]
+                rings += [rs.semiregular(3.3 + 1.3 * i, np.pi / (n * (3 + i)), 0.8 + 0.3 * i)
+                          for i in range(c)]
+                yield (n, a, b, c), rs.build(n, rings)
+
+
+def block_projectors(sys, label):
+    """(projector onto the block's isotypic component, projector whose
+    image holds the block's u side)."""
+    if label == "tau_alpha":
+        return projector(sys, TAU) + projector(sys, ALPHA), projector(sys, TAU)
+    if label == "phi_psi":
+        return projector(sys, PHI) + projector(sys, PSI), projector(sys, PHI)
+    k = 1 if label == "sigma" else int(label.split("_")[1])
+    return projector(sys, rho(k)), projector(sys, rho(k), (1, 1))
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_closed_form_basis_matches_projectors(n):
+    for key, sys in grid_systems(n):
+        basis = rs.assemble_global_basis(sys)
+        for plan in basis.blocks:
+            C = basis.matrix[:, plan.cols]
+            P, P_u = block_projectors(sys, plan.label)
+            assert np.linalg.norm(P @ C - C) <= 1e-12 * np.linalg.norm(C), (key, plan.label)
+            U = C[:, plan.pairs:]
+            assert np.linalg.norm(P_u @ U - U) <= 1e-12 * np.linalg.norm(U), (key, plan.label)
+
+
+GUARD_CONFIG = """
+n = {n}
+kind = homogeneous
+gamma = -1.5
+omega = 1.0
+
+[ring]
+kind = center
+mass = 2.0
+
+[ring]
+kind = regular
+radius = 1.0
+mass = 1.0
+
+[ring]
+kind = semiregular
+radius = 1.7
+half_gap = 0.2
+mass = 0.6
+"""
+
+
+@pytest.mark.parametrize("n", [2, 6])
+def test_analyze_never_forms_dense_projectors(n, tmp_path, monkeypatch, capsys):
+    dense = (symbasis.projector, symbasis.averaging_operator)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("analyze reached the dense projector machinery")
+
+    for mod in (rs, cli, symbasis, rs.stability, rs.report):
+        for name, obj in list(vars(mod).items()):
+            if any(obj is f for f in dense):
+                monkeypatch.setattr(mod, name, forbidden)
+    monkeypatch.setattr(RingSystem, "sigma_matrix", forbidden)
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text(GUARD_CONFIG.format(n=n))
+    assert cli.main(["analyze", "--config", str(cfg)]) == 0, capsys.readouterr().err
+
+
+def test_large_n_factorization():
+    sys = rs.build(96, [rs.center(2.0), rs.regular(1.0, 1.0),
+                        rs.semiregular(1.7, np.pi / 288, 0.6)])
+    basis = rs.assemble_global_basis(sys)
+    assert basis.m_orthogonal == "full"
+    for pot in (rs.newtonian(), rs.vortex()):
+        fac = factorize(rs.stability_operator(sys, pot, 1.0), basis)
+        assert fac.max_off_residual <= 1e-9, pot.kind
+        assert fac.oracle.max_rel_error <= 1e-8, pot.kind
