@@ -32,22 +32,9 @@ EXIT_CONFIG = 2
 EXIT_GATE = 3
 EXIT_SOLVER = 4
 
-#: environment hook used by the test suite as a negative control: breaks the
-#: per-ring mass symmetry so equivariance-dependent checks must fail
-BREAK_SYMMETRY_ENV = "RINGSTAB_TEST_BREAK_SYMMETRY"
-
 
 class SolverFailure(RuntimeError):
     pass
-
-
-def _apply_test_hooks(sysm: RingSystem) -> RingSystem:
-    """Applied after omega resolution; the solver rebuilds the system from
-    the ring specs, so the perturbation must come afterwards to survive."""
-    if os.environ.get(BREAK_SYMMETRY_ENV):
-        sysm.masses = sysm.masses.copy()
-        sysm.masses[0] *= 1.0 + 1e-3
-    return sysm
 
 
 def _resolve_omega(cfg: JobConfig, sysm: RingSystem, pot: Potential):
@@ -127,7 +114,6 @@ def _pipeline(cfg: JobConfig, args):
     sysm = cfg.system()
     pot = cfg.potential()
     sysm, omega, sol = _resolve_omega(cfg, sysm, pot)
-    sysm = _apply_test_hooks(sysm)
     op = stability_operator(sysm, pot, omega)
     basis = assemble_global_basis(sysm)
     fac = factorize(op, basis, tol_off=_tol(args, cfg, "off_block", OFF_BLOCK_TOL))
@@ -197,7 +183,6 @@ def _cmd_releq(cfg: JobConfig, args) -> int:
     sysm = cfg.system()
     pot = cfg.potential()
     sysm, omega, sol = _resolve_omega(cfg, sysm, pot)
-    sysm = _apply_test_hooks(sysm)
     op = stability_operator(sysm, pot, omega)
     rev = _reversed_residual(sysm, pot, omega)
     doc = build_report(cfg, sysm, op=op, solution=sol, reversed_residual=rev)

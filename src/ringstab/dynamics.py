@@ -61,10 +61,10 @@ def vortex() -> Potential:
 
 def j_matrix(npoints: int) -> np.ndarray:
     """Block diagonal J, one [[0, -1], [1, 0]] block per point."""
-    K = np.array([[0.0, -1.0], [1.0, 0.0]])
     out = np.zeros((2 * npoints, 2 * npoints))
-    for i in range(npoints):
-        out[2 * i:2 * i + 2, 2 * i:2 * i + 2] = K
+    i = 2 * np.arange(npoints)
+    out[i, i + 1] = -1.0
+    out[i + 1, i] = 1.0
     return out
 
 
@@ -91,14 +91,17 @@ def potential_value(sys: RingSystem, pot: Potential) -> float:
     return float(np.sum(mm[iu] * dist[iu] ** p) / p)
 
 
+def _pair_weights(mm: np.ndarray, dist: np.ndarray, pot: Potential) -> np.ndarray:
+    """Pair weights w_ij with grad_i F = sum_j w_ij (q_i - q_j)."""
+    if pot.kind == "vortex":
+        return -mm / dist ** 2
+    return mm * dist ** (2.0 * pot.gamma)
+
+
 def gradient(sys: RingSystem, pot: Potential) -> np.ndarray:
     """grad F as a vector of length 2N."""
     diff, dist = _pair_geometry(sys.positions)
-    mm = np.outer(sys.masses, sys.masses)
-    if pot.kind == "vortex":
-        w = -mm / dist ** 2
-    else:
-        w = mm * dist ** (2.0 * pot.gamma)
+    w = _pair_weights(np.outer(sys.masses, sys.masses), dist, pot)
     np.fill_diagonal(w, 0.0)
     return (w[:, :, None] * diff).sum(axis=1).reshape(-1)
 
@@ -128,23 +131,34 @@ def hessian(sys: RingSystem, pot: Potential) -> np.ndarray:
 
 
 def hessian_fd(sys: RingSystem, pot: Potential, step: float = 1e-6) -> np.ndarray:
-    """Central-difference Hessian from the analytic gradient."""
-    N2 = 2 * sys.npoints
-    base = sys.positions.reshape(-1)
-    out = np.empty((N2, N2))
-    shifted = RingSystem(n=sys.n, rings=sys.rings, positions=sys.positions.copy(),
-                         masses=sys.masses, orbit_of=sys.orbit_of,
-                         orbit_slices=sys.orbit_slices)
-    for j in range(N2):
-        h = step * max(1.0, abs(base[j]))
+    """Central-difference Hessian from the analytic pair forces.
+
+    Moving coordinate d of point p by h = step * max(1, |x_pd|) changes
+    only the pair forces between p and the other points, so each column is
+    differenced from those N - 1 terms: O(N^2) in all.  Column (p, d) holds
+    D_pq = (f_pq(+h) - f_pq(-h)) / 2h: -D_pq in row block q != p (the force
+    on q from p is -f_pq) and sum_q D_pq in row block p.
+    """
+    npts = sys.npoints
+    x = sys.positions
+    h = step * np.maximum(1.0, np.abs(x))                     # (N, 2)
+    diff = x[:, None, :] - x[None, :, :]                      # (N, N, 2)
+    mm = np.outer(sys.masses, sys.masses)
+    D = np.zeros((npts, 2, npts, 2))                          # (p, d, q, c)
+    for d in (0, 1):
         for sgn in (1.0, -1.0):
-            q = base.copy()
-            q[j] += sgn * h
-            shifted.positions = q.reshape(-1, 2)
-            g = gradient(shifted, pot)
-            out[:, j] = g if sgn > 0 else (out[:, j] - g)
-        out[:, j] /= 2.0 * h
-    return out
+            moved = diff.copy()
+            moved[:, :, d] += sgn * h[:, d, None]
+            dist = np.linalg.norm(moved, axis=2)
+            np.fill_diagonal(dist, 1.0)
+            w = _pair_weights(mm, dist, pot)
+            np.fill_diagonal(w, 0.0)
+            D[:, d] += sgn * w[:, :, None] * moved
+        D[:, d] /= 2.0 * h[:, d, None, None]
+    out = -D
+    idx = np.arange(npts)
+    out[idx, :, idx, :] = D.sum(axis=2)
+    return out.transpose(2, 3, 0, 1).reshape(2 * npts, 2 * npts)
 
 
 def hessian_fd_residual(sys: RingSystem, pot: Potential, step: float = 1e-6) -> float:
@@ -155,13 +169,14 @@ def hessian_fd_residual(sys: RingSystem, pot: Potential, step: float = 1e-6) -> 
 
 
 def equivariance_residual(sys: RingSystem, pot: Potential) -> float:
-    """max_g ||A sigma(g) - sigma(g) A||_F / ||A||_F for A = M^-1 D grad F."""
+    """max_g ||A sigma(g) - sigma(g) A||_F / ||A||_F for A = M^-1 D grad F,
+    with sigma(g) applied as column and row gathers: O(N^2) per element."""
     A = stability_operator(sys, pot, omega=1.0).matrix
     anorm = np.linalg.norm(A)
+    act = sys.group_action()
     worst = 0.0
     for g in sys.group():
-        S = sys.sigma_matrix(g)
-        worst = max(worst, float(np.linalg.norm(A @ S - S @ A)))
+        worst = max(worst, float(np.linalg.norm(act.right(A, g) - act.left(g, A))))
     return worst / max(anorm, 1e-300)
 
 

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dihedral import DihedralElement, full_group, planar_action
+from .dihedral import (DihedralElement, full_group, planar_action, reflection,
+                       rotation)
 
 #: matching tolerance for the permutation action, relative to the largest radius
 MATCH_RTOL = 1e-9
@@ -54,6 +55,39 @@ def regular(radius: float, mass: float, phase: float = 0.0) -> RingSpec:
 
 def semiregular(radius: float, half_gap: float, mass: float) -> RingSpec:
     return RingSpec("semiregular", mass, radius=radius, half_gap=half_gap)
+
+
+def _element_index(g: DihedralElement, n: int) -> int:
+    if g.n != n:
+        raise ValueError("group order mismatch: element of D_%d on a D_%d system" % (g.n, n))
+    return g.rot + g.ref * n
+
+
+@dataclass(frozen=True)
+class GroupAction:
+    """sigma(g) for every g of D_n, applied by index gathers, never as a
+    dense 2N x 2N matrix.
+
+    (sigma(g) w)_perm[g, i] = planar_action(g) w_i.  Elements are indexed in
+    `full_group` order: r^j s^k sits at j + k n.
+    """
+
+    n: int
+    perm: np.ndarray               # (2n, N) point permutations
+    inverse: np.ndarray            # (2n, N) their inverses
+    blocks: np.ndarray             # (2n, 2, 2) planar_action of each element
+
+    def left(self, g: DihedralElement, X: np.ndarray) -> np.ndarray:
+        """sigma(g) @ X for X with 2N rows: a row gather, then the 2x2 block."""
+        k = _element_index(g, self.n)
+        rows = X.reshape(self.perm.shape[1], 2, -1)[self.inverse[k]]
+        return (self.blocks[k] @ rows).reshape(X.shape)
+
+    def right(self, X: np.ndarray, g: DihedralElement) -> np.ndarray:
+        """X @ sigma(g) for X with 2N columns: a column gather, then the 2x2 block."""
+        k = _element_index(g, self.n)
+        cols = X.reshape(-1, self.perm.shape[1], 2)[:, self.perm[k]]
+        return (cols @ self.blocks[k]).reshape(X.shape)
 
 
 @dataclass
@@ -94,25 +128,41 @@ class RingSystem:
     def group(self) -> list[DihedralElement]:
         return full_group(self.n)
 
+    def group_action(self) -> "GroupAction":
+        """The action of every element of D_n as index arrays.
+
+        The point permutations of the generators r and s come from one
+        vectorized nearest-point match; those of r^j and r^j s follow by
+        composing them.
+        """
+        n, npts = self.n, self.npoints
+        gens = (rotation(n), reflection(n))
+        moved = np.stack([self.positions @ planar_action(g).T for g in gens])   # (2, N, 2)
+        d = np.hypot(moved[:, :, None, 0] - self.positions[:, 0],
+                     moved[:, :, None, 1] - self.positions[:, 1])             # (2, N, N)
+        match = np.argmin(d, axis=2)                               # (2, N)
+        scale = max(np.max(np.abs(self.positions)), 1.0)
+        off = np.take_along_axis(d, match[:, :, None], axis=2)[:, :, 0] > MATCH_RTOL * scale
+        for g, miss, m in zip(gens, off, match):
+            if miss.any():
+                raise ValueError("system not D_n-symmetric: point %d leaves the set under %r"
+                                 % (int(np.argmax(miss)), g))
+            if np.bincount(m, minlength=npts).max() > 1:
+                raise ValueError("system not D_n-symmetric: action is not a permutation")
+        perm = np.empty((2 * n, npts), dtype=int)
+        perm[0] = np.arange(npts)
+        for j in range(1, n):
+            perm[j] = match[0][perm[j - 1]]
+        perm[n:] = perm[:n][:, match[1]]
+        inverse = np.empty_like(perm)
+        np.put_along_axis(inverse, perm, np.arange(npts)[None, :], axis=1)
+        blocks = np.array([planar_action(g) for g in full_group(n)])
+        return GroupAction(n=n, perm=perm, inverse=inverse, blocks=blocks)
+
     def group_permutation(self, g: DihedralElement) -> np.ndarray:
         """Permutation pi with positions[pi[i]] = planar_action(g) @ positions[i]."""
-        if g.n != self.n:
-            raise ValueError("group order mismatch: element of D_%d on a D_%d system"
-                             % (g.n, self.n))
-        act = planar_action(g)
-        moved = self.positions @ act.T
-        scale = max(np.max(np.abs(self.positions)), 1.0)
-        perm = np.full(self.npoints, -1, dtype=int)
-        for i, q in enumerate(moved):
-            d = np.linalg.norm(self.positions - q, axis=1)
-            j = int(np.argmin(d))
-            if d[j] > MATCH_RTOL * scale:
-                raise ValueError("system not D_n-symmetric: point %d leaves the set under %r"
-                                 % (i, g))
-            perm[i] = j
-        if len(set(perm.tolist())) != self.npoints:
-            raise ValueError("system not D_n-symmetric: action is not a permutation")
-        return perm
+        k = _element_index(g, self.n)
+        return self.group_action().perm[k]
 
     def sigma_matrix(self, g: DihedralElement) -> np.ndarray:
         """2N x 2N matrix of g acting on displacement fields.

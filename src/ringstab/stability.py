@@ -194,7 +194,7 @@ def transform(op: StabilityOperator, basis: SymBasis,
     """Conjugate A and J into the adapted basis and measure block leakage."""
     C = basis.matrix
     a_t = np.linalg.solve(C, op.matrix @ C)
-    j_t = np.linalg.solve(C, j_matrix(op.system.npoints) @ C)
+    j_t = np.linalg.solve(C, apply_j(C.T).T)      # J C, J never formed
     offs = {}
     for blk in basis.blocks:
         cols = np.array(blk.cols)

@@ -7,11 +7,16 @@ takes a standard symplectic form, directly from closed-form Fourier fields:
 on each orbit the columns are radial and tangential unit fields modulated by
 cos/sin of k*theta, O(N) per column (`assemble_global_basis`).
 
-The dense 2N x 2N projectors onto the isotypic components, the transfer maps
-between the two copies inside each two-dimensional-irrep component, and the
-algebra checks built on them are verification oracles: `verify` and the
-tests use them to check the closed-form basis by an independent route, and
-the production pipeline never forms them.
+The projectors onto the isotypic components, the transfer maps between the
+two copies inside each two-dimensional-irrep component, and the algebra
+checks built on them are verification oracles: `verify` and the tests use
+them to check the closed-form basis by an independent route, and the
+production pipeline never forms them.  They are matrix-free in the group
+action: sigma(g) is a point permutation times one 2x2 planar block
+(`geometry.GroupAction`), so each averaging operator is scattered from its
+n nonzero 2x2 blocks per point, S = sigma(s) is a column gather, J is
+`apply_j`, and since the action keeps every point on its ring, products and
+SVDs are taken ring by ring.  No dense sigma matrix is formed.
 
 All inner products are taken with respect to M = diag(masses), which may be
 indefinite when masses (vorticities) change sign; orthogonalization then
@@ -24,9 +29,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dihedral import ALPHA, PHI, PSI, TAU, IrrepLabel, irrep_list, rho
-from .dynamics import apply_j, j_matrix
-from .geometry import RingSystem
+from .dihedral import (ALPHA, PHI, PSI, TAU, IrrepLabel, irrep_list,
+                       reflection, rho, rotation)
+from .dynamics import apply_j
+from .geometry import GroupAction, RingSystem
 
 #: singular values below this (relative) count as zero in rank computations
 RANK_RTOL = 1e-8
@@ -34,29 +40,32 @@ RANK_RTOL = 1e-8
 MNORM_RTOL = 1e-10
 
 
-def _sigma_table(sys: RingSystem) -> dict[tuple[int, int], np.ndarray]:
-    cache = getattr(sys, "_sigma_cache", None)
-    if cache is None:
-        cache = {}
-        for g in sys.group():
-            cache[(g.rot, g.ref)] = sys.sigma_matrix(g)
-        sys._sigma_cache = cache
-    return cache
+def _averaging(act: GroupAction, kind: str, k: int) -> np.ndarray:
+    if kind not in ("c", "s"):
+        raise ValueError("averaging kind must be 'c' or 's'")
+    n, npts = act.n, act.perm.shape[1]
+    j = np.arange(1, n + 1)
+    ang = 2.0 * np.pi * k * j / n
+    w = (np.cos(ang) if kind == "c" else np.sin(ang)) / (2.0 * n)
+    # sigma(r^j) puts block planar_action(r^j) at points (perm[j, i], i),
+    # i.e. at flat offset 4N perm[j, i] + 2i of the 2N x 2N matrix; summing
+    # by offset lets a point fixed by every rotation (the center) collect
+    # all n blocks
+    corner = act.perm[j % n] * (4 * npts) + 2 * np.arange(npts)
+    flat = corner[:, :, None] + np.array([0, 1, 2 * npts, 2 * npts + 1])
+    vals = (w[:, None, None] * act.blocks[j % n]).reshape(n, 1, 4)
+    out = np.bincount(flat.ravel(), weights=np.broadcast_to(vals, flat.shape).ravel(),
+                      minlength=4 * npts * npts)
+    return out.reshape(2 * npts, 2 * npts)
 
 
 def averaging_operator(sys: RingSystem, kind: str, k: int) -> np.ndarray:
     """(1/2n) sum_{j=1..n} w_j sigma(r^j) with w_j = cos (kind "c") or sin (kind "s")
-    of 2*pi*k*j/n.  k is taken modulo n (cosine/sine periodicity)."""
-    if kind not in ("c", "s"):
-        raise ValueError("averaging kind must be 'c' or 's'")
-    n = sys.n
-    table = _sigma_table(sys)
-    out = np.zeros((2 * sys.npoints, 2 * sys.npoints))
-    for j in range(1, n + 1):
-        ang = 2.0 * np.pi * k * j / n
-        w = np.cos(ang) if kind == "c" else np.sin(ang)
-        out += w * table[(j % n, 0)]
-    return out / (2.0 * n)
+    of 2*pi*k*j/n.  k is taken modulo n (cosine/sine periodicity).
+
+    Assembled by scattering the n nonzero 2x2 blocks of each point's column:
+    O(nN) entries, no dense sigma matrix."""
+    return _averaging(sys.group_action(), kind, k)
 
 
 def _rho_range(n: int) -> range:
@@ -68,39 +77,40 @@ def projector(sys: RingSystem, label: IrrepLabel, part: tuple[int, int] | None =
 
     For one-dimensional labels `part` must be None.  For rho labels, part
     (i, j) gives p_ij (p_ii project onto the i-th copy V_i, p_ij transfer
-    V_j -> V_i); part None gives p_11 + p_22.
+    V_j -> V_i); part None gives p_11 + p_22.  Each is an averaging operator
+    times E + S or E - S, with S = sigma(s) applied as a column gather.
     """
-    n = sys.n
-    table = _sigma_table(sys)
-    E = np.eye(2 * sys.npoints)
-    S = table[(0, 1)]
+    return _projector(sys.group_action(), label, part)
+
+
+def _projector(act: GroupAction, label: IrrepLabel,
+               part: tuple[int, int] | None = None) -> np.ndarray:
+    n = act.n
     if label.kind != "rho":
         if part is not None:
             raise ValueError("part applies to rho labels only")
         if label.kind in ("phi", "psi") and n % 2:
             raise ValueError("irrep %r requires even n" % (label,))
-        if label.kind == "tau":
-            return averaging_operator(sys, "c", 0) @ (E + S)
-        if label.kind == "alpha":
-            return averaging_operator(sys, "c", 0) @ (E - S)
-        if label.kind == "phi":
-            return averaging_operator(sys, "c", n // 2) @ (E + S)
-        return averaging_operator(sys, "c", n // 2) @ (E - S)
+        avg = _averaging(act, "c", 0 if label.kind in ("tau", "alpha") else n // 2)
+        sign = 1.0 if label.kind in ("tau", "phi") else -1.0
+        return avg + sign * act.right(avg, reflection(n))
     if n == 2 or label.k not in _rho_range(n):
         raise ValueError("irrep %r not defined for D_%d" % (label, n))
     if part is None:
-        return 4.0 * averaging_operator(sys, "c", label.k)
-    ck = averaging_operator(sys, "c", label.k)
-    sk = averaging_operator(sys, "s", label.k)
-    if part == (1, 1):
-        return 2.0 * ck @ (E + S)
-    if part == (2, 2):
-        return 2.0 * ck @ (E - S)
-    if part == (1, 2):
-        return 2.0 * sk @ (S - E)
-    if part == (2, 1):
-        return 2.0 * sk @ (E + S)
-    raise ValueError("part must be one of (1,1), (1,2), (2,1), (2,2)")
+        return 4.0 * _averaging(act, "c", label.k)
+    if part not in ((1, 1), (1, 2), (2, 1), (2, 2)):
+        raise ValueError("part must be one of (1,1), (1,2), (2,1), (2,2)")
+    return _rho_parts(act, label.k)[part]
+
+
+def _rho_parts(act: GroupAction, k: int) -> dict[tuple[int, int], np.ndarray]:
+    """p11, p22 = 2 c_k (E +- S), p12 = 2 s_k (S - E) and p21 = 2 s_k (E + S)
+    of rho_k, from one cosine and one sine average."""
+    s = reflection(act.n)
+    ck = 2.0 * _averaging(act, "c", k)
+    sk = 2.0 * _averaging(act, "s", k)
+    cks, sks = act.right(ck, s), act.right(sk, s)
+    return {(1, 1): ck + cks, (2, 2): ck - cks, (1, 2): sks - sk, (2, 1): sk + sks}
 
 
 def transfer(sys: RingSystem, k: int, i: int, j: int) -> np.ndarray:
@@ -146,31 +156,64 @@ class IsotypicComponent:
     basis: np.ndarray            # (2N, dimension), orthonormal (Euclidean)
 
 
+def _ring_rows(sys: RingSystem) -> list[slice]:
+    """Coordinate rows of each ring.  The action keeps every point on its
+    ring, so every sigma(g), and with it every projector, is block diagonal
+    in these rows."""
+    return [slice(2 * sl.start, 2 * sl.stop) for sl in sys.orbit_slices]
+
+
+def _j_left(X: np.ndarray) -> np.ndarray:
+    """J @ X"""
+    return apply_j(X.T).T
+
+
+def _j_right(X: np.ndarray) -> np.ndarray:
+    """X @ J"""
+    return -apply_j(X)
+
+
 def isotypic_decomposition(sys: RingSystem) -> list[IsotypicComponent]:
-    """Ranks and orthonormal bases of every isotypic piece via projector SVD.
+    """Ranks and orthonormal bases of every isotypic piece via projector SVD,
+    taken ring by ring (the projectors are block diagonal by ring); ranks
+    count singular values against the largest one of the whole projector.
 
     Raises ValueError("decomposition mismatch") when computed ranks disagree
     with the multiplicity count or do not sum to 2N.
     """
     a, b, c = sys.type_abc
     expect = multiplicities(sys.n, a, b, c)
+    act = sys.group_action()
+    rows = _ring_rows(sys)
+    dim = 2 * sys.npoints
     out = []
     total = 0
     for label in irrep_list(sys.n):
-        parts = [(0, projector(sys, label))] if label.kind != "rho" else \
-            [(1, projector(sys, label, (1, 1))), (2, projector(sys, label, (2, 2)))]
+        if label.kind != "rho":
+            parts = [(0, _projector(act, label))]
+        else:
+            rp = _rho_parts(act, label.k)
+            parts = [(1, rp[(1, 1)]), (2, rp[(2, 2)])]
         for part, P in parts:
-            U, sv, _ = np.linalg.svd(P)
-            rank = int(np.sum(sv > RANK_RTOL * sv[0])) if sv[0] > 0 else 0
+            svds = [np.linalg.svd(P[r, r]) for r in rows]
+            top = max(sv[0] for _, sv, _ in svds)
+            cols = []
+            for r, (U, sv, _) in zip(rows, svds):
+                keep = int(np.sum(sv > RANK_RTOL * top)) if top > 0 else 0
+                col = np.zeros((dim, keep))
+                col[r] = U[:, :keep]
+                cols.append(col)
+            basis = np.hstack(cols)
+            rank = basis.shape[1]
             if rank != expect[repr(label)]:
                 raise ValueError("decomposition mismatch: rank %d for %r part %d, expected %d"
                                  % (rank, label, part, expect[repr(label)]))
             out.append(IsotypicComponent(label=label, part=part, dimension=rank,
-                                         basis=U[:, :rank]))
+                                         basis=basis))
             total += rank
-    if total != 2 * sys.npoints:
+    if total != dim:
         raise ValueError("decomposition mismatch: components span %d of %d dimensions"
-                         % (total, 2 * sys.npoints))
+                         % (total, dim))
     return out
 
 
@@ -191,41 +234,51 @@ def projector_algebra_check(sys: RingSystem, tol: float = 1e-11,
     identity.  All residuals are Frobenius norms; above probe_dim the table
     is evaluated on a fixed block of unit probe vectors instead of forming
     the dense products (same scale, deterministic, O(dim^2) per pair).
+    Products are taken ring by ring, where the projectors are block
+    diagonal.
     """
     n = sys.n
     dim = 2 * sys.npoints
-    ops: list[tuple[str, tuple, np.ndarray]] = []
+    act = sys.group_action()
+    family: list[tuple[str, tuple, np.ndarray]] = []
     for lab in (TAU, ALPHA) + ((PHI, PSI) if n % 2 == 0 else ()):
-        ops.append(("p_%s" % lab.kind, (lab.kind,), projector(sys, lab)))
+        family.append(("p_%s" % lab.kind, (lab.kind,), _projector(act, lab)))
     if n > 2:
         for k in _rho_range(n):
-            for ij in ((1, 1), (1, 2), (2, 1), (2, 2)):
-                ops.append(("p%d%d(k=%d)" % (ij + (k,)), ("rho", k) + ij,
-                            projector(sys, rho(k), ij)))
-    by_id = {o[1]: o[2] for o in ops}
+            rp = _rho_parts(act, k)
+            family += [("p%d%d(k=%d)" % (ij + (k,)), ("rho", k) + ij, rp[ij])
+                       for ij in ((1, 1), (1, 2), (2, 1), (2, 2))]
+    names, ids, ops = zip(*family)
+    count = len(ops)
+    where = {id_: i for i, id_ in enumerate(ids)}
+    # expected[a, b]: index of the expected product p_a p_b, -1 for zero
+    expected = np.full((count, count), -1)
+    for ia, id_a in enumerate(ids):
+        for ib, id_b in enumerate(ids):
+            if id_a[0] != "rho" or id_b[0] != "rho":
+                if id_a == id_b:
+                    expected[ia, ib] = ia
+            elif id_a[1] == id_b[1] and id_a[3] == id_b[2]:
+                expected[ia, ib] = where[("rho", id_a[1], id_a[2], id_b[3])]
     probe = None
     if dim > probe_dim:
         rng = np.random.default_rng(20240817)
         probe = rng.standard_normal((dim, 4))
         probe /= np.linalg.norm(probe, axis=0)
-    res = {}
-    for name_a, id_a, A in ops:
-        for name_b, id_b, B in ops:
-            if id_a[0] != "rho" or id_b[0] != "rho":
-                expected = A if id_a == id_b else None
-            elif id_a[1] != id_b[1] or id_a[3] != id_b[2]:
-                expected = None
-            else:
-                expected = by_id[("rho", id_a[1], id_a[2], id_b[3])]
-            if probe is not None:
-                r = A @ (B @ probe)
-                if expected is not None:
-                    r = r - expected @ probe
-            else:
-                prod = A @ B
-                r = prod - expected if expected is not None else prod
-            res["%s %s" % (name_a, name_b)] = float(np.linalg.norm(r))
-    total = sum(P for name, id_, P in ops
+    sq = np.zeros((count, count))
+    for r in _ring_rows(sys):
+        blocks = np.stack([P[r, r] for P in ops])                  # (K, d, d)
+        x = probe[r] if probe is not None else np.eye(blocks.shape[1])
+        bx = blocks @ x                                            # B x for every B
+        flat = bx.transpose(1, 0, 2).reshape(x.shape[0], -1)
+        for ia in range(count):
+            prod = (blocks[ia] @ flat).reshape(x.shape[0], count, -1)
+            has = expected[ia] >= 0
+            prod[:, has] -= bx[expected[ia, has]].transpose(1, 0, 2)
+            sq[ia] += np.einsum("ibm,ibm->b", prod, prod)
+    res = {"%s %s" % (names[ia], names[ib]): float(np.sqrt(sq[ia, ib]))
+           for ia in range(count) for ib in range(count)}
+    total = sum(P for id_, P in zip(ids, ops)
                 if id_[0] != "rho" or id_[2] == id_[3])
     res["completeness"] = float(np.linalg.norm(total - np.eye(dim)))
     mx = max(res.values())
@@ -240,32 +293,30 @@ def j_relations_check(sys: RingSystem, tol: float = 1e-11) -> ResidualReport:
     blocks as J p11 = p22 J, J p12 = -p21 J (and symmetrically).
     """
     n = sys.n
-    J = j_matrix(sys.npoints)
-    table = _sigma_table(sys)
-    R = table[(1 % n, 0)]
-    S = table[(0, 1)]
-    nrm = np.linalg.norm(J)
+    act = sys.group_action()
+    eye = np.eye(2 * sys.npoints)
+    R = act.left(rotation(n), eye)
+    S = act.left(reflection(n), eye)
+    nrm = np.sqrt(2.0 * sys.npoints)            # ||J||_F
     res = {
-        "J r - r J": np.linalg.norm(J @ R - R @ J),
-        "J s + s J": np.linalg.norm(J @ S + S @ J),
+        "J r - r J": np.linalg.norm(_j_left(R) - _j_right(R)),
+        "J s + s J": np.linalg.norm(_j_left(S) + _j_right(S)),
     }
-    pt, pa = projector(sys, TAU), projector(sys, ALPHA)
-    res["J p_tau - p_alpha J"] = np.linalg.norm(J @ pt - pa @ J)
-    res["J p_alpha - p_tau J"] = np.linalg.norm(J @ pa - pt @ J)
+    pt, pa = _projector(act, TAU), _projector(act, ALPHA)
+    res["J p_tau - p_alpha J"] = np.linalg.norm(_j_left(pt) - _j_right(pa))
+    res["J p_alpha - p_tau J"] = np.linalg.norm(_j_left(pa) - _j_right(pt))
     if n % 2 == 0:
-        pf, pp = projector(sys, PHI), projector(sys, PSI)
-        res["J p_phi - p_psi J"] = np.linalg.norm(J @ pf - pp @ J)
-        res["J p_psi - p_phi J"] = np.linalg.norm(J @ pp - pf @ J)
+        pf, pp = _projector(act, PHI), _projector(act, PSI)
+        res["J p_phi - p_psi J"] = np.linalg.norm(_j_left(pf) - _j_right(pp))
+        res["J p_psi - p_phi J"] = np.linalg.norm(_j_left(pp) - _j_right(pf))
     if n > 2:
         for k in _rho_range(n):
-            p11 = projector(sys, rho(k), (1, 1))
-            p22 = projector(sys, rho(k), (2, 2))
-            p12 = projector(sys, rho(k), (1, 2))
-            p21 = projector(sys, rho(k), (2, 1))
-            res["J p11 - p22 J (k=%d)" % k] = np.linalg.norm(J @ p11 - p22 @ J)
-            res["J p22 - p11 J (k=%d)" % k] = np.linalg.norm(J @ p22 - p11 @ J)
-            res["J p12 + p21 J (k=%d)" % k] = np.linalg.norm(J @ p12 + p21 @ J)
-            res["J p21 + p12 J (k=%d)" % k] = np.linalg.norm(J @ p21 + p12 @ J)
+            rp = _rho_parts(act, k)
+            p11, p22, p12, p21 = rp[(1, 1)], rp[(2, 2)], rp[(1, 2)], rp[(2, 1)]
+            res["J p11 - p22 J (k=%d)" % k] = np.linalg.norm(_j_left(p11) - _j_right(p22))
+            res["J p22 - p11 J (k=%d)" % k] = np.linalg.norm(_j_left(p22) - _j_right(p11))
+            res["J p12 + p21 J (k=%d)" % k] = np.linalg.norm(_j_left(p12) + _j_right(p21))
+            res["J p21 + p12 J (k=%d)" % k] = np.linalg.norm(_j_left(p21) + _j_right(p12))
     res = {k: float(v / nrm) for k, v in res.items()}
     mx = max(res.values())
     return ResidualReport(residuals=res, max_residual=mx, passed=bool(mx <= tol))
@@ -278,17 +329,23 @@ def symplectic_residuals(sys: RingSystem) -> dict[str, float]:
     per two-dimensional irrep, how far M J p12 is from symmetric, i.e. how
     far the transfer is from being a Hamiltonian vector field for Omega_M.
     """
-    M = np.diag(sys.mass_diag)
-    J = j_matrix(sys.npoints)
-    MJ = M @ J
+    md = sys.mass_diag
+    act = sys.group_action()
+
+    def mj(X: np.ndarray) -> np.ndarray:
+        return md[:, None] * _j_left(X)
+
     out = {}
-    pt = projector(sys, TAU)
-    out["Omega_M on tau component"] = float(
-        np.linalg.norm(pt.T @ MJ @ pt) / max(np.linalg.norm(MJ), 1e-300))
+    pt = _projector(act, TAU)
+    y = mj(pt)
+    iso = np.sqrt(sum(np.linalg.norm(pt[r, r].T @ y[r, r]) ** 2 for r in _ring_rows(sys)))
+    # ||M J||_F = ||mass_diag||
+    out["Omega_M on tau component"] = float(iso / max(np.linalg.norm(md), 1e-300))
     if sys.n > 2:
         for k in _rho_range(sys.n):
+            rp = _rho_parts(act, k)
             for (i, j) in ((1, 2), (2, 1)):
-                X = MJ @ projector(sys, rho(k), (i, j))
+                X = mj(rp[(i, j)])
                 out["M J p%d%d symmetry (k=%d)" % (i, j, k)] = float(
                     np.linalg.norm(X - X.T) / max(np.linalg.norm(X), 1e-300))
     return out
@@ -589,7 +646,11 @@ def assemble_global_basis(sys: RingSystem, normalize: bool = True) -> SymBasis:
     if C.shape[0] != C.shape[1]:
         raise ValueError("decomposition mismatch: %d columns for dimension %d"
                          % (C.shape[1], C.shape[0]))
-    cond = float(np.linalg.cond(C))
+    if normalize and m_full:
+        # C^T M C = I, so C = M^(-1/2) Q with Q orthogonal
+        cond = float(np.sqrt(np.max(sys.masses) / np.min(sys.masses)))
+    else:
+        cond = float(np.linalg.cond(C))
     if cond > 1e8:
         raise ValueError("basis ill-conditioned: cond = %.3g" % cond)
     return SymBasis(system=sys, matrix=C, blocks=blocks, normalized=normalize,

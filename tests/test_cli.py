@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import ringstab as rs
+from ringstab import cli
 from ringstab.config import ConfigError, parse_config_text
 from ringstab.report import factors_csv, to_machine
 from ringstab.svg import emit_svg, render_svg
@@ -54,19 +55,16 @@ mass = 1.0
 IMPORT_ROOT = str(Path(rs.__file__).resolve().parents[1])
 
 
-def child_env(env_extra=None):
+def child_env():
     env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
     rest = env.get("PYTHONPATH")
     env["PYTHONPATH"] = IMPORT_ROOT + (os.pathsep + rest if rest else "")
     return env
 
 
-def run_cli(args, cwd, env_extra=None):
+def run_cli(args, cwd):
     return subprocess.run([sys.executable, "-m", "ringstab"] + args,
-                          capture_output=True, text=True, cwd=cwd,
-                          env=child_env(env_extra))
+                          capture_output=True, text=True, cwd=cwd, env=child_env())
 
 
 @pytest.fixture
@@ -253,18 +251,34 @@ def test_verify_passes_and_lists_invariants(tmp_path, pentagon_cfg):
     assert "FAIL" not in r.stdout, r.stdout + r.stderr
 
 
-def test_verify_negative_control(tmp_path, pentagon_cfg):
-    r = run_cli(["verify", "--config", str(pentagon_cfg)], tmp_path,
-                env_extra={"RINGSTAB_TEST_BREAK_SYMMETRY": "1"})
-    assert r.returncode == 3, r.stdout + r.stderr
-    assert "FAIL" in r.stdout, r.stdout + r.stderr
-    assert "equivariance" in r.stdout.lower(), r.stdout + r.stderr
+@pytest.fixture
+def broken_symmetry(monkeypatch):
+    """Negative control: after the omega solve (which rebuilds the system
+    from its ring specs), break the per-ring mass symmetry, so every
+    equivariance-dependent check must fail."""
+    solve = cli.solve_releq
+
+    def solve_then_perturb(*args, **kwargs):
+        sol = solve(*args, **kwargs)
+        sol.system.masses = sol.system.masses.copy()
+        sol.system.masses[0] *= 1.0 + 1e-3
+        return sol
+
+    monkeypatch.setattr(cli, "solve_releq", solve_then_perturb)
 
 
-def test_verify_tol_override_loosens_gates(tmp_path, pentagon_cfg):
-    r = run_cli(["verify", "--config", str(pentagon_cfg), "--tol", "1.0"], tmp_path,
-                env_extra={"RINGSTAB_TEST_BREAK_SYMMETRY": "1"})
-    assert r.returncode == 0, r.stdout + r.stderr
+def test_verify_negative_control(pentagon_cfg, broken_symmetry, capsys):
+    code = cli.main(["verify", "--config", str(pentagon_cfg)])
+    out = capsys.readouterr()
+    assert code == 3, out.out + out.err
+    assert "FAIL" in out.out, out.out + out.err
+    assert "equivariance" in out.out.lower(), out.out + out.err
+
+
+def test_verify_tol_override_loosens_gates(pentagon_cfg, broken_symmetry, capsys):
+    code = cli.main(["verify", "--config", str(pentagon_cfg), "--tol", "1.0"])
+    out = capsys.readouterr()
+    assert code == 0, out.out + out.err
 
 
 def test_verify_mixed_signs_partial(tmp_path):

@@ -69,6 +69,37 @@ def test_gradient_translation_sum():
         assert_allclose(g.sum(axis=0), [0.0, 0.0], atol=1e-12)
 
 
+def full_gradient_fd(sys, pot, step=1e-6):
+    """Central differences of the full analytic gradient, one coordinate at
+    a time: the O(N^3) reference for the pair-local hessian_fd."""
+    x = sys.config_vector
+    out = np.empty((len(x), len(x)))
+    for j in range(len(x)):
+        e = np.zeros_like(x)
+        e[j] = step * max(1.0, abs(x[j]))
+        out[:, j] = (gradient(_shifted(sys, e), pot) - gradient(_shifted(sys, -e), pot)) / (2.0 * e[j])
+    return out
+
+
+def acceptance_system(n, a, b, c):
+    """tests/test_acceptance.py::grid_system"""
+    rings = [rs.center(1.3)] if a else []
+    rings += [rs.regular(1.0 + 1.1 * i, 1.0 + 0.5 * i, phase=(np.pi / n if i % 2 else 0.0))
+              for i in range(b)]
+    rings += [rs.semiregular(3.3 + 1.3 * i, np.pi / (n * (3 + i)), 0.8 + 0.3 * i) for i in range(c)]
+    return rs.build(n, rings)
+
+
+@pytest.mark.parametrize("pick", [(3, 0, 2, 0), (4, 1, 1, 1), (5, 0, 1, 2), (6, 1, 2, 0),
+                                  (7, 0, 0, 1), (8, 1, 2, 2)])
+def test_pair_local_hessian_fd_matches_full_gradient_fd(pick):
+    sys = acceptance_system(*pick)
+    for pot in (rs.newtonian(), rs.vortex(), rs.homogeneous(0.5)):
+        ref = full_gradient_fd(sys, pot)
+        fd = rs.hessian_fd(sys, pot)
+        assert np.linalg.norm(fd - ref) <= 1e-8 * np.linalg.norm(ref), (pick, pot.kind)
+
+
 @pytest.mark.parametrize("pot", [rs.vortex(), rs.homogeneous(-1.5)])
 def test_hessian_symmetric_and_fd(pot):
     sys = mixed_system(4)

@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 
 import ringstab as rs
 from ringstab.dihedral import full_group, planar_action, reflection, rotation
-from ringstab.geometry import ring_positions
+from ringstab.geometry import RingSystem, ring_positions
 
 
 def test_regular_positions_exact():
@@ -116,3 +116,28 @@ def test_phase_pi_over_n_offsets_ring():
     a = rs.build(4, [rs.regular(1.0, 1.0), rs.regular(2.0, 1.0, phase=np.pi / 4)])
     th = np.arctan2(a.positions[4:, 1], a.positions[4:, 0])
     assert_allclose(th[0], np.pi / 4, atol=1e-14)
+
+
+def test_asymmetric_point_set_names_the_point():
+    sys = rs.build(5, [rs.regular(1.0, 1.0)])
+    sys.positions = sys.positions.copy()
+    sys.positions[3] += [1e-3, 0.0]
+    # r moves point 2 onto the old place of point 3, which is now empty
+    with pytest.raises(ValueError, match=r"system not D_n-symmetric: point 2 leaves the set "
+                                         r"under r\^1\(D_5\)"):
+        sys.group_action()
+    with pytest.raises(ValueError, match="point 2 leaves the set"):
+        sys.group_permutation(reflection(5, 3))
+    # a pentagon at phase 0.3 is invariant under r but not under s
+    ang = 0.3 + 2.0 * np.pi * np.arange(5) / 5
+    chiral = RingSystem(n=5, rings=sys.rings, positions=np.column_stack([np.cos(ang), np.sin(ang)]),
+                        masses=sys.masses, orbit_of=sys.orbit_of, orbit_slices=sys.orbit_slices)
+    with pytest.raises(ValueError, match=r"point 0 leaves the set under s\(D_5\)"):
+        chiral.group_action()
+    # a doubled point: every image lies in the set, but r hits point 1 twice
+    doubled = RingSystem(n=5, rings=sys.rings,
+                         positions=np.vstack([ring_positions(5, rs.regular(1.0, 1.0)), [[1.0, 0.0]]]),
+                         masses=np.ones(6), orbit_of=np.zeros(6, dtype=int),
+                         orbit_slices=[slice(0, 6)])
+    with pytest.raises(ValueError, match="action is not a permutation"):
+        doubled.group_action()

@@ -85,6 +85,18 @@ def test_off_block_residual_and_j_form(pot):
         assert_allclose(Jb, expect, atol=1e-10)
 
 
+@pytest.mark.parametrize("n,rings", [
+    (6, [rs.center(1.5), rs.regular(1.0, 1.0), rs.semiregular(1.9, 0.15, 0.5)]),
+    (3, [rs.regular(1.0, 1.0), rs.regular(2.0, -0.5)]),
+])
+def test_transform_applies_j_without_forming_it(n, rings):
+    op, basis = operator_at(n, rings, VORT, 0.8)
+    C = basis.matrix
+    J = rs.dynamics.j_matrix(op.system.npoints)
+    assert np.array_equal(rs.apply_j(C.T).T, J @ C)
+    assert np.array_equal(transform(op, basis).j_tilde, np.linalg.solve(C, J @ C))
+
+
 def block_quarters(op, basis, label):
     tr = transform(op, basis)
     for plan in basis.blocks:

@@ -263,6 +263,52 @@ def test_closed_form_basis_matches_projectors(n):
             assert np.linalg.norm(P_u @ U - U) <= 1e-12 * np.linalg.norm(U), (key, plan.label)
 
 
+@pytest.mark.parametrize("n", range(2, 13))
+def test_basis_cond_closed_form(n):
+    for key, sys in grid_systems(n):
+        basis = rs.assemble_global_basis(sys)
+        assert basis.normalized and basis.m_orthogonal == "full", key
+        ref = np.linalg.cond(basis.matrix)
+        assert abs(basis.cond - ref) <= 1e-12 * ref, key
+
+
+# --- the matrix-free group action against dense sigma matrices --------------
+
+def dense_averaging(sys, kind, k):
+    """The definition of averaging_operator, summed from dense sigma matrices."""
+    n = sys.n
+    w = np.cos if kind == "c" else np.sin
+    return sum(w(2.0 * np.pi * k * j / n) * sys.sigma_matrix(rs.rotation(n, j))
+               for j in range(1, n + 1)) / (2.0 * n)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_gather_action_matches_sigma_matrix(n):
+    for key, sys in grid_systems(n):
+        act = sys.group_action()
+        dim = 2 * sys.npoints
+        X = RNG.standard_normal((dim, 3))
+        for g in sys.group():
+            S = sys.sigma_matrix(g)
+            assert np.abs(act.left(g, X) - S @ X).max() <= 1e-14, (key, g)
+            assert np.abs(act.right(X.T, g) - X.T @ S).max() <= 1e-14, (key, g)
+        S = sys.sigma_matrix(rs.reflection(n))
+        E = np.eye(dim)
+        for kind, k in (("c", 0), ("c", 1), ("s", 1), ("c", n // 2)):
+            avg = dense_averaging(sys, kind, k)
+            assert np.abs(averaging_operator(sys, kind, k) - avg).max() <= 1e-14, (key, kind, k)
+        for label in (TAU, ALPHA):
+            sign = 1.0 if label == TAU else -1.0
+            P = dense_averaging(sys, "c", 0) @ (E + sign * S)
+            assert np.abs(projector(sys, label) - P).max() <= 1e-14, (key, label)
+        if n > 2:
+            ck, sk = dense_averaging(sys, "c", 1), dense_averaging(sys, "s", 1)
+            dense = {(1, 1): 2.0 * ck @ (E + S), (2, 2): 2.0 * ck @ (E - S),
+                     (1, 2): 2.0 * sk @ (S - E), (2, 1): 2.0 * sk @ (E + S)}
+            for part, P in dense.items():
+                assert np.abs(projector(sys, rho(1), part) - P).max() <= 1e-14, (key, part)
+
+
 GUARD_CONFIG = """
 n = {n}
 kind = homogeneous
@@ -312,3 +358,17 @@ def test_large_n_factorization():
         fac = factorize(rs.stability_operator(sys, pot, 1.0), basis)
         assert fac.max_off_residual <= 1e-9, pot.kind
         assert fac.oracle.max_rel_error <= 1e-8, pot.kind
+
+
+@pytest.mark.parametrize("n", [2, 6])
+def test_verify_never_forms_sigma_matrices(n, tmp_path, monkeypatch, capsys):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("verify formed a dense sigma matrix")
+
+    monkeypatch.setattr(RingSystem, "sigma_matrix", forbidden)
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text(GUARD_CONFIG.format(n=n))
+    code = cli.main(["verify", "--config", str(cfg)])
+    out = capsys.readouterr()
+    assert code == 0, out.out + out.err
+    assert "verdict: pass" in out.out
