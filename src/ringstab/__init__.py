@@ -21,11 +21,11 @@ from .stability import (BlockReport, FactorizationReport, PolyFactor,
                         classical_checks, dense_oracle, expected_degree_profile,
                         factorize, transform)
 from .svg import emit_svg, render_svg
-from .symbasis import (IsotypicComponent, ResidualReport, SymBasis,
-                       assemble_global_basis, averaging_operator, gram_residual,
-                       isotypic_decomposition, j_relations_check, m_inner,
-                       multiplicities, omega_form, orbit_basis, projector,
-                       projector_algebra_check, symplectic_residuals, transfer,
-                       translation_field)
+from .symbasis import (IsotypicComponent, ProjectorFamily, ResidualReport,
+                       SymBasis, assemble_global_basis, averaging_operator,
+                       gram_residual, isotypic_decomposition, j_relations_check,
+                       m_inner, multiplicities, projector,
+                       projector_algebra_check, projector_family,
+                       symplectic_residuals, translation_field)
 
 __version__ = "0.1.0"

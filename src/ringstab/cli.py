@@ -25,7 +25,8 @@ from .stability import (OFF_BLOCK_TOL, ORACLE_TOL, FactorizationReport,
 from .svg import emit_svg
 from .symbasis import (SymBasis, assemble_global_basis, gram_residual,
                        isotypic_decomposition, j_relations_check,
-                       projector_algebra_check, symplectic_residuals)
+                       projector_algebra_check, projector_family,
+                       symplectic_residuals)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -58,12 +59,17 @@ def _reversed_residual(sysm: RingSystem, pot: Potential, omega: float) -> float:
     return float(np.linalg.norm(releq_residual(sysm, pot, -omega)))
 
 
-def invariant_suite(sysm: RingSystem, pot: Potential, op: StabilityOperator,
-                    basis: SymBasis, fac: FactorizationReport,
+def invariant_suite(op: StabilityOperator, basis: SymBasis,
+                    fac: FactorizationReport,
                     tol_invariants: float | None = None,
                     tol_off: float = OFF_BLOCK_TOL,
                     tol_oracle: float = ORACLE_TOL) -> tuple[list[dict], bool]:
-    """One entry per invariant; second value is the gated verdict."""
+    """One entry per invariant; second value is the gated verdict.
+
+    The projector family of op's system is built once and shared by the
+    projector checks; the operator checks read op, the operator that fac
+    factored.
+    """
 
     def t(default: float) -> float:
         return tol_invariants if tol_invariants is not None else default
@@ -76,18 +82,19 @@ def invariant_suite(sysm: RingSystem, pot: Potential, op: StabilityOperator,
         items.append({"name": name, "residual": float(residual),
                       "threshold": threshold, "status": status, "gated": gated})
 
-    pa = projector_algebra_check(sysm, tol=t(1e-11))
+    fam = projector_family(op.system)
+    pa = projector_algebra_check(fam, tol=t(1e-11))
     add("projector algebra + completeness", pa.max_residual, t(1e-11))
-    jr = j_relations_check(sysm, tol=t(1e-11))
+    jr = j_relations_check(fam, tol=t(1e-11))
     add("J relations", jr.max_residual, t(1e-11))
     try:
-        isotypic_decomposition(sysm)
+        isotypic_decomposition(fam)
         add("multiplicity ranks", 0.0, "exact", status="PASS")
     except ValueError:
         add("multiplicity ranks", 1.0, "exact", status="FAIL")
-    add("equivariance of A", equivariance_residual(sysm, pot), t(1e-9))
-    add("hessian vs finite differences", hessian_fd_residual(sysm, pot), t(1e-5))
-    add("translation kernel of A", translation_kernel_residual(sysm, pot), t(1e-9))
+    add("equivariance of A", equivariance_residual(op, fam.action), t(1e-9))
+    add("hessian vs finite differences", hessian_fd_residual(op), t(1e-5))
+    add("translation kernel of A", translation_kernel_residual(op), t(1e-9))
     g = gram_residual(basis)
     if basis.m_orthogonal == "partial" or not basis.normalized:
         # mixed signs leave the mass form indefinite; orthogonality is then
@@ -103,7 +110,7 @@ def invariant_suite(sysm: RingSystem, pot: Potential, op: StabilityOperator,
     else:
         add("classical eigenvector identities", 0.0, "-",
             status="SKIP (not a relative equilibrium)", gated=False)
-    sy = symplectic_residuals(sysm)
+    sy = symplectic_residuals(fam)
     add("symplectic pairing diagnostics", max(sy.values()), "-", status="INFO", gated=False)
 
     ok = all(i["status"] == "PASS" for i in items if i["gated"])
@@ -164,7 +171,7 @@ def _cmd_analyze(cfg: JobConfig, args) -> int:
 def _cmd_verify(cfg: JobConfig, args) -> int:
     sysm, pot, op, basis, fac, sol = _pipeline(cfg, args)
     items, ok = invariant_suite(
-        sysm, pot, op, basis, fac,
+        op, basis, fac,
         tol_invariants=args.tol if args.tol is not None else cfg.tolerances.get("invariants"),
         tol_off=_tol(args, cfg, "off_block", OFF_BLOCK_TOL),
         tol_oracle=_tol(args, cfg, "oracle", ORACLE_TOL))
@@ -275,9 +282,6 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
     try:
         return _COMMANDS[args.command](cfg, args)
-    except SolverFailure as exc:
-        print("solver error: %s" % exc, file=_sys.stderr)
-        return EXIT_SOLVER
     except RuntimeError as exc:
         print("solver error: %s" % exc, file=_sys.stderr)
         return EXIT_SOLVER

@@ -28,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import RingSpec, RingSystem, build
+from .dihedral import full_group
+from .geometry import GroupAction, RingSpec, RingSystem, build
 
 
 @dataclass(frozen=True)
@@ -161,32 +162,32 @@ def hessian_fd(sys: RingSystem, pot: Potential, step: float = 1e-6) -> np.ndarra
     return out.transpose(2, 3, 0, 1).reshape(2 * npts, 2 * npts)
 
 
-def hessian_fd_residual(sys: RingSystem, pot: Potential, step: float = 1e-6) -> float:
-    """Relative error of the analytic Hessian against central differences."""
-    H = hessian(sys, pot)
-    F = hessian_fd(sys, pot, step)
+def hessian_fd_residual(op: StabilityOperator, step: float = 1e-6) -> float:
+    """Relative error of the operator's Hessian H = M A against central
+    differences."""
+    H = op.system.mass_diag[:, None] * op.matrix
+    F = hessian_fd(op.system, op.potential, step)
     return float(np.linalg.norm(H - F) / max(np.linalg.norm(F), 1e-300))
 
 
-def equivariance_residual(sys: RingSystem, pot: Potential) -> float:
-    """max_g ||A sigma(g) - sigma(g) A||_F / ||A||_F for A = M^-1 D grad F,
-    with sigma(g) applied as column and row gathers: O(N^2) per element."""
-    A = stability_operator(sys, pot, omega=1.0).matrix
+def equivariance_residual(op: StabilityOperator, act: GroupAction) -> float:
+    """max_g ||A sigma(g) - sigma(g) A||_F / ||A||_F, with sigma(g) applied
+    as column and row gathers: O(N^2) per element."""
+    A = op.matrix
     anorm = np.linalg.norm(A)
-    act = sys.group_action()
     worst = 0.0
-    for g in sys.group():
+    for g in full_group(act.n):
         worst = max(worst, float(np.linalg.norm(act.right(A, g) - act.left(g, A))))
     return worst / max(anorm, 1e-300)
 
 
-def translation_kernel_residual(sys: RingSystem, pot: Potential) -> float:
+def translation_kernel_residual(op: StabilityOperator) -> float:
     """max over both unit translations of ||A t|| / (||A|| ||t||)."""
-    A = stability_operator(sys, pot, omega=1.0).matrix
+    A = op.matrix
     anorm = np.linalg.norm(A)
     worst = 0.0
     for d in (0, 1):
-        t = np.zeros(2 * sys.npoints)
+        t = np.zeros(A.shape[0])
         t[d::2] = 1.0
         worst = max(worst, float(np.linalg.norm(A @ t) / (anorm * np.linalg.norm(t) + 1e-300)))
     return worst
@@ -201,28 +202,30 @@ class StabilityOperator:
     omega: float
     matrix: np.ndarray
     releq_residual_norm: float
-
-    @property
-    def is_releq(self) -> bool:
-        scale = max(np.max(np.abs(gradient(self.system, self.potential))), 1.0)
-        return self.releq_residual_norm <= 1e-8 * scale
+    is_releq: bool                 # residual <= 1e-8 max(max |grad F|, 1)
 
 
 def stability_operator(sys: RingSystem, pot: Potential, omega: float) -> StabilityOperator:
     H = hessian(sys, pot)
     A = H / sys.mass_diag[:, None]
-    res = releq_residual(sys, pot, omega)
-    return StabilityOperator(system=sys, potential=pot, omega=omega, matrix=A,
-                             releq_residual_norm=float(np.max(np.abs(res))))
-
-
-def releq_residual(sys: RingSystem, pot: Potential, omega: float) -> np.ndarray:
-    """Rotating-frame balance residual, length 2N; zero at a relative equilibrium."""
     g = gradient(sys, pot)
+    res = float(np.max(np.abs(_balance(sys, pot, omega, g))))
+    return StabilityOperator(system=sys, potential=pot, omega=omega, matrix=A,
+                             releq_residual_norm=res,
+                             is_releq=bool(res <= 1e-8 * max(np.max(np.abs(g)), 1.0)))
+
+
+def _balance(sys: RingSystem, pot: Potential, omega: float, g: np.ndarray) -> np.ndarray:
+    """`releq_residual` from the gradient g = grad F."""
     mk = sys.mass_diag * sys.config_vector
     if pot.kind == "vortex":
         return omega * mk + g
     return omega ** 2 * mk - g
+
+
+def releq_residual(sys: RingSystem, pot: Potential, omega: float) -> np.ndarray:
+    """Rotating-frame balance residual, length 2N; zero at a relative equilibrium."""
+    return _balance(sys, pot, omega, gradient(sys, pot))
 
 
 @dataclass

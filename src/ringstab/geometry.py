@@ -159,18 +159,15 @@ class RingSystem:
         blocks = np.array([planar_action(g) for g in full_group(n)])
         return GroupAction(n=n, perm=perm, inverse=inverse, blocks=blocks)
 
-    def group_permutation(self, g: DihedralElement) -> np.ndarray:
-        """Permutation pi with positions[pi[i]] = planar_action(g) @ positions[i]."""
-        k = _element_index(g, self.n)
-        return self.group_action().perm[k]
-
     def sigma_matrix(self, g: DihedralElement) -> np.ndarray:
         """2N x 2N matrix of g acting on displacement fields.
 
         (sigma(g) w)_i = g . w_{g^{-1}(i)}: block (pi[i], i) is the planar
-        action of g, where pi is the point permutation of g.
+        action of g, where pi is the point permutation of g, with
+        positions[pi[i]] = planar_action(g) @ positions[i].
         """
-        perm = self.group_permutation(g)
+        k = _element_index(g, self.n)
+        perm = self.group_action().perm[k]
         act = planar_action(g)
         out = np.zeros((2 * self.npoints, 2 * self.npoints))
         for i in range(self.npoints):

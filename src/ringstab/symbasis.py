@@ -7,12 +7,13 @@ takes a standard symplectic form, directly from closed-form Fourier fields:
 on each orbit the columns are radial and tangential unit fields modulated by
 cos/sin of k*theta, O(N) per column (`assemble_global_basis`).
 
-The projectors onto the isotypic components, the transfer maps between the
-two copies inside each two-dimensional-irrep component, and the algebra
-checks built on them are verification oracles: `verify` and the tests use
-them to check the closed-form basis by an independent route, and the
-production pipeline never forms them.  They are matrix-free in the group
-action: sigma(g) is a point permutation times one 2x2 planar block
+The projectors onto the isotypic components (for each two-dimensional
+irrep the four blocks p11, p12, p21, p22) are verification oracles:
+`projector_family` builds them once per system, and the four checks that
+`verify` runs on them (`projector_algebra_check`, `j_relations_check`,
+`isotypic_decomposition`, `symplectic_residuals`) share that one family.
+The production pipeline never forms them.  They are matrix-free in the
+group action: sigma(g) is a point permutation times one 2x2 planar block
 (`geometry.GroupAction`), so each averaging operator is scattered from its
 n nonzero 2x2 blocks per point, S = sigma(s) is a column gather, J is
 `apply_j`, and since the action keeps every point on its ring, products and
@@ -25,12 +26,12 @@ falls back to the Euclidean product and the result is flagged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .dihedral import (ALPHA, PHI, PSI, TAU, IrrepLabel, irrep_list,
-                       reflection, rho, rotation)
+from .dihedral import (TAU, IrrepLabel, irrep_list, reflection, rho,
+                       rotation)
 from .dynamics import apply_j
 from .geometry import GroupAction, RingSystem
 
@@ -113,19 +114,30 @@ def _rho_parts(act: GroupAction, k: int) -> dict[tuple[int, int], np.ndarray]:
     return {(1, 1): ck + cks, (2, 2): ck - cks, (1, 2): sks - sk, (2, 1): sk + sks}
 
 
-def transfer(sys: RingSystem, k: int, i: int, j: int) -> np.ndarray:
-    """p_ij for rho_k: an M-isometry V_j^(k) -> V_i^(k) (i != j)."""
-    return projector(sys, rho(k), part=(i, j))
+@dataclass(frozen=True)
+class ProjectorFamily:
+    """Every isotypic projector of one system, built once and shared by the
+    verification checks."""
+
+    system: RingSystem
+    action: GroupAction
+    one_dim: dict[IrrepLabel, np.ndarray]                 # in irrep_list order
+    rho: dict[int, dict[tuple[int, int], np.ndarray]]     # k -> p11, p22, p12, p21
+
+
+def projector_family(sys: RingSystem) -> ProjectorFamily:
+    """The group action, the one-dimensional projectors and the four p_ij
+    blocks of every rho_k (none for n = 2)."""
+    act = sys.group_action()
+    return ProjectorFamily(
+        system=sys, action=act,
+        one_dim={lab: _projector(act, lab) for lab in irrep_list(sys.n) if lab.kind != "rho"},
+        rho={k: _rho_parts(act, k) for k in _rho_range(sys.n)})
 
 
 def m_inner(sys: RingSystem, u: np.ndarray, v: np.ndarray) -> float:
     """<u, v>_M = u^T M v; indefinite when masses change sign."""
     return float(u @ (sys.mass_diag * v))
-
-
-def omega_form(sys: RingSystem, u: np.ndarray, v: np.ndarray) -> float:
-    """Symplectic pairing <u, J v>_M."""
-    return m_inner(sys, u, apply_j(v))
 
 
 def multiplicities(n: int, a: int, b: int, c: int) -> dict[str, int]:
@@ -173,7 +185,7 @@ def _j_right(X: np.ndarray) -> np.ndarray:
     return -apply_j(X)
 
 
-def isotypic_decomposition(sys: RingSystem) -> list[IsotypicComponent]:
+def isotypic_decomposition(fam: ProjectorFamily) -> list[IsotypicComponent]:
     """Ranks and orthonormal bases of every isotypic piece via projector SVD,
     taken ring by ring (the projectors are block diagonal by ring); ranks
     count singular values against the largest one of the whole projector.
@@ -181,36 +193,32 @@ def isotypic_decomposition(sys: RingSystem) -> list[IsotypicComponent]:
     Raises ValueError("decomposition mismatch") when computed ranks disagree
     with the multiplicity count or do not sum to 2N.
     """
+    sys = fam.system
     a, b, c = sys.type_abc
     expect = multiplicities(sys.n, a, b, c)
-    act = sys.group_action()
     rows = _ring_rows(sys)
     dim = 2 * sys.npoints
+    pieces = [(label, 0, P) for label, P in fam.one_dim.items()]
+    pieces += [(rho(k), i, rp[(i, i)]) for k, rp in fam.rho.items() for i in (1, 2)]
     out = []
     total = 0
-    for label in irrep_list(sys.n):
-        if label.kind != "rho":
-            parts = [(0, _projector(act, label))]
-        else:
-            rp = _rho_parts(act, label.k)
-            parts = [(1, rp[(1, 1)]), (2, rp[(2, 2)])]
-        for part, P in parts:
-            svds = [np.linalg.svd(P[r, r]) for r in rows]
-            top = max(sv[0] for _, sv, _ in svds)
-            cols = []
-            for r, (U, sv, _) in zip(rows, svds):
-                keep = int(np.sum(sv > RANK_RTOL * top)) if top > 0 else 0
-                col = np.zeros((dim, keep))
-                col[r] = U[:, :keep]
-                cols.append(col)
-            basis = np.hstack(cols)
-            rank = basis.shape[1]
-            if rank != expect[repr(label)]:
-                raise ValueError("decomposition mismatch: rank %d for %r part %d, expected %d"
-                                 % (rank, label, part, expect[repr(label)]))
-            out.append(IsotypicComponent(label=label, part=part, dimension=rank,
-                                         basis=basis))
-            total += rank
+    for label, part, P in pieces:
+        svds = [np.linalg.svd(P[r, r]) for r in rows]
+        top = max(sv[0] for _, sv, _ in svds)
+        cols = []
+        for r, (U, sv, _) in zip(rows, svds):
+            keep = int(np.sum(sv > RANK_RTOL * top)) if top > 0 else 0
+            col = np.zeros((dim, keep))
+            col[r] = U[:, :keep]
+            cols.append(col)
+        basis = np.hstack(cols)
+        rank = basis.shape[1]
+        if rank != expect[repr(label)]:
+            raise ValueError("decomposition mismatch: rank %d for %r part %d, expected %d"
+                             % (rank, label, part, expect[repr(label)]))
+        out.append(IsotypicComponent(label=label, part=part, dimension=rank,
+                                     basis=basis))
+        total += rank
     if total != dim:
         raise ValueError("decomposition mismatch: components span %d of %d dimensions"
                          % (total, dim))
@@ -224,7 +232,7 @@ class ResidualReport:
     passed: bool
 
 
-def projector_algebra_check(sys: RingSystem, tol: float = 1e-11,
+def projector_algebra_check(fam: ProjectorFamily, tol: float = 1e-11,
                             probe_dim: int = 96) -> ResidualReport:
     """Residuals of the full composition table of the projector family.
 
@@ -237,17 +245,10 @@ def projector_algebra_check(sys: RingSystem, tol: float = 1e-11,
     Products are taken ring by ring, where the projectors are block
     diagonal.
     """
-    n = sys.n
-    dim = 2 * sys.npoints
-    act = sys.group_action()
-    family: list[tuple[str, tuple, np.ndarray]] = []
-    for lab in (TAU, ALPHA) + ((PHI, PSI) if n % 2 == 0 else ()):
-        family.append(("p_%s" % lab.kind, (lab.kind,), _projector(act, lab)))
-    if n > 2:
-        for k in _rho_range(n):
-            rp = _rho_parts(act, k)
-            family += [("p%d%d(k=%d)" % (ij + (k,)), ("rho", k) + ij, rp[ij])
-                       for ij in ((1, 1), (1, 2), (2, 1), (2, 2))]
+    dim = 2 * fam.system.npoints
+    family = [("p_%s" % lab.kind, (lab.kind,), P) for lab, P in fam.one_dim.items()]
+    family += [("p%d%d(k=%d)" % (ij + (k,)), ("rho", k) + ij, P)
+               for k, rp in fam.rho.items() for ij, P in rp.items()]
     names, ids, ops = zip(*family)
     count = len(ops)
     where = {id_: i for i, id_ in enumerate(ids)}
@@ -266,7 +267,7 @@ def projector_algebra_check(sys: RingSystem, tol: float = 1e-11,
         probe = rng.standard_normal((dim, 4))
         probe /= np.linalg.norm(probe, axis=0)
     sq = np.zeros((count, count))
-    for r in _ring_rows(sys):
+    for r in _ring_rows(fam.system):
         blocks = np.stack([P[r, r] for P in ops])                  # (K, d, d)
         x = probe[r] if probe is not None else np.eye(blocks.shape[1])
         bx = blocks @ x                                            # B x for every B
@@ -285,69 +286,67 @@ def projector_algebra_check(sys: RingSystem, tol: float = 1e-11,
     return ResidualReport(residuals=res, max_residual=mx, passed=bool(mx <= tol))
 
 
-def j_relations_check(sys: RingSystem, tol: float = 1e-11) -> ResidualReport:
+#: the label whose projector J carries each one-dimensional projector to
+_J_PARTNER = {"tau": "alpha", "alpha": "tau", "phi": "psi", "psi": "phi"}
+
+
+def j_relations_check(fam: ProjectorFamily, tol: float = 1e-11) -> ResidualReport:
     """Residuals of the commutation identities between J and the group machinery.
 
     J commutes with rotations and anticommutes with reflections; consequently
     J intertwines p_tau with p_alpha, p_phi with p_psi, and maps the rho
     blocks as J p11 = p22 J, J p12 = -p21 J (and symmetrically).
     """
-    n = sys.n
-    act = sys.group_action()
-    eye = np.eye(2 * sys.npoints)
-    R = act.left(rotation(n), eye)
-    S = act.left(reflection(n), eye)
-    nrm = np.sqrt(2.0 * sys.npoints)            # ||J||_F
+    n, npts = fam.system.n, fam.system.npoints
+    eye = np.eye(2 * npts)
+    R = fam.action.left(rotation(n), eye)
+    S = fam.action.left(reflection(n), eye)
+    nrm = np.sqrt(2.0 * npts)                   # ||J||_F
     res = {
         "J r - r J": np.linalg.norm(_j_left(R) - _j_right(R)),
         "J s + s J": np.linalg.norm(_j_left(S) + _j_right(S)),
     }
-    pt, pa = _projector(act, TAU), _projector(act, ALPHA)
-    res["J p_tau - p_alpha J"] = np.linalg.norm(_j_left(pt) - _j_right(pa))
-    res["J p_alpha - p_tau J"] = np.linalg.norm(_j_left(pa) - _j_right(pt))
-    if n % 2 == 0:
-        pf, pp = _projector(act, PHI), _projector(act, PSI)
-        res["J p_phi - p_psi J"] = np.linalg.norm(_j_left(pf) - _j_right(pp))
-        res["J p_psi - p_phi J"] = np.linalg.norm(_j_left(pp) - _j_right(pf))
-    if n > 2:
-        for k in _rho_range(n):
-            rp = _rho_parts(act, k)
-            p11, p22, p12, p21 = rp[(1, 1)], rp[(2, 2)], rp[(1, 2)], rp[(2, 1)]
-            res["J p11 - p22 J (k=%d)" % k] = np.linalg.norm(_j_left(p11) - _j_right(p22))
-            res["J p22 - p11 J (k=%d)" % k] = np.linalg.norm(_j_left(p22) - _j_right(p11))
-            res["J p12 + p21 J (k=%d)" % k] = np.linalg.norm(_j_left(p12) + _j_right(p21))
-            res["J p21 + p12 J (k=%d)" % k] = np.linalg.norm(_j_left(p21) + _j_right(p12))
+    for lab, P in fam.one_dim.items():
+        other = _J_PARTNER[lab.kind]
+        res["J p_%s - p_%s J" % (lab.kind, other)] = np.linalg.norm(
+            _j_left(P) - _j_right(fam.one_dim[IrrepLabel(other)]))
+    for k, rp in fam.rho.items():
+        for (i, j), P in rp.items():
+            # J p_ii = p_i'i' J and J p_ij = -p_i'j' J, with 1' = 2 and 2' = 1
+            Q = _j_right(rp[(3 - i, 3 - j)])
+            sign = "-" if i == j else "+"
+            name = "J p%d%d %s p%d%d J (k=%d)" % (i, j, sign, 3 - i, 3 - j, k)
+            res[name] = np.linalg.norm(_j_left(P) - Q if i == j else _j_left(P) + Q)
     res = {k: float(v / nrm) for k, v in res.items()}
     mx = max(res.values())
     return ResidualReport(residuals=res, max_residual=mx, passed=bool(mx <= tol))
 
 
-def symplectic_residuals(sys: RingSystem) -> dict[str, float]:
+def symplectic_residuals(fam: ProjectorFamily) -> dict[str, float]:
     """Diagnostics of the pairing Omega_M(u, v) = u^T M J v (never gated).
 
     Reports the isotropy of the tau component (Omega_M vanishes there) and,
     per two-dimensional irrep, how far M J p12 is from symmetric, i.e. how
-    far the transfer is from being a Hamiltonian vector field for Omega_M.
+    far the transfer p12 is from being a Hamiltonian vector field for
+    Omega_M.
     """
-    md = sys.mass_diag
-    act = sys.group_action()
+    md = fam.system.mass_diag
 
     def mj(X: np.ndarray) -> np.ndarray:
         return md[:, None] * _j_left(X)
 
     out = {}
-    pt = _projector(act, TAU)
+    pt = fam.one_dim[TAU]
     y = mj(pt)
-    iso = np.sqrt(sum(np.linalg.norm(pt[r, r].T @ y[r, r]) ** 2 for r in _ring_rows(sys)))
+    iso = np.sqrt(sum(np.linalg.norm(pt[r, r].T @ y[r, r]) ** 2
+                      for r in _ring_rows(fam.system)))
     # ||M J||_F = ||mass_diag||
     out["Omega_M on tau component"] = float(iso / max(np.linalg.norm(md), 1e-300))
-    if sys.n > 2:
-        for k in _rho_range(sys.n):
-            rp = _rho_parts(act, k)
-            for (i, j) in ((1, 2), (2, 1)):
-                X = mj(rp[(i, j)])
-                out["M J p%d%d symmetry (k=%d)" % (i, j, k)] = float(
-                    np.linalg.norm(X - X.T) / max(np.linalg.norm(X), 1e-300))
+    for k, rp in fam.rho.items():
+        for (i, j) in ((1, 2), (2, 1)):
+            X = mj(rp[(i, j)])
+            out["M J p%d%d symmetry (k=%d)" % (i, j, k)] = float(
+                np.linalg.norm(X - X.T) / max(np.linalg.norm(X), 1e-300))
     return out
 
 
@@ -368,51 +367,17 @@ def translation_field(sys: RingSystem, orbit: int | None = None, direction: int 
     return out
 
 
-@dataclass
-class OrbitContribution:
-    """Raw per-orbit basis material (V_1-side columns; J gives the partners)."""
-
-    orbit: int
-    tau: list[np.ndarray] = field(default_factory=list)
-    phi: list[np.ndarray] = field(default_factory=list)
-    sigma: list[np.ndarray] = field(default_factory=list)
-    rho: dict[int, list[np.ndarray]] = field(default_factory=dict)
-
-
-def orbit_basis(sys: RingSystem, i: int) -> dict[str, np.ndarray]:
-    """One orbit's adapted columns, grouped by block label.
-
-    Each value is a (2N, 2m) matrix whose first m columns are exactly J times
-    the last m, matching the global assembly convention.  Columns are
-    supported on orbit i.
-    """
-    ct = _orbit_contribution(sys, i)
-
-    def pack(us: list[np.ndarray]) -> np.ndarray:
-        return np.column_stack([apply_j(u) for u in us] + us)
-
-    out: dict[str, np.ndarray] = {}
-    if ct.tau:
-        out["tau_alpha"] = pack(ct.tau)
-    if ct.phi:
-        out["phi_psi"] = pack(ct.phi)
-    for k in sorted(ct.rho):
-        out["rho_%d" % k] = pack(ct.rho[k])
-    if ct.sigma:
-        out["sigma"] = pack(ct.sigma)
-    return out
-
-
-def _orbit_contribution(sys: RingSystem, i: int) -> OrbitContribution:
-    """Closed-form construction of one orbit's contribution.
+def _orbit_contribution(sys: RingSystem, i: int) -> dict[str, list[np.ndarray]]:
+    """Closed-form V_1-side columns of one orbit (J gives the partners),
+    keyed by block label.
 
     Every column is a field f_r e_r + f_t e_t on the orbit's points, with
     e_r, e_t the radial and tangential unit vectors at polar angle theta, r
     the radius and, on semiregular rings, eps = +1 at the +mu points and -1
     at the -mu points:
 
-      tau        r e_r; semiregular adds eps e_t
-      phi        cos(n theta/2) e_r (phase 0), sin(n theta/2) e_t (phase
+      tau_alpha  r e_r; semiregular adds eps e_t
+      phi_psi    cos(n theta/2) e_r (phase 0), sin(n theta/2) e_t (phase
                  pi/n); semiregular rings take both
       rho_k      cos k theta e_r, -sin k theta e_t; semiregular adds
                  eps sin k theta e_r, eps cos k theta e_t
@@ -422,19 +387,14 @@ def _orbit_contribution(sys: RingSystem, i: int) -> OrbitContribution:
                  eps sin theta e_r, -eps cos theta e_t
 
     The center carries the translation only.  For n = 2 there are no rho
-    components and the translation material lives in phi instead: the
+    components and the translation material lives in phi_psi instead: the
     translation, plus cos theta e_r on a semiregular ring.
     """
     n = sys.n
     spec = sys.rings[i]
-    out = OrbitContribution(orbit=i)
     t = translation_field(sys, orbit=i, direction=0)
     if spec.kind == "center":
-        if n == 2:
-            out.phi = [t]
-        else:
-            out.sigma = [t]
-        return out
+        return {"phi_psi" if n == 2 else "sigma": [t]}
     sl = sys.orbit_slices[i]
     x = sys.positions[sl]
     radius = np.linalg.norm(x, axis=1)
@@ -451,29 +411,30 @@ def _orbit_contribution(sys: RingSystem, i: int) -> OrbitContribution:
         w[sl] = f_r[:, None] * e_r + f_t[:, None] * e_t
         return w.reshape(-1)
 
-    out.tau = [column(radius, zero)]
+    out = {"tau_alpha": [column(radius, zero)]}
     if semi:
-        out.tau.append(column(zero, eps))
+        out["tau_alpha"].append(column(zero, eps))
     if n == 2:
-        out.phi = [t] + ([column(np.cos(theta), zero)] if semi else [])
+        out["phi_psi"] = [t] + ([column(np.cos(theta), zero)] if semi else [])
         return out
     if n % 2 == 0:
         half = 0.5 * n * theta
         phase0 = spec.phase < 0.5 * np.pi / n
+        phi = out["phi_psi"] = []
         if semi or phase0:
-            out.phi.append(column(np.cos(half), zero))
+            phi.append(column(np.cos(half), zero))
         if semi or not phase0:
-            out.phi.append(column(zero, np.sin(half)))
+            phi.append(column(zero, np.sin(half)))
     for k in _rho_range(n):
         c, s = np.cos(k * theta), np.sin(k * theta)
         if k == 1:
-            out.sigma = [t, column(c, s)]
+            out["sigma"] = [t, column(c, s)]
             if semi:
-                out.sigma += [column(eps * s, zero), column(zero, -eps * c)]
+                out["sigma"] += [column(eps * s, zero), column(zero, -eps * c)]
         else:
-            out.rho[k] = [column(c, zero), column(zero, -s)]
+            out["rho_%d" % k] = [column(c, zero), column(zero, -s)]
             if semi:
-                out.rho[k] += [column(eps * s, zero), column(zero, eps * c)]
+                out["rho_%d" % k] += [column(eps * s, zero), column(zero, eps * c)]
     return out
 
 
@@ -589,6 +550,9 @@ def assemble_global_basis(sys: RingSystem, normalize: bool = True) -> SymBasis:
     (J u_1 ... J u_m, u_1 ... u_m); the J-pairing is exact by construction.
     """
     contribs = [_orbit_contribution(sys, i) for i in range(len(sys.rings))]
+
+    def per_orbit(label: str) -> list[list[np.ndarray]]:
+        return [ct[label] for ct in contribs if ct.get(label)]
     a, b, c = sys.type_abc
     expect = multiplicities(sys.n, a, b, c)
     # M-normalization only makes sense for a definite mass form; with
@@ -607,8 +571,7 @@ def assemble_global_basis(sys: RingSystem, normalize: bool = True) -> SymBasis:
         cols.extend(u_side)
         blocks.append(BlockPlan(label=label, start=start, pairs=len(u_side), lead_pair=lead))
 
-    tau_items = [ct.tau for ct in contribs if ct.tau]
-    u, ok = _lead_combo(sys, tau_items)
+    u, ok = _lead_combo(sys, per_orbit("tau_alpha"))
     m_full = m_full and ok
     if len(u) != expect["tau"]:
         raise ValueError("decomposition mismatch: tau has %d columns, expected %d"
@@ -617,10 +580,10 @@ def assemble_global_basis(sys: RingSystem, normalize: bool = True) -> SymBasis:
 
     if sys.n % 2 == 0:
         if sys.n == 2:
-            u, ok = _lead_combo(sys, [ct.phi for ct in contribs if ct.phi])
+            u, ok = _lead_combo(sys, per_orbit("phi_psi"))
             m_full = m_full and ok
         else:
-            u = [v for ct in contribs for v in ct.phi]
+            u = [v for lst in per_orbit("phi_psi") for v in lst]
         if len(u) != expect["phi"]:
             raise ValueError("decomposition mismatch: phi has %d columns, expected %d"
                              % (len(u), expect["phi"]))
@@ -630,12 +593,12 @@ def assemble_global_basis(sys: RingSystem, normalize: bool = True) -> SymBasis:
         for k in _rho_range(sys.n):
             if k == 1:
                 continue
-            u = [v for ct in contribs for v in ct.rho.get(k, [])]
+            u = [v for lst in per_orbit("rho_%d" % k) for v in lst]
             if len(u) != expect["rho_%d" % k]:
                 raise ValueError("decomposition mismatch: rho_%d has %d columns, expected %d"
                                  % (k, len(u), expect["rho_%d" % k]))
             add_block("rho_%d" % k, u, lead=False)
-        u, ok = _lead_combo(sys, [ct.sigma for ct in contribs if ct.sigma])
+        u, ok = _lead_combo(sys, per_orbit("sigma"))
         m_full = m_full and ok
         if len(u) != expect["rho_1"]:
             raise ValueError("decomposition mismatch: sigma has %d columns, expected %d"

@@ -11,7 +11,8 @@ import ringstab as rs
 from ringstab.stability import classical_checks, expected_degree_profile, factorize
 from ringstab.symbasis import (isotypic_decomposition, j_relations_check,
                                m_inner, multiplicities,
-                               projector_algebra_check, translation_field)
+                               projector_algebra_check, projector_family,
+                               translation_field)
 
 NEWT = rs.newtonian()
 VORT = rs.vortex()
@@ -52,7 +53,7 @@ def test_criterion_01_multiplicity_law():
     with criterion(1, "multiplicity law on the type grid"):
         for n, a, b, c in type_grid():
             sys = grid_system(n, a, b, c)
-            comps = isotypic_decomposition(sys)  # raises on any rank mismatch
+            comps = isotypic_decomposition(projector_family(sys))  # raises on any rank mismatch
             mult = multiplicities(n, a, b, c)
             w = b + 2 * c
             assert mult["tau"] == mult["alpha"] == w
@@ -73,14 +74,14 @@ def test_criterion_01_multiplicity_law():
 def test_criterion_02_projector_algebra():
     with criterion(2, "projector composition table <= 1e-11"):
         for n, a, b, c in type_grid():
-            rep = projector_algebra_check(grid_system(n, a, b, c), tol=1e-11)
+            rep = projector_algebra_check(projector_family(grid_system(n, a, b, c)), tol=1e-11)
             assert rep.passed, ((n, a, b, c), rep.max_residual)
 
 
 def test_criterion_03_j_relations():
     with criterion(3, "J relations <= 1e-11"):
         for n, a, b, c in type_grid():
-            rep = j_relations_check(grid_system(n, a, b, c), tol=1e-11)
+            rep = j_relations_check(projector_family(grid_system(n, a, b, c)), tol=1e-11)
             assert rep.passed, ((n, a, b, c), rep.max_residual)
 
 
@@ -97,11 +98,12 @@ def test_criterion_04_equivariance_and_hessian():
                      for r, m in zip(base.rings, masses)]
             sys = rs.build(n, rings)
             for pot in (NEWT, VORT):
-                assert rs.equivariance_residual(sys, pot) <= 1e-9, (n, a, b, c)
+                op = rs.stability_operator(sys, pot, 1.0)
+                assert rs.equivariance_residual(op, sys.group_action()) <= 1e-9, (n, a, b, c)
         for n, a, b, c in picks[:2]:
             sys = grid_system(n, a, b, c)
             for pot in (NEWT, VORT):
-                assert rs.hessian_fd_residual(sys, pot) <= 1e-5
+                assert rs.hessian_fd_residual(rs.stability_operator(sys, pot, 1.0)) <= 1e-5
 
 
 def test_criterion_05_block_structure():

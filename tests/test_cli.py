@@ -338,6 +338,8 @@ def test_solver_failure_exit_code(tmp_path):
                    "[ring]\nkind = regular\nradius = 1\nmass = 1\n")
     r = run_cli(["analyze", "--config", str(cfg)], tmp_path)
     assert r.returncode == 4, r.stdout + r.stderr
+    assert "solver error" in r.stderr
+    assert "solver did not converge" in r.stderr
 
 
 def test_diagram_files_and_block_filter(tmp_path, pentagon_cfg):

@@ -105,12 +105,12 @@ def test_hessian_symmetric_and_fd(pot):
     sys = mixed_system(4)
     H = hessian(sys, pot)
     assert_allclose(H, H.T, atol=1e-12)
-    assert rs.hessian_fd_residual(sys, pot) < 1e-6
+    assert rs.hessian_fd_residual(rs.stability_operator(sys, pot, 1.0)) < 1e-6
 
 
 def test_hessian_fd_residual_default_tolerance():
     sys = rs.build(6, [rs.regular(1.0, 1.0), rs.regular(2.2, 3.0, phase=np.pi / 6)])
-    assert rs.hessian_fd_residual(sys, rs.newtonian()) < 1e-5
+    assert rs.hessian_fd_residual(rs.stability_operator(sys, rs.newtonian(), 1.0)) < 1e-5
 
 
 @pytest.mark.parametrize("pot", [rs.vortex(), rs.homogeneous(-1.5)])
@@ -118,8 +118,9 @@ def test_equivariance(pot):
     masses = RNG.uniform(0.5, 2.0, size=3)
     sys = rs.build(5, [rs.center(masses[0]), rs.regular(1.0, masses[1]),
                        rs.semiregular(1.6, 0.11, masses[2])])
-    assert rs.equivariance_residual(sys, pot) < 1e-9
-    assert rs.translation_kernel_residual(sys, pot) < 1e-9
+    op = rs.stability_operator(sys, pot, 1.0)
+    assert rs.equivariance_residual(op, sys.group_action()) < 1e-9
+    assert rs.translation_kernel_residual(op) < 1e-9
 
 
 def test_apply_j():

@@ -8,12 +8,11 @@ from ringstab.dihedral import ALPHA, PHI, PSI, TAU, rho
 from ringstab.dynamics import apply_j
 from ringstab.geometry import RingSystem
 from ringstab.stability import factorize
-from ringstab.symbasis import (averaging_operator, gram_residual,
+from ringstab.symbasis import (_rho_range, averaging_operator, gram_residual,
                                isotypic_decomposition, j_relations_check,
-                               m_inner, multiplicities, omega_form,
-                               projector, projector_algebra_check,
-                               symplectic_residuals, transfer,
-                               translation_field)
+                               m_inner, multiplicities, projector,
+                               projector_algebra_check, projector_family,
+                               symplectic_residuals, translation_field)
 
 RNG = np.random.default_rng(77121)
 
@@ -31,7 +30,7 @@ def sample_systems():
 
 @pytest.mark.parametrize("idx", range(6))
 def test_projector_algebra(idx):
-    rep = projector_algebra_check(sample_systems()[idx])
+    rep = projector_algebra_check(projector_family(sample_systems()[idx]))
     assert rep.passed
     assert rep.max_residual < 1e-12
     assert "completeness" in rep.residuals
@@ -39,8 +38,8 @@ def test_projector_algebra(idx):
 
 def test_projector_algebra_probe_path_agrees():
     sys = rs.build(6, [rs.center(1.0), rs.regular(1.0, 1.0), rs.semiregular(1.8, 0.21, 0.5)])
-    full = projector_algebra_check(sys)
-    probed = projector_algebra_check(sys, probe_dim=0)
+    full = projector_algebra_check(projector_family(sys))
+    probed = projector_algebra_check(projector_family(sys), probe_dim=0)
     assert full.passed and probed.passed
     # probing evaluates the same contractions on four fixed vectors
     assert probed.max_residual <= full.max_residual + 1e-13
@@ -49,7 +48,7 @@ def test_projector_algebra_probe_path_agrees():
 
 @pytest.mark.parametrize("idx", range(6))
 def test_j_relations(idx):
-    rep = j_relations_check(sample_systems()[idx])
+    rep = j_relations_check(projector_family(sample_systems()[idx]))
     assert rep.passed
     assert rep.max_residual < 1e-12
 
@@ -78,14 +77,14 @@ def test_multiplicity_formula(n, a, b, c):
     rings += [rs.regular(1.0 + 0.8 * i, 1.0 + 0.3 * i) for i in range(b)]
     rings += [rs.semiregular(3.0 + 0.9 * i, np.pi / (n * (3 + i)), 0.5) for i in range(c)]
     sys = rs.build(n, rings)
-    comps = isotypic_decomposition(sys)
+    comps = isotypic_decomposition(projector_family(sys))
     assert sum(comp.dimension for comp in comps) == 2 * sys.npoints
 
 
 def test_isotypic_example_dimensions():
     sys = rs.build(4, [rs.center(2.0), rs.regular(1.0, 1.0),
                        rs.regular(1.6, 0.5), rs.semiregular(2.4, 0.3, 1.0)])
-    dims = [(str(c.label), c.part, c.dimension) for c in isotypic_decomposition(sys)]
+    dims = [(str(c.label), c.part, c.dimension) for c in isotypic_decomposition(projector_family(sys))]
     assert dims == [("tau", 0, 4), ("alpha", 0, 4), ("phi", 0, 4), ("psi", 0, 4),
                     ("rho_1", 1, 9), ("rho_1", 2, 9)]
 
@@ -99,12 +98,12 @@ def test_standard_part_rank():
 def test_transfer_isometry_and_nilpotency():
     sys = rs.build(5, [rs.regular(1.0, 1.0), rs.semiregular(1.8, 0.25, 2.0)])
     for k in (1, 2):
-        p12 = transfer(sys, k, 1, 2)
-        p21 = transfer(sys, k, 2, 1)
-        p11 = transfer(sys, k, 1, 1)
+        p12 = projector(sys, rho(k), (1, 2))
+        p21 = projector(sys, rho(k), (2, 1))
+        p11 = projector(sys, rho(k), (1, 1))
         assert np.linalg.norm(p12 @ p21 - p11) < 1e-12
         assert np.linalg.norm(p21 @ p21) < 1e-12
-        v = transfer(sys, k, 2, 2) @ RNG.standard_normal(2 * sys.npoints)
+        v = projector(sys, rho(k), (2, 2)) @ RNG.standard_normal(2 * sys.npoints)
         moved = p12 @ v
         assert_allclose(m_inner(sys, moved, moved), m_inner(sys, v, v), rtol=1e-10)
 
@@ -134,7 +133,6 @@ def test_tau_projector_fixes_radial_field():
         # <kappa, kappa>_M = m R^2 ... with unit radial vectors just m |orbit|
         assert_allclose(m_inner(sys, kappa, kappa), 2.0 * size, rtol=1e-13)
         assert abs(m_inner(sys, kappa, apply_j(kappa))) < 1e-13
-        assert_allclose(omega_form(sys, kappa, apply_j(kappa)), -2.0 * size, rtol=1e-13)
 
 
 def test_translation_field_exact():
@@ -162,17 +160,19 @@ def test_orbit_combination_constants():
 
 def test_orbit_basis_column_counts():
     sys = rs.build(5, [rs.regular(1.0, 1.0)])
-    shapes = {k: v.shape for k, v in rs.orbit_basis(sys, 0).items()}
-    assert shapes == {"tau_alpha": (10, 2), "rho_2": (10, 4), "sigma": (10, 4)}
+    sizes = [(b.label, b.size) for b in rs.assemble_global_basis(sys).blocks]
+    assert sizes == [("tau_alpha", 2), ("rho_2", 4), ("sigma", 4)]
     semi = rs.build(4, [rs.semiregular(1.0, 0.3, 1.0)])
-    shapes = {k: v.shape for k, v in rs.orbit_basis(semi, 0).items()}
-    assert shapes == {"tau_alpha": (16, 4), "phi_psi": (16, 4), "sigma": (16, 8)}
+    sizes = [(b.label, b.size) for b in rs.assemble_global_basis(semi).blocks]
+    assert sizes == [("tau_alpha", 4), ("phi_psi", 4), ("sigma", 8)]
 
 
 def test_orbit_basis_j_pairing():
-    sys = rs.build(4, [rs.semiregular(1.0, 0.3, 1.0)])
-    for group in rs.orbit_basis(sys, 0).values():
-        half = group.shape[1] // 2
+    # one semiregular orbit: every block pairs more than one u column
+    basis = rs.assemble_global_basis(rs.build(4, [rs.semiregular(1.0, 0.3, 1.0)]))
+    for plan in basis.blocks:
+        group = basis.matrix[:, plan.start:plan.start + plan.size]
+        half = plan.pairs
         assert_allclose(group[:, :half], np.column_stack(
             [apply_j(group[:, half + i]) for i in range(half)]), atol=1e-14)
 
@@ -218,7 +218,7 @@ def test_mixed_sign_masses_skip_normalization():
 
 def test_symplectic_residuals_vanish():
     sys = rs.build(4, [rs.center(1.0), rs.regular(1.0, 1.0), rs.semiregular(2.0, 0.5, 2.0)])
-    res = symplectic_residuals(sys)
+    res = symplectic_residuals(projector_family(sys))
     assert res
     assert max(res.values()) < 1e-10
 
@@ -334,7 +334,7 @@ mass = 0.6
 
 @pytest.mark.parametrize("n", [2, 6])
 def test_analyze_never_forms_dense_projectors(n, tmp_path, monkeypatch, capsys):
-    dense = (symbasis.projector, symbasis.averaging_operator)
+    dense = (symbasis.projector, symbasis.averaging_operator, symbasis.projector_family)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("analyze reached the dense projector machinery")
@@ -372,3 +372,25 @@ def test_verify_never_forms_sigma_matrices(n, tmp_path, monkeypatch, capsys):
     out = capsys.readouterr()
     assert code == 0, out.out + out.err
     assert "verdict: pass" in out.out
+
+
+@pytest.mark.parametrize("n", [2, 6])
+def test_verify_builds_each_oracle_once(n, tmp_path, monkeypatch, capsys):
+    calls = {"group_action": 0, "hessian": 0, "_rho_parts": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(RingSystem, "group_action",
+                        counted("group_action", RingSystem.group_action))
+    monkeypatch.setattr(rs.dynamics, "hessian", counted("hessian", rs.dynamics.hessian))
+    monkeypatch.setattr(symbasis, "_rho_parts", counted("_rho_parts", symbasis._rho_parts))
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text(GUARD_CONFIG.format(n=n))
+    code = cli.main(["verify", "--config", str(cfg)])
+    out = capsys.readouterr()
+    assert code == 0, out.out + out.err
+    assert calls == {"group_action": 1, "hessian": 1, "_rho_parts": len(_rho_range(n))}
