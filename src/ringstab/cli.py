@@ -1,7 +1,9 @@
 """Command line driver: analyze, verify, releq, diagram, oracle.
 
 Exit codes: 0 all gated checks pass, 2 validation error, 3 numerical gate
-failure, 4 solver non-convergence.
+failure, 4 no relative equilibrium found: the solver stalled above the
+rounding floor, hit its iteration limit, or a Newton step left the valid
+radius domain.
 """
 
 from __future__ import annotations
@@ -43,8 +45,8 @@ def _resolve_omega(cfg: JobConfig, sysm: RingSystem, pot: Potential):
     if cfg.omega == "solve":
         sol = solve_releq(sysm, pot, free_radii=cfg.free_radii)
         if not sol.converged:
-            raise SolverFailure("solver did not converge: residual %.3g after %d iterations"
-                                % (sol.reduced_norm, sol.iterations))
+            raise SolverFailure("solver did not converge: residual %.3g after %d iterations (%s)"
+                                % (sol.reduced_norm, sol.iterations, sol.stop))
         return sol.system, sol.omega, sol
     return sysm, float(cfg.omega), None
 

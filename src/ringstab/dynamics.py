@@ -24,12 +24,15 @@ with J = blockdiag([[0, -1], [1, 0]]).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
 from .dihedral import full_group
-from .geometry import GroupAction, RingSpec, RingSystem, build
+from .geometry import (GroupAction, RingSpec, RingSystem, build, collision_tolerance,
+                       ring_positions)
 
 
 @dataclass(frozen=True)
@@ -193,6 +196,12 @@ def translation_kernel_residual(op: StabilityOperator) -> float:
     return worst
 
 
+def _force_scale(g: np.ndarray) -> float:
+    """max(max |grad F|, 1): the scale against which the relative-equilibrium
+    residuals of `stability_operator` and `solve_releq` are judged."""
+    return max(float(np.max(np.abs(g))), 1.0)
+
+
 @dataclass
 class StabilityOperator:
     """A = M^{-1} D grad F at a configuration, with its context."""
@@ -202,22 +211,21 @@ class StabilityOperator:
     omega: float
     matrix: np.ndarray
     releq_residual_norm: float
-    is_releq: bool                 # residual <= 1e-8 max(max |grad F|, 1)
+    is_releq: bool                 # residual <= 1e-8 * _force_scale(grad F)
 
 
 def stability_operator(sys: RingSystem, pot: Potential, omega: float) -> StabilityOperator:
     H = hessian(sys, pot)
     A = H / sys.mass_diag[:, None]
     g = gradient(sys, pot)
-    res = float(np.max(np.abs(_balance(sys, pot, omega, g))))
+    res = float(np.max(np.abs(_balance(sys.mass_diag * sys.config_vector, g, pot, omega))))
     return StabilityOperator(system=sys, potential=pot, omega=omega, matrix=A,
                              releq_residual_norm=res,
-                             is_releq=bool(res <= 1e-8 * max(np.max(np.abs(g)), 1.0)))
+                             is_releq=bool(res <= 1e-8 * _force_scale(g)))
 
 
-def _balance(sys: RingSystem, pot: Potential, omega: float, g: np.ndarray) -> np.ndarray:
-    """`releq_residual` from the gradient g = grad F."""
-    mk = sys.mass_diag * sys.config_vector
+def _balance(mk: np.ndarray, g: np.ndarray, pot: Potential, omega: float) -> np.ndarray:
+    """The rotating-frame balance from M kappa and g = grad F, elementwise."""
     if pot.kind == "vortex":
         return omega * mk + g
     return omega ** 2 * mk - g
@@ -225,7 +233,7 @@ def _balance(sys: RingSystem, pot: Potential, omega: float, g: np.ndarray) -> np
 
 def releq_residual(sys: RingSystem, pot: Potential, omega: float) -> np.ndarray:
     """Rotating-frame balance residual, length 2N; zero at a relative equilibrium."""
-    return _balance(sys, pot, omega, gradient(sys, pot))
+    return _balance(sys.mass_diag * sys.config_vector, gradient(sys, pot), pot, omega)
 
 
 @dataclass
@@ -237,48 +245,90 @@ class ReleqSolution:
     iterations: int
     reduced_norm: float
     full_norm: float
+    stop: str                    # "converged" | "stalled" | "iteration limit"
 
 
-def _reduced_residual(sys: RingSystem, pot: Potential, omega: float) -> np.ndarray:
-    """Radial and tangential residual components at one representative per ring."""
-    full = releq_residual(sys, pot, omega)
-    out = []
-    for i, spec in enumerate(sys.rings):
-        if spec.kind == "center":
-            continue
-        p = sys.orbit_slices[i].start
-        x = sys.positions[p]
-        rhat = x / np.linalg.norm(x)
-        that = np.array([-rhat[1], rhat[0]])
-        r = full[2 * p:2 * p + 2]
-        out.extend([r @ rhat, r @ that])
-    return np.asarray(out)
+#: the rounding floor of the reduced residual, in units of its first-order
+#: error estimate (see `_ring_forces`); the measured floor of the Newtonian
+#: center-plus-two-rings system sits at 0.8-1.5 units for n = 96..768
+FLOOR_UNITS = 16.0
+#: iterations without a new best residual before the solver calls it stalled
+STALL_ITERS = 3
+_EPS = np.finfo(float).eps
 
 
-def _with_radii(sys: RingSystem, radii: np.ndarray, free: list[int]) -> RingSystem:
-    specs = list(sys.rings)
+class _RingForces(NamedTuple):
+    """grad F at the first point of each non-center ring, one row per ring."""
+
+    x: np.ndarray                # (rings, 2) representative positions
+    mass: np.ndarray             # (rings,)
+    grad: np.ndarray             # (rings, 2)
+    frame: np.ndarray            # (rings, 2, 2) rows r-hat and t-hat at x
+    floor: float                 # rounding floor of the reduced residual
+
+
+def _ring_forces(n: int, rings: list[RingSpec], pot: Potential) -> _RingForces | None:
+    """Forces at one representative point per non-center ring: O(N * rings).
+
+    D_n carries the first point of a ring onto each of its other points, so
+    the balance there decides the whole ring.  Returns None for geometry
+    `build` would reject: a radius `ring_positions` refuses, or a point
+    within `collision_tolerance` of a representative (D_n carries every
+    coincidence of two points onto one at a representative).
+
+    The floor is FLOOR_UNITS * eps * max_p sum_j |w_pj| (|x_p| + |x_j|): a
+    relative rounding of every coordinate moves grad_p F by about that much,
+    and it bounds eps |grad_p F| and so the rounding of the balance term.
+    """
+    try:
+        chunks = [ring_positions(n, spec) for spec in rings]
+    except ValueError:
+        return None
+    sizes = [len(c) for c in chunks]
+    starts = [0, *accumulate(sizes[:-1])]
+    rep = np.array([p for p, spec in zip(starts, rings) if spec.kind != "center"])
+    pos = np.concatenate(chunks)
+    masses = np.repeat([spec.mass for spec in rings], sizes)
+    radius = np.linalg.norm(pos, axis=1)
+    diff = pos[rep, None, :] - pos[None, :, :]                # (rings, N, 2)
+    dist = np.linalg.norm(diff, axis=2)
+    self_pair = (np.arange(len(rep)), rep)
+    dist[self_pair] = np.inf
+    if np.min(dist) < collision_tolerance(radius):
+        return None
+    dist[self_pair] = 1.0
+    w = _pair_weights(masses[rep, None] * masses[None, :], dist, pot)
+    w[self_pair] = 0.0
+    grad = (w[:, :, None] * diff).sum(axis=1)
+    err = np.sum(np.abs(w) * (radius[rep, None] + radius[None, :]), axis=1)
+    rhat = pos[rep] / radius[rep, None]
+    return _RingForces(x=pos[rep], mass=masses[rep], grad=grad,
+                       frame=np.stack([rhat, rhat[:, ::-1] * [-1.0, 1.0]], axis=1),
+                       floor=FLOOR_UNITS * _EPS * float(np.max(err)))
+
+
+def _ring_balance(f: _RingForces, pot: Potential, omega: float) -> np.ndarray:
+    """The reduced residual: `releq_residual` at each representative,
+    projected on (r-hat, t-hat), as [r_1, t_1, r_2, t_2, ...]."""
+    bal = _balance(f.mass[:, None] * f.x, f.grad, pot, omega)
+    return np.einsum("rjk,rk->rj", f.frame, bal).ravel()
+
+
+def _omega_guess(f: _RingForces, pot: Potential) -> float:
+    """omega from the radial balance of the first non-center ring."""
+    gr = f.grad[0] @ f.frame[0, 0]
+    mr = f.mass[0] * np.linalg.norm(f.x[0])
+    if pot.kind == "vortex":
+        return -gr / mr
+    val = gr / mr
+    return np.sqrt(val) if val > 0 else 1.0
+
+
+def _ring_specs(rings: list[RingSpec], radii: np.ndarray, free: list[int]) -> list[RingSpec]:
+    out = list(rings)
     for val, idx in zip(radii, free):
-        spec = specs[idx]
-        specs[idx] = RingSpec(spec.kind, spec.mass, radius=float(val),
-                              phase=spec.phase, half_gap=spec.half_gap)
-    return build(sys.n, specs)
-
-
-def _omega_guess(sys: RingSystem, pot: Potential) -> float:
-    g = gradient(sys, pot)
-    for i, spec in enumerate(sys.rings):
-        if spec.kind == "center":
-            continue
-        p = sys.orbit_slices[i].start
-        x = sys.positions[p]
-        rhat = x / np.linalg.norm(x)
-        gr = g[2 * p:2 * p + 2] @ rhat
-        mr = sys.masses[p] * np.linalg.norm(x)
-        if pot.kind == "vortex":
-            return -gr / mr
-        val = gr / mr
-        return np.sqrt(val) if val > 0 else 1.0
-    return 1.0
+        out[idx] = replace(out[idx], radius=float(val))
+    return out
 
 
 def solve_releq(sys: RingSystem, pot: Potential, free_radii: tuple[int, ...] = (),
@@ -286,8 +336,19 @@ def solve_releq(sys: RingSystem, pot: Potential, free_radii: tuple[int, ...] = (
     """Newton iteration on (free ring radii, omega) for the reduced residual.
 
     free_radii lists ring indices whose radius is adjusted; the first
-    non-center ring is the gauge and may not be freed.  Returns the best
-    iterate with a convergence flag (no exception on non-convergence).
+    non-center ring is the gauge and may not be freed.  The reduced
+    residual is the radial and tangential balance at one point per ring
+    (`_ring_forces`), so a trial point costs O(N * rings); the returned
+    system is the one `build` of the call.
+
+    Stop rule, on the max norm of the reduced residual: converged when it
+    is at most max(tol * max(max |grad F|, 1), its rounding floor), with
+    grad F taken at the representatives, so tol is relative to the force
+    scale (`_force_scale`, the scale of `StabilityOperator.is_releq`).  The iteration gives up as "stalled"
+    when STALL_ITERS iterations bring no new best residual or a step is
+    below eps |x|, and as "iteration limit" after max_iter iterations.
+    Returns the best iterate with a convergence flag and the stop reason
+    (no exception on non-convergence).
     """
     free = sorted(set(int(i) for i in free_radii))
     first = next(i for i, r in enumerate(sys.rings) if r.kind != "center")
@@ -298,24 +359,33 @@ def solve_releq(sys: RingSystem, pot: Potential, free_radii: tuple[int, ...] = (
             raise ValueError("free radius index %d names a center ring" % i)
         if i == first:
             raise ValueError("ring %d is the radius gauge and cannot be freed" % i)
-    cur = sys
-    x = np.array([sys.rings[i].radius for i in free] + [_omega_guess(sys, pot)])
+
+    def balance(f: _RingForces, omega: float):
+        """The reduced residual and the stop rule's limit for it."""
+        return _ring_balance(f, pot, omega), max(tol * _force_scale(f.grad), f.floor)
 
     def residual(vec: np.ndarray):
         # invalid trial geometry (radius <= 0, collision) reads as "reject
         # the step" rather than an error, so backtracking can recover
-        try:
-            system = _with_radii(sys, vec[:-1], free)
-        except ValueError:
+        f = _ring_forces(sys.n, _ring_specs(sys.rings, vec[:-1], free), pot)
+        if f is None:
             return None, None
-        return _reduced_residual(system, pot, vec[-1]), system
+        return balance(f, vec[-1])
 
-    F, cur = residual(x)
-    best = (np.max(np.abs(F)) if F.size else 0.0, x.copy(), cur)
+    start = _ring_forces(sys.n, sys.rings, pot)
+    x = np.array([sys.rings[i].radius for i in free] + [_omega_guess(start, pot)])
+    F, limit = balance(start, x[-1])
+    best = (np.max(np.abs(F)), x.copy(), limit)
+    stale = 0
+    stop = "iteration limit"
     it = 0
     for it in range(1, max_iter + 1):
         norm = np.max(np.abs(F))
-        if norm <= tol:
+        if norm <= limit:
+            stop = "converged"
+            break
+        if stale >= STALL_ITERS:
+            stop = "stalled"
             break
         Jac = np.empty((F.size, x.size))
         for c in range(x.size):
@@ -337,25 +407,33 @@ def solve_releq(sys: RingSystem, pot: Potential, free_radii: tuple[int, ...] = (
         if not np.all(np.isfinite(dx)) or np.max(np.abs(dx)) > 1e8:
             raise RuntimeError("solver stalled: unbounded Newton step")
         scale = 1.0
-        Ft = syst = None
+        Ft = lim = None
         for _ in range(12):
-            Ft, syst = residual(x + scale * dx)
+            Ft, lim = residual(x + scale * dx)
             if Ft is not None and (np.max(np.abs(Ft)) < norm or scale < 1e-3):
                 break
             scale *= 0.5
         if Ft is None:
             raise RuntimeError("solver stalled: step leaves the valid radius domain")
+        tiny = np.max(np.abs(scale * dx)) <= _EPS * np.max(np.abs(x))
         x = x + scale * dx
-        F, cur = Ft, syst
+        F, limit = Ft, lim
         if np.max(np.abs(F)) < best[0]:
-            best = (np.max(np.abs(F)), x.copy(), cur)
-    rnorm = float(np.max(np.abs(F))) if F.size else 0.0
-    if rnorm > best[0]:
-        rnorm, x, cur = best
+            best = (np.max(np.abs(F)), x.copy(), limit)
+            stale = 0
+        else:
+            stale += 1
+        if tiny:
+            stale = STALL_ITERS
+    rnorm, x, limit = best
+    converged = bool(rnorm <= limit)
+    if converged:
+        stop = "converged"
     omega = float(x[-1])
-    full = releq_residual(cur, pot, omega)
-    return ReleqSolution(system=cur, omega=omega,
-                         radii=np.array([r.radius for r in cur.rings]),
-                         converged=bool(rnorm <= 1e-10),
-                         iterations=it, reduced_norm=float(rnorm),
-                         full_norm=float(np.max(np.abs(full))))
+    system = build(sys.n, _ring_specs(sys.rings, x[:-1], free))
+    full = releq_residual(system, pot, omega)
+    return ReleqSolution(system=system, omega=omega,
+                         radii=np.array([r.radius for r in system.rings]),
+                         converged=converged, iterations=it,
+                         reduced_norm=float(rnorm), full_norm=float(np.max(np.abs(full))),
+                         stop=stop)

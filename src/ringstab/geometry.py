@@ -201,12 +201,18 @@ def ring_positions(n: int, spec: RingSpec) -> np.ndarray:
     return spec.radius * np.column_stack([np.cos(ang), np.sin(ang)])
 
 
+def collision_tolerance(radii: np.ndarray) -> float:
+    """Distance below which two points coincide, from the points' distances
+    to the origin: 1e-9 * max(rmax, 1)."""
+    return 1e-9 * max(np.max(radii), 1.0)
+
+
 def _check_collisions(positions: np.ndarray) -> None:
-    """Raise on the first point i with a later point j within 1e-9 * rmax;
-    j is i's nearest later point.  Rows are taken in chunks of about 2^20
-    pair distances so memory stays bounded for large N."""
+    """Raise on the first point i with a later point j within
+    `collision_tolerance`; j is i's nearest later point.  Rows are taken in
+    chunks of about 2^20 pair distances so memory stays bounded for large N."""
     npts = len(positions)
-    tol = 1e-9 * max(np.max(np.linalg.norm(positions, axis=1)), 1.0)
+    tol = collision_tolerance(np.linalg.norm(positions, axis=1))
     step = max(1, (1 << 20) // npts)
     for lo in range(0, npts, step):
         rows = np.arange(lo, min(lo + step, npts))

@@ -38,24 +38,31 @@ ORACLE_TOL = 1e-8
 
 def pencil(op: StabilityOperator, lam: float) -> np.ndarray:
     """The stability pencil of the full system at one lambda value."""
-    return _pencil(op.matrix, j_matrix(op.system.npoints), op.omega,
-                   op.potential.kind, lam)
+    return _pencils(op.matrix, j_matrix(op.system.npoints), op.omega,
+                    op.potential.kind, [lam])[0]
 
 
-def _pencil(A: np.ndarray, J: np.ndarray, omega: float, kind: str, lam: float) -> np.ndarray:
-    n = A.shape[0]
+def _shifts(omega: float, kind: str, ts) -> tuple[np.ndarray, np.ndarray]:
+    """(c, d) at each lambda in ts, for the pencil (A + c I) + d J."""
+    ts = np.asarray(ts, dtype=float)
     if kind == "vortex":
-        return A + omega * np.eye(n) + lam * J
-    return A + (lam * lam - omega * omega) * np.eye(n) + 2.0 * lam * omega * J
+        return np.full_like(ts, omega), ts
+    return ts * ts - omega * omega, 2.0 * ts * omega
+
+
+def _pencils(A: np.ndarray, J: np.ndarray, omega: float, kind: str, ts) -> np.ndarray:
+    """The pencils at every lambda in ts as one (len(ts), s, s) stack."""
+    c, d = _shifts(omega, kind, ts)
+    return (A + c[:, None, None] * np.eye(A.shape[0])) + d[:, None, None] * J
 
 
 def _slogdets(A, J, omega, kind, ts) -> tuple[np.ndarray, np.ndarray]:
-    signs = np.empty(len(ts))
-    logs = np.empty(len(ts))
-    for i, t in enumerate(ts):
-        s, l = np.linalg.slogdet(_pencil(A, J, omega, kind, float(t)))
-        signs[i], logs[i] = s, l
-    return signs, logs
+    """Sign and log |det| of the pencil at each lambda in ts, one pencil at
+    a time, so the dense oracle holds one 2N x 2N pencil, not a stack."""
+    eye = np.eye(A.shape[0])
+    out = np.array([np.linalg.slogdet((A + c * eye) + d * J)
+                    for c, d in zip(*_shifts(omega, kind, ts))])
+    return out[:, 0], out[:, 1]
 
 
 def _divided_differences(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -143,11 +150,10 @@ def block_factor(label: str, Ab: np.ndarray, Jb: np.ndarray, omega: float,
     k = np.arange(q + 1)
     us = _leja_order(umax * 0.5 * (1.0 - np.cos(np.pi * k / max(q, 1))))
     lams = np.sqrt(us)
-    signs, logs = _slogdets(Ab, Jb, omega, kind, lams)
-    ys = signs * np.exp(logs)
     imax = int(np.argmax(us))
-    sm, lm = _slogdets(Ab, Jb, omega, kind, [-lams[imax]])
-    ym = sm[0] * np.exp(lm[0])
+    signs, logs = np.linalg.slogdet(_pencils(Ab, Jb, omega, kind, np.append(lams, -lams[imax])))
+    vals = signs * np.exp(logs)
+    ys, ym = vals[:-1], vals[-1]
     scale = max(abs(ys[imax]), abs(ym), 1e-300)
     even_res = float(abs(ym - ys[imax]) / scale)
     if even_res <= 1e-9:
@@ -159,7 +165,7 @@ def block_factor(label: str, Ab: np.ndarray, Jb: np.ndarray, omega: float,
                           coefficients=coeffs, even=True, even_residual=even_res)
     kk = np.arange(degree + 1)
     xs = _leja_order(2.0 * s * np.cos(np.pi * kk / degree))
-    signs, logs = _slogdets(Ab, Jb, omega, kind, xs)
+    signs, logs = np.linalg.slogdet(_pencils(Ab, Jb, omega, kind, xs))
     newton = _divided_differences(xs, signs * np.exp(logs))
     return PolyFactor(label=label, degree=degree, nodes=xs, newton=newton,
                       coefficients=_newton_to_monomial(xs, newton),
@@ -174,19 +180,25 @@ def block_factor(label: str, Ab: np.ndarray, Jb: np.ndarray, omega: float,
 class TransformResult:
     a_tilde: np.ndarray
     j_tilde: np.ndarray
+    norms: tuple[float, float]           # ||a_tilde||_F, ||j_tilde||_F
     off_residuals: dict[str, float]
     max_off: float
     passed: bool
 
 
-def _off_residual(M: np.ndarray, cols: np.ndarray) -> float:
-    """Frobenius mass of M[outside, cols] relative to ||M||_F."""
-    mask = np.ones(M.shape[0], dtype=bool)
-    mask[cols] = False
-    total = np.linalg.norm(M)
+def _off_residual(M: np.ndarray, cols: np.ndarray, total: float) -> float:
+    """Frobenius mass of M[outside, cols] relative to total = ||M||_F."""
     if total == 0.0:
         return 0.0
+    mask = np.ones(M.shape[0], dtype=bool)
+    mask[cols] = False
     return float(np.linalg.norm(M[np.ix_(mask, cols)]) / total)
+
+
+def _leakage(a_t: np.ndarray, j_t: np.ndarray, norms: tuple[float, float],
+             cols: np.ndarray) -> float:
+    """The larger off-block residual of columns cols in A~ and J~."""
+    return max(_off_residual(a_t, cols, norms[0]), _off_residual(j_t, cols, norms[1]))
 
 
 def transform(op: StabilityOperator, basis: SymBasis,
@@ -195,12 +207,10 @@ def transform(op: StabilityOperator, basis: SymBasis,
     C = basis.matrix
     a_t = np.linalg.solve(C, op.matrix @ C)
     j_t = np.linalg.solve(C, apply_j(C.T).T)      # J C, J never formed
-    offs = {}
-    for blk in basis.blocks:
-        cols = np.array(blk.cols)
-        offs[blk.label] = max(_off_residual(a_t, cols), _off_residual(j_t, cols))
+    norms = (np.linalg.norm(a_t), np.linalg.norm(j_t))
+    offs = {blk.label: _leakage(a_t, j_t, norms, np.array(blk.cols)) for blk in basis.blocks}
     mx = max(offs.values())
-    return TransformResult(a_tilde=a_t, j_tilde=j_t, off_residuals=offs,
+    return TransformResult(a_tilde=a_t, j_tilde=j_t, norms=norms, off_residuals=offs,
                            max_off=mx, passed=bool(mx <= tol))
 
 
@@ -387,31 +397,29 @@ def factorize(op: StabilityOperator, basis: SymBasis,
     tr = transform(op, basis, tol=tol_off)
     notes = []
     kind = op.potential.kind
-    plan: list[tuple[str, list[int], bool]] = []
+    plan: list[tuple[str, list[int], bool, float]] = []
     for blk in basis.blocks:
         if blk.lead_pair and op.is_releq and blk.pairs > 1:
             lead, rest = _split_cols(blk)
-            off = max(_off_residual(tr.a_tilde, np.array(lead)),
-                      _off_residual(tr.j_tilde, np.array(lead)),
-                      _off_residual(tr.a_tilde, np.array(rest)),
-                      _off_residual(tr.j_tilde, np.array(rest)))
+            off_lead, off_rest = (_leakage(tr.a_tilde, tr.j_tilde, tr.norms, np.array(cols))
+                                  for cols in (lead, rest))
+            off = max(off_lead, off_rest)
             if off <= tol_off:
-                plan.append((blk.label + "_lead", lead, True))
-                plan.append((blk.label + "_rest", rest, True))
+                plan.append((blk.label + "_lead", lead, True, off_lead))
+                plan.append((blk.label + "_rest", rest, True, off_rest))
                 continue
             notes.append("lead pair of %s not split: off-block residual %.3g" % (blk.label, off))
         elif blk.lead_pair and not op.is_releq:
             notes.append("not a relative equilibrium: %s lead pair kept coarse" % blk.label)
-        plan.append((blk.label, blk.cols, False))
+        plan.append((blk.label, blk.cols, False, tr.off_residuals[blk.label]))
     if not op.is_releq:
         notes.append("not a relative equilibrium (residual %.3g)" % op.releq_residual_norm)
 
     blocks = []
-    for label, cols, refined in plan:
+    for label, cols, refined, off in plan:
         idx = np.array(cols)
         Ab = tr.a_tilde[np.ix_(idx, idx)]
         Jb = tr.j_tilde[np.ix_(idx, idx)]
-        off = max(_off_residual(tr.a_tilde, idx), _off_residual(tr.j_tilde, idx))
         blocks.append(BlockReport(label=label, cols=list(cols), size=len(cols),
                                   refined=refined, off_residual=off,
                                   factor=block_factor(label, Ab, Jb, op.omega, kind),

@@ -342,6 +342,21 @@ def test_solver_failure_exit_code(tmp_path):
     assert "solver did not converge" in r.stderr
 
 
+def test_solver_gives_up_early_without_equilibrium(tmp_path, capsys):
+    # fixed vortex rings at r = 1 and r = 2.2 have no common rotation rate
+    cfg = tmp_path / "noreleq.cfg"
+    cfg.write_text("n = 5\nkind = vortex\nomega = solve\n"
+                   "[ring]\nkind = regular\nradius = 1\nmass = 1\n"
+                   "[ring]\nkind = regular\nradius = 2.2\nphase = pi/n\nmass = 1\n")
+    code = cli.main(["releq", "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert code == 4, err
+    assert err.startswith(("solver error: solver did not converge",
+                           "solver error: solver stalled")), err
+    iterations = int(err.split(" iterations")[0].rsplit(" ", 1)[1])
+    assert iterations <= 10, err
+
+
 def test_diagram_files_and_block_filter(tmp_path, pentagon_cfg):
     r = run_cli(["diagram", "--config", str(pentagon_cfg), "--out", "d"], tmp_path)
     assert r.returncode == 0, r.stdout + r.stderr

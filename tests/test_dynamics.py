@@ -3,8 +3,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 import ringstab as rs
-from ringstab.dynamics import (apply_j, gradient, hessian, j_matrix,
-                               potential_value, releq_residual)
+from ringstab.dynamics import (_force_scale, _ring_balance, _ring_forces, apply_j,
+                               gradient, hessian, j_matrix, potential_value,
+                               releq_residual)
 
 RNG = np.random.default_rng(40823)
 
@@ -210,6 +211,123 @@ def test_solver_reports_nonconvergence():
     sol = rs.solve_releq(sys, rs.newtonian())
     assert not sol.converged
     assert sol.iterations > 0
+
+
+def test_solver_stalls_early_without_equilibrium():
+    # two fixed vortex rings admit no common rotation rate: the residual
+    # drops once and then stays put
+    sys = rs.build(5, [rs.regular(1.0, 1.0), rs.regular(2.2, 1.0, phase=np.pi / 5)])
+    sol = rs.solve_releq(sys, rs.vortex())
+    assert not sol.converged
+    assert sol.stop == "stalled"
+    assert sol.iterations <= 10
+    assert sol.reduced_norm > 0.1
+
+
+def acceptance_grid():
+    # the type grid of test_acceptance, n = 2..12
+    for n in range(2, 13):
+        for a in (0, 1):
+            for b in (0, 1, 2):
+                for c in (0, 1, 2):
+                    if b + c == 0:
+                        continue
+                    rings = [rs.center(1.3)] if a else []
+                    rings += [rs.regular(1.0 + 1.1 * i, 1.0 + 0.5 * i,
+                                         phase=(np.pi / n if i % 2 else 0.0))
+                              for i in range(b)]
+                    rings += [rs.semiregular(3.3 + 1.3 * i, np.pi / (n * (3 + i)), 0.8 + 0.3 * i)
+                              for i in range(c)]
+                    yield n, rings
+
+
+def ring_residual_cases():
+    for n, rings in acceptance_grid():
+        yield n, rings, rs.newtonian()
+        yield n, rings, rs.vortex()
+    yield 7, [rs.center(2.0), rs.regular(1.0, 1.0), rs.semiregular(1.9, np.pi / 21, 0.7)], \
+        rs.newtonian()
+    yield 5, [rs.regular(1.0, 1.0), rs.regular(1.6, -0.4, phase=np.pi / 5),
+              rs.semiregular(2.5, np.pi / 15, 0.3)], rs.vortex()
+    yield 6, [rs.regular(1.0, 1.0), rs.regular(1.8, 0.5, phase=np.pi / 6)], rs.vortex()
+    yield 8, [rs.center(2.0), rs.regular(1.0, 1.0), rs.semiregular(1.9, np.pi / 24, 0.7)], \
+        rs.homogeneous(-0.7)
+
+
+def test_ring_residual_is_projected_full_residual():
+    # the solver's O(N * rings) residual equals releq_residual at the first
+    # point of each non-center ring, projected on (r-hat, t-hat)
+    for n, rings, pot in ring_residual_cases():
+        sys = rs.build(n, rings)
+        omega = 0.7
+        full = releq_residual(sys, pot, omega).reshape(-1, 2)
+        ref = []
+        for i, spec in enumerate(sys.rings):
+            if spec.kind == "center":
+                continue
+            p = sys.orbit_slices[i].start
+            rhat = sys.positions[p] / np.linalg.norm(sys.positions[p])
+            ref += [full[p] @ rhat, full[p] @ np.array([-rhat[1], rhat[0]])]
+        got = _ring_balance(_ring_forces(n, rings, pot), pot, omega)
+        scale = _force_scale(gradient(sys, pot))
+        assert np.max(np.abs(got - np.array(ref))) <= 1e-14 * scale, (n, rings, pot)
+
+
+@pytest.mark.parametrize("ring", [
+    rs.regular(1.0, 2.0),                          # the inner ring's radius and phase
+    rs.regular(1.0 + 5e-10, 2.0),                  # inside the collision tolerance
+    rs.regular(0.0, 2.0),
+    rs.regular(-0.5, 2.0),
+])
+def test_ring_forces_reject_invalid_trials(ring):
+    rings = [rs.center(1.0), rs.regular(1.0, 1.0), ring]
+    with pytest.raises(ValueError):
+        rs.build(6, rings)
+    assert _ring_forces(6, rings, rs.newtonian()) is None
+
+
+def test_ring_forces_accept_near_miss():
+    rings = [rs.center(1.0), rs.regular(1.0, 1.0), rs.regular(1.0 + 2e-9, 2.0)]
+    rs.build(6, rings)
+    assert _ring_forces(6, rings, rs.newtonian()) is not None
+
+
+def test_solver_builds_once_and_takes_no_full_gradient_while_iterating(monkeypatch):
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(rs.dynamics, "build", counted("build", rs.dynamics.build))
+    monkeypatch.setattr(rs.dynamics, "gradient", counted("gradient", rs.dynamics.gradient))
+    cases = [
+        (rs.build(4, [rs.center(4.0), rs.regular(1.0, 0.5), rs.regular(1.8, 1.0)]),
+         rs.newtonian(), (2,)),
+        (rs.build(5, [rs.regular(1.0, 1.0)]), rs.vortex(), ()),
+        (rs.build(5, [rs.regular(1.0, 1.0), rs.regular(2.2, 1.0, phase=np.pi / 5)]),
+         rs.vortex(), ()),
+    ]
+    for sys, pot, free in cases:
+        calls.clear()
+        rs.solve_releq(sys, pot, free_radii=free)
+        # one build of the returned system, then its full residual
+        assert calls == ["build", "gradient"], calls
+
+
+@pytest.mark.parametrize("n", [96, 192, 384])
+def test_solver_converges_at_scale(n):
+    # the ROADMAP baseline system: the force scale grows with n, so an
+    # absolute stop rule stalls on the rounding floor here
+    sys = rs.build(n, [rs.center(4.0), rs.regular(1.0, 0.5),
+                       rs.regular(1.8, 1.0, phase=np.pi / n)])
+    pot = rs.newtonian()
+    sol = rs.solve_releq(sys, pot, free_radii=(2,))
+    assert sol.converged and sol.stop == "converged"
+    assert sol.iterations <= 8
+    assert sol.full_norm <= 1e-11 * np.max(np.abs(gradient(sol.system, pot)))
 
 
 def test_stability_operator_flags():
