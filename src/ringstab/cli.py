@@ -17,7 +17,7 @@ import numpy as np
 from .config import ConfigError, JobConfig, parse_config
 from .dynamics import (Potential, ReleqSolution, StabilityOperator,
                        equivariance_residual, hessian_fd_residual,
-                       releq_residual, solve_releq, stability_operator,
+                       solve_releq, stability_operator,
                        translation_kernel_residual)
 from .geometry import RingSystem
 from .report import (build_report, factors_csv, format_invariant_line,
@@ -57,8 +57,9 @@ def _tol(args, cfg: JobConfig, name: str, default: float) -> float:
     return cfg.tolerances.get(name, default)
 
 
-def _reversed_residual(sysm: RingSystem, pot: Potential, omega: float) -> float:
-    return float(np.linalg.norm(releq_residual(sysm, pot, -omega)))
+def _reversed_residual(op: StabilityOperator) -> float:
+    """||releq_residual at -omega||, from the gradient the operator took."""
+    return float(np.linalg.norm(op.residual_at(-op.omega)))
 
 
 def invariant_suite(op: StabilityOperator, basis: SymBasis,
@@ -154,7 +155,7 @@ def _matches_block(label: str, wanted: str) -> bool:
 
 def _cmd_analyze(cfg: JobConfig, args) -> int:
     sysm, pot, op, basis, fac, sol = _pipeline(cfg, args)
-    rev = _reversed_residual(sysm, pot, op.omega)
+    rev = _reversed_residual(op)
     doc = build_report(cfg, sysm, op=op, basis=basis, fac=fac, solution=sol,
                        reversed_residual=rev)
     if args.block is not None:
@@ -193,7 +194,7 @@ def _cmd_releq(cfg: JobConfig, args) -> int:
     pot = cfg.potential()
     sysm, omega, sol = _resolve_omega(cfg, sysm, pot)
     op = stability_operator(sysm, pot, omega)
-    rev = _reversed_residual(sysm, pot, omega)
+    rev = _reversed_residual(op)
     doc = build_report(cfg, sysm, op=op, solution=sol, reversed_residual=rev)
     print(to_machine(doc) if args.format == "machine" else to_text(doc), end="")
     return EXIT_OK

@@ -57,9 +57,12 @@ class JobConfig:
     outputs: dict[str, bool] = field(default_factory=lambda: {"report": True, "csv": False, "svg": False})
     source_sha256: str = ""
     path: str = ""
+    #: the system of n and rings, set by `parse_config_text` when it
+    #: validates them; not a constructor argument
+    _system: RingSystem = field(init=False, repr=False, compare=False)
 
     def system(self) -> RingSystem:
-        return build(self.n, self.rings)
+        return self._system
 
     def potential(self) -> Potential:
         if self.kind == "vortex":
@@ -284,19 +287,22 @@ def parse_config_text(text: str, path: str = "<string>") -> JobConfig:
         elif idx < len(rings) and rings[idx].kind == "center":
             errors.append("free radius index %d names a center ring" % idx)
 
+    system = None
     if not errors and len(rings) == len(ring_secs):
         try:
-            build(n, rings)
+            system = build(n, rings)
         except ValueError as exc:
             errors.append(str(exc))
 
     if errors:
         raise ConfigError(errors)
 
-    return JobConfig(n=n, rings=rings, kind=kind, gamma=gamma, omega=omega,
-                     free_radii=free, tolerances=tolerances, outputs=outputs,
-                     source_sha256=hashlib.sha256(text.encode()).hexdigest(),
-                     path=path)
+    cfg = JobConfig(n=n, rings=rings, kind=kind, gamma=gamma, omega=omega,
+                    free_radii=free, tolerances=tolerances, outputs=outputs,
+                    source_sha256=hashlib.sha256(text.encode()).hexdigest(),
+                    path=path)
+    cfg._system = system
+    return cfg
 
 
 def parse_config(path: str) -> JobConfig:

@@ -210,8 +210,15 @@ class StabilityOperator:
     potential: Potential
     omega: float
     matrix: np.ndarray
+    gradient: np.ndarray           # grad F at the configuration
     releq_residual_norm: float
     is_releq: bool                 # residual <= 1e-8 * _force_scale(grad F)
+
+    def residual_at(self, omega: float) -> np.ndarray:
+        """`releq_residual` of the system at angular speed omega, from the
+        stored grad F, which does not depend on omega."""
+        sys = self.system
+        return _balance(sys.mass_diag * sys.config_vector, self.gradient, self.potential, omega)
 
 
 def stability_operator(sys: RingSystem, pot: Potential, omega: float) -> StabilityOperator:
@@ -219,7 +226,7 @@ def stability_operator(sys: RingSystem, pot: Potential, omega: float) -> Stabili
     A = H / sys.mass_diag[:, None]
     g = gradient(sys, pot)
     res = float(np.max(np.abs(_balance(sys.mass_diag * sys.config_vector, g, pot, omega))))
-    return StabilityOperator(system=sys, potential=pot, omega=omega, matrix=A,
+    return StabilityOperator(system=sys, potential=pot, omega=omega, matrix=A, gradient=g,
                              releq_residual_norm=res,
                              is_releq=bool(res <= 1e-8 * _force_scale(g)))
 

@@ -1,11 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import ringstab as rs
-from ringstab.stability import (block_factor, classical_checks, dense_oracle,
+from ringstab.stability import (PolyFactor, _factor_log_product, _leja_order,
+                                _off_residual, _shifts, block_factor,
+                                classical_checks, dense_oracle,
                                 expected_degree_profile, factorize, pencil,
                                 transform)
+from test_acceptance import grid_system, type_grid
 
 NEWT = rs.newtonian()
 VORT = rs.vortex()
@@ -136,6 +141,200 @@ def test_shape_pattern_sigma_refined(pot):
     assert np.linalg.norm(Au - Q @ AJ @ Q) / np.linalg.norm(Au) < 1e-8
 
 
+# --- projected blocks against the dense transform -------------------------
+
+def solved_split_systems():
+    """Relative equilibria whose lead pairs split off: the vortex pentagon,
+    Maxwell's 1 + 7-gon, two mixed-sign vortex systems (C^T M C is a
+    signature matrix, not I) and a D_48 system of the large-n benchmark
+    shape."""
+    return [
+        solved(5, [rs.regular(1.0, 1.0)], VORT),
+        solved(7, [rs.center(200.0), rs.regular(1.0, 1.0)], NEWT),
+        solved(2, [rs.center(-0.4), rs.regular(1.0, 1.0)], VORT),
+        solved(5, [rs.regular(1.0, 1.0), rs.regular(2.0, -0.3)], VORT, free=(1,)),
+        solved(48, [rs.center(4.0), rs.regular(1.0, 1.0),
+                    rs.regular(1.8, 1.0, phase=np.pi / 48)], NEWT, free=(2,)),
+    ]
+
+
+def grid_operators():
+    for n, a, b, c in type_grid():
+        sys = grid_system(n, a, b, c)
+        basis = rs.assemble_global_basis(sys)
+        for pot in (NEWT, VORT):
+            yield rs.stability_operator(sys, pot, 1.0), basis
+
+
+def assert_matches_transform(op, basis, fac):
+    tr = transform(op, basis)
+    anorm, jnorm = np.linalg.norm(tr.a_tilde), np.linalg.norm(tr.j_tilde)
+    orthonormal = basis.m_orthogonal == "full" and np.all(op.system.masses > 0)
+    key = (op.system.n, op.system.type_abc, op.potential.kind)
+    for blk in fac.blocks:
+        idx = np.ix_(blk.cols, blk.cols)
+        # relative to the whole operator: some blocks (D_2 phi/psi) are ~1e-49
+        assert np.linalg.norm(blk.a_block - tr.a_tilde[idx]) <= 1e-12 * anorm, (key, blk.label)
+        assert np.linalg.norm(blk.j_block - tr.j_tilde[idx]) <= 1e-12 * jnorm, (key, blk.label)
+        if orthonormal:
+            cols = np.array(blk.cols)
+            dense = max(_off_residual(tr.a_tilde, cols, anorm),
+                        _off_residual(tr.j_tilde, cols, jnorm))
+            assert abs(blk.off_residual - dense) <= 1e-14, (key, blk.label)
+    if orthonormal:
+        assert abs(fac.max_off_residual - tr.max_off) <= 1e-14, key
+
+
+def test_projected_blocks_match_transform_on_grid():
+    for op, basis in grid_operators():
+        assert_matches_transform(op, basis, factorize(op, basis, oracle=False))
+
+
+def test_projected_split_blocks_match_transform():
+    for op, basis in solved_split_systems():
+        fac = factorize(op, basis, oracle=False)
+        assert any(b.refined for b in fac.blocks), op.system.n
+        assert_matches_transform(op, basis, fac)
+
+
+def leaking(op, eps, seed):
+    """op with A moved off equivariance by eps ||A||_F, so that every block
+    leaks by about eps and the residuals measure something."""
+    R = np.random.default_rng(seed).standard_normal(op.matrix.shape)
+    return replace(op, matrix=op.matrix + eps * np.linalg.norm(op.matrix) / np.linalg.norm(R) * R)
+
+
+def test_off_residuals_match_transform_on_leaking_operators():
+    picks = list(grid_operators())[3::23]
+    for i, (op, basis) in enumerate(picks):
+        op = leaking(op, 1e-6, i)
+        fac = factorize(op, basis, oracle=False)
+        assert 1e-8 < fac.max_off_residual < 1e-5
+        assert_matches_transform(op, basis, fac)
+    # small enough leakage that the lead pairs still split
+    for i, (op, basis) in enumerate(solved_split_systems()):
+        op = leaking(op, 1e-11, i)
+        fac = factorize(op, basis, oracle=False)
+        assert any(b.refined for b in fac.blocks)
+        assert min(b.off_residual for b in fac.blocks) > 1e-14
+        assert_matches_transform(op, basis, fac)
+
+
+def reference_block_factor(label, Ab, Jb, omega, kind):
+    """The scalar one-block interpolation `block_factor` ran before blocks
+    were factored as stacks, with its own scalar divided differences and
+    Newton -> monomial conversion; the reference the stacked factors must
+    equal bit for bit."""
+    def pencils(ts):
+        c, d = _shifts(omega, kind, ts)
+        return (Ab + c[:, None, None] * np.eye(Ab.shape[0])) + d[:, None, None] * Jb
+
+    def divided_differences(xs, ys):
+        c = np.array(ys, dtype=float)
+        for j in range(1, len(xs)):
+            c[j:] = (c[j:] - c[j - 1:-1]) / (xs[j:] - xs[:-j])
+        return c
+
+    def newton_to_monomial(xs, c):
+        poly = np.array([c[-1]])
+        for k in range(len(c) - 2, -1, -1):
+            shifted = np.concatenate(([0.0], poly))
+            shifted[:-1] -= xs[k] * poly
+            poly = shifted
+            poly[0] += c[k]
+        return poly
+
+    size = Ab.shape[0]
+    degree = size if kind == "vortex" else 2 * size
+    q = degree // 2
+    s = max(1.0, abs(omega))
+    k = np.arange(q + 1)
+    us = _leja_order(4.0 * s * s * 0.5 * (1.0 - np.cos(np.pi * k / max(q, 1))))
+    lams = np.sqrt(us)
+    imax = int(np.argmax(us))
+    signs, logs = np.linalg.slogdet(pencils(np.append(lams, -lams[imax])))
+    vals = signs * np.exp(logs)
+    ys, ym = vals[:-1], vals[-1]
+    even_res = float(abs(ym - ys[imax]) / max(abs(ys[imax]), abs(ym), 1e-300))
+    if even_res <= 1e-9:
+        newton = divided_differences(us, ys)
+        coeffs = np.zeros(degree + 1)
+        coeffs[::2] = newton_to_monomial(us, newton)
+        return PolyFactor(label=label, degree=degree, nodes=us, newton=newton,
+                          coefficients=coeffs, even=True, even_residual=even_res)
+    xs = _leja_order(2.0 * s * np.cos(np.pi * np.arange(degree + 1) / degree))
+    signs, logs = np.linalg.slogdet(pencils(xs))
+    newton = divided_differences(xs, signs * np.exp(logs))
+    return PolyFactor(label=label, degree=degree, nodes=xs, newton=newton,
+                      coefficients=newton_to_monomial(xs, newton),
+                      even=False, even_residual=even_res)
+
+
+def assert_same_factor(got, ref):
+    assert (got.label, got.degree, got.even, got.even_residual) == \
+        (ref.label, ref.degree, ref.even, ref.even_residual)
+    for name in ("nodes", "newton", "coefficients"):
+        assert np.array_equal(getattr(got, name), getattr(ref, name)), (got.label, name)
+
+
+def test_stacked_factors_equal_block_factor():
+    systems = list(grid_operators())[::7] + solved_split_systems()
+    for op, basis in systems:
+        fac = factorize(op, basis, oracle=False)
+        for blk in fac.blocks:
+            args = (blk.label, blk.a_block, blk.j_block, op.omega, op.potential.kind)
+            ref = reference_block_factor(*args)
+            assert_same_factor(blk.factor, ref)
+            assert_same_factor(block_factor(*args), ref)
+    # the D_48 system factors 23 blocks of size 8 as one stack
+    assert sum(b.size == 8 for b in fac.blocks) == 23
+
+
+def test_stacked_factors_mix_even_and_fallback():
+    # one nilpotent block falls back to full-degree interpolation while the
+    # other block of the same size stays even
+    w = 1.1
+    J = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    blocks = [np.array([[0.0, 1.0], [0.0, 0.0]]), 0.3 * np.eye(2)]
+    stack = rs.stability._block_factors(["odd", "even"], np.stack(blocks),
+                                        np.stack([J, J]), w, "homogeneous")
+    assert [f.even for f in stack] == [False, True]
+    for f, Ab in zip(stack, blocks):
+        assert_same_factor(f, reference_block_factor(f.label, Ab, J, w, "homogeneous"))
+
+
+def loop_log_product(factors, ts):
+    """Per-factor, per-sample reference for `_factor_log_product`."""
+    signs = np.ones(len(ts))
+    logs = np.zeros(len(ts))
+    for f in factors:
+        for i, t in enumerate(ts):
+            v = f(float(t))
+            if v == 0.0:
+                signs[i] = 0.0
+                logs[i] = -np.inf
+            else:
+                signs[i] *= np.sign(v)
+                logs[i] += np.log(abs(v))
+    return signs, logs
+
+
+def test_factor_log_product_equals_loop():
+    systems = list(grid_operators())[::5] + solved_split_systems()
+    for op, basis in systems:
+        fac = factorize(op, basis, oracle=False)
+        ts = dense_oracle(op, nsamples=20)[0] if op.system.npoints < 60 else \
+            np.linspace(-2.0, 2.0, 20) * max(1.0, abs(op.omega))
+        got, ref = _factor_log_product(fac.factors, ts), loop_log_product(fac.factors, ts)
+        assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+    # a root at a sample: sign 0 and log -inf, as in the loop
+    f = block_factor("v", np.zeros((2, 2)), np.array([[0.0, 1.0], [-1.0, 0.0]]), 0.0, "vortex")
+    ts = np.array([0.0, 0.5])
+    got, ref = _factor_log_product([f, f], ts), loop_log_product([f, f], ts)
+    assert got[0][0] == 0.0 and got[1][0] == -np.inf
+    assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+
+
 # --- factorization ---------------------------------------------------------
 
 def test_degree_profile_pentagon_vortex():
@@ -211,6 +410,18 @@ def test_not_a_releq_keeps_coarse_blocks():
     assert all("_lead" not in b.label for b in fac.blocks)
     # the oracle has nothing to do with equilibrium and still must pass
     assert fac.oracle.passed
+
+
+@pytest.mark.parametrize("pot", [NEWT, VORT])
+def test_dense_oracle_pencils_equal_pencil(pot):
+    # the oracle forms its pencils in reused buffers; the determinants are
+    # those of `pencil`, bit for bit
+    op, _ = operator_at(4, [rs.center(1.5), rs.regular(1.0, 1.0),
+                            rs.semiregular(1.9, 0.2, 0.5)], pot, 0.8)
+    ts, signs, logs = dense_oracle(op, nsamples=9)
+    for t, s, l in zip(ts, signs, logs):
+        ref = np.linalg.slogdet(pencil(op, t))
+        assert (s, l) == (ref[0], ref[1])
 
 
 def test_oracle_samples_match_factor_product():

@@ -334,10 +334,11 @@ mass = 0.6
 
 @pytest.mark.parametrize("n", [2, 6])
 def test_analyze_never_forms_dense_projectors(n, tmp_path, monkeypatch, capsys):
-    dense = (symbasis.projector, symbasis.averaging_operator, symbasis.projector_family)
+    dense = (symbasis.projector, symbasis.averaging_operator, symbasis.projector_family,
+             rs.stability.transform)
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("analyze reached the dense projector machinery")
+        raise AssertionError("analyze reached the dense projectors or the dense transform")
 
     for mod in (rs, cli, symbasis, rs.stability, rs.report):
         for name, obj in list(vars(mod).items()):
@@ -372,6 +373,58 @@ def test_verify_never_forms_sigma_matrices(n, tmp_path, monkeypatch, capsys):
     out = capsys.readouterr()
     assert code == 0, out.out + out.err
     assert "verdict: pass" in out.out
+
+
+SOLVE_CONFIG = """
+n = {n}
+kind = {kind}
+omega = solve
+free_radii = 2
+
+[ring]
+kind = center
+mass = 2.0
+
+[ring]
+kind = regular
+radius = 1.0
+mass = 1.0
+
+[ring]
+kind = regular
+radius = {r2}
+mass = 0.5
+phase = pi/n
+"""
+
+
+@pytest.mark.parametrize("n,kind,r2", [(6, "homogeneous", 1.8), (12, "vortex", 1.9)])
+def test_analyze_builds_twice_and_takes_two_gradients(n, kind, r2, tmp_path, monkeypatch,
+                                                      capsys):
+    # one build validates the config, one builds the solved system; one
+    # gradient checks the solver's returned iterate, one goes into the
+    # operator, and the reversed-omega residual reuses it
+    calls = {"build": 0, "gradient": 0}
+    originals = {"build": rs.geometry.build, "gradient": rs.dynamics.gradient}
+
+    def counted(name):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return originals[name](*args, **kwargs)
+        return wrapper
+
+    for mod in (rs, cli, rs.config, rs.geometry, rs.dynamics, rs.stability, symbasis):
+        for name, obj in list(vars(mod).items()):
+            for key, fn in originals.items():
+                if obj is fn:
+                    monkeypatch.setattr(mod, name, counted(key))
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text(SOLVE_CONFIG.format(n=n, kind=kind, r2=r2))
+    code = cli.main(["analyze", "--config", str(cfg), "--format", "machine"])
+    out = capsys.readouterr()
+    assert code == 0, out.err
+    assert '"residual_reversed_omega"' in out.out
+    assert calls == {"build": 2, "gradient": 2}
 
 
 @pytest.mark.parametrize("n", [2, 6])

@@ -1,0 +1,80 @@
+"""The benchmark's opt-in tracer (perfbench/tracing.py) reads names of the
+program from outside: the public functions it wraps, `block_factor`'s
+arguments, `BlockReport.a_block`/`.j_block` and `PolyFactor.roots`.  Run
+it, loaded unedited from its file, on one small analyze job, so a change to
+those names cannot break `--trace 1` unnoticed.
+
+The tracer counts only calls of the public `stability.block_factor`, which
+`factorize` does not make (it factors equal-size blocks as one stack), so
+the metrics derived from those calls read 0 on every job.  They are listed
+here by name, so a zero elsewhere still fails and a tracer that reads the
+block sizes from the report shows up as a change to this list."""
+
+import importlib.util
+import math
+import pathlib
+
+from ringstab import cli
+
+TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+CONFIG = """
+n = 6
+kind = homogeneous
+gamma = -1.5
+omega = solve
+free_radii = 2
+
+[ring]
+kind = center
+mass = 2.0
+
+[ring]
+kind = regular
+radius = 1.0
+mass = 1.0
+
+[ring]
+kind = regular
+radius = 1.8
+mass = 0.5
+phase = pi/n
+"""
+
+
+#: per-layer metrics taken from `block_factor` calls; 0 while `factorize`
+#: does not call it, and not comparable with runs of code that did
+BLOCK_FACTOR_ZEROS = ("stability.block_factor_calls", "stability.block_factor_s",
+                      "stability.det_flops", "stability.max_block")
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_tracer_runs_one_analyze_job(tmp_path, capsys):
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text(CONFIG)
+    tracer = load_tracing().Tracer()
+    original = cli.factorize
+    tracer.install()
+    tracer.begin(0)
+    try:
+        code = cli.main(["analyze", "--config", str(cfg), "--format", "machine"])
+    finally:
+        tracer.uninstall()
+    tracer.end()
+    assert code == 0, capsys.readouterr().err
+    assert cli.factorize is original
+    metrics = tracer.metrics()
+    bad = {k: v for k, v in metrics.items() if not math.isfinite(v)}
+    assert not bad
+    assert {k: metrics[k] for k in BLOCK_FACTOR_ZEROS} == dict.fromkeys(BLOCK_FACTOR_ZEROS, 0.0)
+    assert metrics["stability.factorize_s"] > 0.0
+    assert metrics["stability.offblock_residual"] > 0.0
+    assert metrics["stability.eig_backward_err"] > 0.0
+    assert metrics["dynamics.gradient_calls"] == 2
+    assert metrics["geometry.build_calls"] == 2
