@@ -122,8 +122,6 @@ def build_report(cfg: JobConfig, sysm: RingSystem, op: StabilityOperator | None 
                 "size": blk.size,
                 "degree": blk.factor.degree,
                 "off_residual": blk.off_residual,
-                "even": blk.factor.even,
-                "even_residual": blk.factor.even_residual,
                 "coefficients": blk.factor.coefficients,
                 "roots": blk.factor.roots(),
             } for blk in fac.blocks],

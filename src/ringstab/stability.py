@@ -12,8 +12,8 @@ for point vortices
 with A = M^{-1} D(grad F) evaluated on the configuration.  In a
 symmetry-adapted basis both pencils are block diagonal, so P splits into one
 factor per block.  `factorize` projects each block out of one product A C
-(never conjugating by C^{-1}), and recovers the factors by Newton
-interpolation of the block determinants, one stack per block size; the
+(never conjugating by C^{-1}), and takes each factor from the spectrum of
+its block's linearization, one batched eigensolve per block size; the
 product is cross-checked against the dense determinant at Chebyshev sample
 points, in log space so large systems cannot overflow.
 """
@@ -34,7 +34,7 @@ ORACLE_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
-# pencils and Newton interpolation
+# pencils and block factors
 
 
 def pencil(op: StabilityOperator, lam: float) -> np.ndarray:
@@ -83,134 +83,55 @@ def _slogdets(A, omega, kind, ts) -> tuple[np.ndarray, np.ndarray]:
     return out[:, 0], out[:, 1]
 
 
-def _divided_differences(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Newton coefficients of the values ys (last axis) at the nodes xs."""
-    c = np.array(ys, dtype=float)
-    for j in range(1, len(xs)):
-        c[..., j:] = (c[..., j:] - c[..., j - 1:-1]) / (xs[j:] - xs[:-j])
-    return c
-
-
-def _leja_order(xs: np.ndarray) -> np.ndarray:
-    """Greedy ordering maximizing the running node-distance product; keeps
-    Newton interpolation stable at moderate degrees."""
-    xs = np.asarray(xs, dtype=float)
-    left = list(range(len(xs)))
-    order = [int(np.argmax(np.abs(xs)))]
-    left.remove(order[0])
-    logprod = {i: 0.0 for i in left}
-    while left:
-        last = xs[order[-1]]
-        for i in left:
-            logprod[i] += np.log(max(abs(xs[i] - last), 1e-300))
-        best = max(left, key=lambda i: logprod[i])
-        left.remove(best)
-        order.append(best)
-    return xs[np.array(order)]
-
-
-def _newton_eval(xs: np.ndarray, c: np.ndarray, t):
-    """Horner evaluation of the Newton form (coefficients on the last axis
-    of c) at t; the other axes of c broadcast against t."""
-    val = c[..., -1]
-    for k in range(c.shape[-1] - 2, -1, -1):
-        val = c[..., k] + (t - xs[k]) * val
-    return val
-
-
-def _newton_to_monomial(xs: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Ascending monomial coefficients of the Newton form, on the last axis."""
-    poly = c[..., -1:].copy()
-    for k in range(c.shape[-1] - 2, -1, -1):
-        shifted = np.concatenate((np.zeros(poly.shape[:-1] + (1,)), poly), axis=-1)
-        shifted[..., :-1] -= xs[k] * poly
-        poly = shifted
-        poly[..., 0] += c[..., k]
-    return poly
-
-
 @dataclass
 class PolyFactor:
-    """One factor of the characteristic polynomial, stored in Newton form
-    (for stable evaluation) and monomial form (ascending, for reporting).
-
-    The block Gram matrix G satisfies G A = A^T G and G J = -J^T G, so every
-    block determinant is an even polynomial; factors are interpolated in
-    u = lambda^2 at half the degree, which also keeps the nodes inside the
-    oracle sampling window (a full-degree integer grid in lambda is
-    hopelessly ill-conditioned past degree ~40).  `even_residual` records
-    the measured asymmetry at the outermost node pair; when it is not tiny
-    the factor falls back to full-degree interpolation in lambda.
-    """
+    """One factor of the characteristic polynomial, held as its leading
+    coefficient and its roots, the spectrum of its block's linearization;
+    every other view of the factor is read from these two."""
 
     label: str
     degree: int
-    nodes: np.ndarray
-    newton: np.ndarray
-    coefficients: np.ndarray
-    even: bool
-    even_residual: float
+    lead: float
+    spectrum: np.ndarray
 
     def __call__(self, lam: float) -> float:
-        t = lam * lam if self.even else lam
-        return float(_newton_eval(self.nodes, self.newton, t))
+        return float((self.lead * np.prod(lam - self.spectrum)).real)
 
     def roots(self) -> np.ndarray:
-        """Companion-matrix roots (diagnostic output, never gated)."""
-        r = np.roots(self.coefficients[::-1])
-        return r[np.lexsort((r.imag, r.real))]
+        """The roots, sorted by real part, then imaginary part."""
+        return self.spectrum
 
-
-def block_factor(label: str, Ab: np.ndarray, Jb: np.ndarray, omega: float,
-                 kind: str) -> PolyFactor:
-    """Interpolate det of one block pencil over the oracle window."""
-    return _block_factors([label], Ab[None], Jb[None], omega, kind)[0]
+    @property
+    def coefficients(self) -> np.ndarray:
+        """Monomial coefficients, ascending."""
+        return (self.lead * np.poly(self.spectrum)).real[::-1]
 
 
 def _block_factors(labels: list[str], Ab: np.ndarray, Jb: np.ndarray, omega: float,
                    kind: str) -> list[PolyFactor]:
-    """`block_factor` of each block of a (k, s, s) stack of equal-size blocks.
+    """The factor of each block of a (k, s, s) stack of equal-size blocks,
+    from one batched eigensolve of the blocks' linearizations.
 
-    The nodes depend only on the degree and omega, so every node pencil and
-    parity probe of the stack goes through one `np.linalg.slogdet` call, and
-    the divided differences and the Newton -> monomial conversion run on all
-    k rows at once; each factor equals the one-block result bit for bit.
+    Vortex: det(A + omega I + lambda J) = det J * det(lambda I - L) with
+    L = -J^-1 (A + omega I).  Homogeneous: the monic quadratic
+    det(lambda^2 I + 2 omega lambda J + A - omega^2 I) = det(lambda I - L)
+    with the companion L = [[0, I], [-(A - omega^2 I), -2 omega J]].
     """
     size = Ab.shape[-1]
-    degree = size if kind == "vortex" else 2 * size
-    q = degree // 2
-    s = max(1.0, abs(omega))
-    umax = 4.0 * s * s
-    k = np.arange(q + 1)
-    us = _leja_order(umax * 0.5 * (1.0 - np.cos(np.pi * k / max(q, 1))))
-    lams = np.sqrt(us)
-    imax = int(np.argmax(us))
-    signs, logs = np.linalg.slogdet(_pencils(Ab, Jb, omega, kind, np.append(lams, -lams[imax])))
-    vals = signs * np.exp(logs)
-    ys, ym = vals[:, :-1], vals[:, -1]
-    scale = np.maximum(np.maximum(np.abs(ys[:, imax]), np.abs(ym)), 1e-300)
-    even_res = np.abs(ym - ys[:, imax]) / scale
-    even = even_res <= 1e-9
-    out: list[PolyFactor] = [None] * len(labels)
-    if even.any():
-        newton = _divided_differences(us, ys[even])
-        coeffs = np.zeros((len(newton), degree + 1))
-        coeffs[:, ::2] = _newton_to_monomial(us, newton)
-        for row, i in enumerate(np.flatnonzero(even)):
-            out[i] = PolyFactor(label=labels[i], degree=degree, nodes=us, newton=newton[row],
-                                coefficients=coeffs[row], even=True,
-                                even_residual=float(even_res[i]))
-    if not even.all():
-        kk = np.arange(degree + 1)
-        xs = _leja_order(2.0 * s * np.cos(np.pi * kk / degree))
-        signs, logs = np.linalg.slogdet(_pencils(Ab[~even], Jb[~even], omega, kind, xs))
-        newton = _divided_differences(xs, signs * np.exp(logs))
-        coeffs = _newton_to_monomial(xs, newton)
-        for row, i in enumerate(np.flatnonzero(~even)):
-            out[i] = PolyFactor(label=labels[i], degree=degree, nodes=xs, newton=newton[row],
-                                coefficients=coeffs[row], even=False,
-                                even_residual=float(even_res[i]))
-    return out
+    eye = np.eye(size)
+    if kind == "vortex":
+        leads = np.linalg.det(Jb)
+        lin = -np.linalg.solve(Jb, Ab + omega * eye)
+    else:
+        leads = np.ones(len(Ab))
+        lin = np.zeros((len(Ab), 2 * size, 2 * size))
+        lin[:, :size, size:] = eye
+        lin[:, size:, :size] = omega * omega * eye - Ab
+        lin[:, size:, size:] = -2.0 * omega * Jb
+    spectra = np.linalg.eigvals(lin).astype(complex)
+    return [PolyFactor(label=label, degree=lin.shape[-1], lead=float(lead),
+                       spectrum=r[np.lexsort((r.imag, r.real))])
+            for label, lead, r in zip(labels, leads, spectra)]
 
 
 # ---------------------------------------------------------------------------
@@ -350,26 +271,17 @@ def _log_rel_errors(sp, lp, sd, ld) -> np.ndarray:
 
 
 def _factor_log_product(factors: list[PolyFactor], ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sign and log |prod_f f(t)| at each t in ts.
-
-    Factors with the same nodes are evaluated together, by Horner over all
-    samples at once; the logs are summed in factor order, so the result is
-    the scalar per-factor, per-sample loop's bit for bit."""
-    vals = np.empty((len(factors), len(ts)))
-    groups: dict[tuple[bool, bytes], list[int]] = {}
-    for i, f in enumerate(factors):
-        groups.setdefault((f.even, f.nodes.tobytes()), []).append(i)
-    for (even, _), rows in groups.items():
-        newton = np.stack([factors[i].newton for i in rows])
-        nodes = factors[rows[0]].nodes
-        vals[rows] = _newton_eval(nodes, newton[:, None, :], ts * ts if even else ts)
-    signs = np.ones(len(ts))
-    logs = np.zeros(len(ts))
+    """Sign and log |prod_f f(t)| at each t in ts, from the leads and roots:
+    log |lead| + sum_i log |t - lambda_i|.  Conjugate pairs are positive,
+    so the sign is that of the leads times -1 per real root above t; a root
+    at a sample gives sign 0 and log -inf."""
+    leads = np.array([f.lead for f in factors])
+    roots = np.concatenate([f.spectrum for f in factors])
+    real = roots.real[roots.imag == 0.0]
     with np.errstate(divide="ignore"):
-        for v in vals:
-            zero = v == 0.0
-            signs = np.where(zero, 0.0, signs * np.sign(v))
-            logs = np.where(zero, -np.inf, logs + np.log(np.abs(v)))
+        logs = np.log(np.abs(leads)).sum() + np.log(np.abs(ts[:, None] - roots)).sum(axis=1)
+    signs = np.prod(np.sign(leads)) * (-1.0) ** (real > ts[:, None]).sum(axis=1)
+    signs[np.isneginf(logs)] = 0.0
     return signs, logs
 
 
@@ -461,11 +373,6 @@ class FactorizationReport:
     def lambda_degrees(self) -> list[int]:
         """Factor degrees in lambda, finest reported partition."""
         return [b.factor.degree for b in self.blocks]
-
-    @property
-    def eigenvalues(self) -> dict[str, np.ndarray]:
-        """Companion-matrix roots per factor (diagnostic only)."""
-        return {b.label: b.factor.roots() for b in self.blocks}
 
 
 def factorize(op: StabilityOperator, basis: SymBasis,

@@ -165,7 +165,6 @@ class IsotypicComponent:
     label: IrrepLabel
     part: int                    # 0 for 1-dim labels, 1 or 2 for rho copies
     dimension: int
-    basis: np.ndarray            # (2N, dimension), orthonormal (Euclidean)
 
 
 def _ring_rows(sys: RingSystem) -> list[slice]:
@@ -186,9 +185,9 @@ def _j_right(X: np.ndarray) -> np.ndarray:
 
 
 def isotypic_decomposition(fam: ProjectorFamily) -> list[IsotypicComponent]:
-    """Ranks and orthonormal bases of every isotypic piece via projector SVD,
-    taken ring by ring (the projectors are block diagonal by ring); ranks
-    count singular values against the largest one of the whole projector.
+    """Ranks of every isotypic piece from projector singular values, taken
+    ring by ring (the projectors are block diagonal by ring); ranks count
+    singular values against the largest one of the whole projector.
 
     Raises ValueError("decomposition mismatch") when computed ranks disagree
     with the multiplicity count or do not sum to 2N.
@@ -203,21 +202,13 @@ def isotypic_decomposition(fam: ProjectorFamily) -> list[IsotypicComponent]:
     out = []
     total = 0
     for label, part, P in pieces:
-        svds = [np.linalg.svd(P[r, r]) for r in rows]
-        top = max(sv[0] for _, sv, _ in svds)
-        cols = []
-        for r, (U, sv, _) in zip(rows, svds):
-            keep = int(np.sum(sv > RANK_RTOL * top)) if top > 0 else 0
-            col = np.zeros((dim, keep))
-            col[r] = U[:, :keep]
-            cols.append(col)
-        basis = np.hstack(cols)
-        rank = basis.shape[1]
+        svs = np.concatenate([np.linalg.svd(P[r, r], compute_uv=False) for r in rows])
+        top = svs.max()
+        rank = int(np.sum(svs > RANK_RTOL * top)) if top > 0 else 0
         if rank != expect[repr(label)]:
             raise ValueError("decomposition mismatch: rank %d for %r part %d, expected %d"
                              % (rank, label, part, expect[repr(label)]))
-        out.append(IsotypicComponent(label=label, part=part, dimension=rank,
-                                     basis=basis))
+        out.append(IsotypicComponent(label=label, part=part, dimension=rank))
         total += rank
     if total != dim:
         raise ValueError("decomposition mismatch: components span %d of %d dimensions"
@@ -544,7 +535,7 @@ def _lead_combo(sys: RingSystem, per_orbit: list[list[np.ndarray]]) -> tuple[lis
     return [total] + combos + extras, full
 
 
-def assemble_global_basis(sys: RingSystem, normalize: bool = True) -> SymBasis:
+def assemble_global_basis(sys: RingSystem) -> SymBasis:
     """Full 2N-column adapted basis, blocks ordered tau/alpha, phi/psi,
     rho_2..rho_t, sigma (rho_1).  Within each block the columns are
     (J u_1 ... J u_m, u_1 ... u_m); the J-pairing is exact by construction.
@@ -557,7 +548,7 @@ def assemble_global_basis(sys: RingSystem, normalize: bool = True) -> SymBasis:
     expect = multiplicities(sys.n, a, b, c)
     # M-normalization only makes sense for a definite mass form; with
     # mixed-sign vorticities columns are left unnormalized
-    normalize = normalize and bool(np.all(sys.masses > 0))
+    normalize = bool(np.all(sys.masses > 0))
     cols: list[np.ndarray] = []
     blocks: list[BlockPlan] = []
     m_full = True

@@ -5,11 +5,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 import ringstab as rs
-from ringstab.stability import (PolyFactor, _factor_log_product, _leja_order,
-                                _off_residual, _shifts, block_factor,
-                                classical_checks, dense_oracle,
-                                expected_degree_profile, factorize, pencil,
-                                transform)
+from ringstab.stability import (_block_factors, _factor_log_product,
+                                _off_residual, _pencils, classical_checks,
+                                dense_oracle, expected_degree_profile,
+                                factorize, pencil, transform)
 from test_acceptance import grid_system, type_grid
 
 NEWT = rs.newtonian()
@@ -31,6 +30,10 @@ def operator_at(n, rings, pot, omega):
     return rs.stability_operator(sys, pot, omega), rs.assemble_global_basis(sys)
 
 
+def block_factor(label, Ab, Jb, omega, kind):
+    return _block_factors([label], Ab[None], Jb[None], omega, kind)[0]
+
+
 # --- hand-checked 2x2 determinants ---------------------------------------
 
 def test_block_factor_translation_pair():
@@ -38,7 +41,6 @@ def test_block_factor_translation_pair():
     w = 1.3
     f = block_factor("t", np.zeros((2, 2)), np.array([[0.0, 1.0], [-1.0, 0.0]]),
                      w, "homogeneous")
-    assert f.even
     assert_allclose(f.coefficients, [w ** 4, 0.0, 2.0 * w ** 2, 0.0, 1.0], atol=1e-10)
     assert_allclose(f(0.7), (0.49 + w * w) ** 2, rtol=1e-12)
 
@@ -57,8 +59,6 @@ def test_block_factor_full_degree_fallback():
     Ab = np.array([[0.0, 1.0], [0.0, 0.0]])
     f = block_factor("odd", Ab, np.array([[0.0, 1.0], [-1.0, 0.0]]),
                      w, "homogeneous")
-    assert not f.even
-    assert f.even_residual > 1e-9
     assert_allclose(f.coefficients, [w ** 4, 2.0 * w, 2.0 * w ** 2, 0.0, 1.0],
                     atol=1e-9)
 
@@ -220,87 +220,46 @@ def test_off_residuals_match_transform_on_leaking_operators():
         assert_matches_transform(op, basis, fac)
 
 
-def reference_block_factor(label, Ab, Jb, omega, kind):
-    """The scalar one-block interpolation `block_factor` ran before blocks
-    were factored as stacks, with its own scalar divided differences and
-    Newton -> monomial conversion; the reference the stacked factors must
-    equal bit for bit."""
-    def pencils(ts):
-        c, d = _shifts(omega, kind, ts)
-        return (Ab + c[:, None, None] * np.eye(Ab.shape[0])) + d[:, None, None] * Jb
-
-    def divided_differences(xs, ys):
-        c = np.array(ys, dtype=float)
-        for j in range(1, len(xs)):
-            c[j:] = (c[j:] - c[j - 1:-1]) / (xs[j:] - xs[:-j])
-        return c
-
-    def newton_to_monomial(xs, c):
-        poly = np.array([c[-1]])
-        for k in range(len(c) - 2, -1, -1):
-            shifted = np.concatenate(([0.0], poly))
-            shifted[:-1] -= xs[k] * poly
-            poly = shifted
-            poly[0] += c[k]
-        return poly
-
-    size = Ab.shape[0]
-    degree = size if kind == "vortex" else 2 * size
-    q = degree // 2
-    s = max(1.0, abs(omega))
-    k = np.arange(q + 1)
-    us = _leja_order(4.0 * s * s * 0.5 * (1.0 - np.cos(np.pi * k / max(q, 1))))
-    lams = np.sqrt(us)
-    imax = int(np.argmax(us))
-    signs, logs = np.linalg.slogdet(pencils(np.append(lams, -lams[imax])))
-    vals = signs * np.exp(logs)
-    ys, ym = vals[:-1], vals[-1]
-    even_res = float(abs(ym - ys[imax]) / max(abs(ys[imax]), abs(ym), 1e-300))
-    if even_res <= 1e-9:
-        newton = divided_differences(us, ys)
-        coeffs = np.zeros(degree + 1)
-        coeffs[::2] = newton_to_monomial(us, newton)
-        return PolyFactor(label=label, degree=degree, nodes=us, newton=newton,
-                          coefficients=coeffs, even=True, even_residual=even_res)
-    xs = _leja_order(2.0 * s * np.cos(np.pi * np.arange(degree + 1) / degree))
-    signs, logs = np.linalg.slogdet(pencils(xs))
-    newton = divided_differences(xs, signs * np.exp(logs))
-    return PolyFactor(label=label, degree=degree, nodes=xs, newton=newton,
-                      coefficients=newton_to_monomial(xs, newton),
-                      even=False, even_residual=even_res)
-
-
-def assert_same_factor(got, ref):
-    assert (got.label, got.degree, got.even, got.even_residual) == \
-        (ref.label, ref.degree, ref.even, ref.even_residual)
-    for name in ("nodes", "newton", "coefficients"):
-        assert np.array_equal(getattr(got, name), getattr(ref, name)), (got.label, name)
+def assert_factors_equal_block_determinants(factors, Ab, Jb, omega, kind):
+    """Each factor's values at the oracle samples equal the `slogdet` of its
+    block pencil within 1e-12 of the largest |det| over those samples."""
+    i = np.arange(20)
+    ts = 2.0 * max(1.0, abs(omega)) * np.cos(np.pi * (2 * i + 1) / 40)
+    signs, logs = np.linalg.slogdet(_pencils(Ab, Jb, omega, kind, ts))
+    dets = signs * np.exp(logs)
+    for f, det in zip(factors, dets):
+        vals = np.array([f(t) for t in ts])
+        assert np.max(np.abs(vals - det)) <= 1e-12 * np.max(np.abs(det)), f.label
 
 
 def test_stacked_factors_equal_block_factor():
     systems = list(grid_operators())[::7] + solved_split_systems()
     for op, basis in systems:
         fac = factorize(op, basis, oracle=False)
-        for blk in fac.blocks:
-            args = (blk.label, blk.a_block, blk.j_block, op.omega, op.potential.kind)
-            ref = reference_block_factor(*args)
-            assert_same_factor(blk.factor, ref)
-            assert_same_factor(block_factor(*args), ref)
+        for size in {blk.size for blk in fac.blocks}:
+            same = [blk for blk in fac.blocks if blk.size == size]
+            Ab = np.stack([blk.a_block for blk in same])
+            Jb = np.stack([blk.j_block for blk in same])
+            # the factors of one stack, and each block factored on its own
+            assert_factors_equal_block_determinants(
+                [blk.factor for blk in same], Ab, Jb, op.omega, op.potential.kind)
+            assert_factors_equal_block_determinants(
+                [block_factor(blk.label, blk.a_block, blk.j_block, op.omega,
+                              op.potential.kind) for blk in same],
+                Ab, Jb, op.omega, op.potential.kind)
     # the D_48 system factors 23 blocks of size 8 as one stack
     assert sum(b.size == 8 for b in fac.blocks) == 23
 
 
 def test_stacked_factors_mix_even_and_fallback():
-    # one nilpotent block falls back to full-degree interpolation while the
-    # other block of the same size stays even
+    # one stack of a nilpotent block, whose factor is not even in lambda,
+    # and an even one
     w = 1.1
     J = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    blocks = [np.array([[0.0, 1.0], [0.0, 0.0]]), 0.3 * np.eye(2)]
-    stack = rs.stability._block_factors(["odd", "even"], np.stack(blocks),
-                                        np.stack([J, J]), w, "homogeneous")
-    assert [f.even for f in stack] == [False, True]
-    for f, Ab in zip(stack, blocks):
-        assert_same_factor(f, reference_block_factor(f.label, Ab, J, w, "homogeneous"))
+    Ab = np.stack([np.array([[0.0, 1.0], [0.0, 0.0]]), 0.3 * np.eye(2)])
+    Jb = np.stack([J, J])
+    stack = _block_factors(["odd", "even"], Ab, Jb, w, "homogeneous")
+    assert_factors_equal_block_determinants(stack, Ab, Jb, w, "homogeneous")
 
 
 def loop_log_product(factors, ts):
@@ -326,13 +285,14 @@ def test_factor_log_product_equals_loop():
         ts = dense_oracle(op, nsamples=20)[0] if op.system.npoints < 60 else \
             np.linspace(-2.0, 2.0, 20) * max(1.0, abs(op.omega))
         got, ref = _factor_log_product(fac.factors, ts), loop_log_product(fac.factors, ts)
-        assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+        assert np.array_equal(got[0], ref[0])
+        assert np.max(np.abs(got[1] - ref[1])) <= 1e-12
     # a root at a sample: sign 0 and log -inf, as in the loop
     f = block_factor("v", np.zeros((2, 2)), np.array([[0.0, 1.0], [-1.0, 0.0]]), 0.0, "vortex")
     ts = np.array([0.0, 0.5])
     got, ref = _factor_log_product([f, f], ts), loop_log_product([f, f], ts)
-    assert got[0][0] == 0.0 and got[1][0] == -np.inf
-    assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+    assert got[0][0] == 0.0 and got[1][0] == -np.inf == ref[1][0]
+    assert np.array_equal(got[0], ref[0]) and abs(got[1][1] - ref[1][1]) <= 1e-12
 
 
 # --- factorization ---------------------------------------------------------
@@ -358,7 +318,6 @@ def test_homogeneous_degrees_double():
     fac = factorize(op, basis)
     assert fac.degree_profile == [2, 4, 4]
     assert sum(fac.lambda_degrees) == 4 * op.system.npoints
-    assert all(f.even for f in fac.factors)
     for f in fac.factors:
         assert abs(f.coefficients[-1] - 1.0) < 1e-10
         assert np.max(np.abs(f.coefficients[1::2])) <= 1e-8 * np.max(np.abs(f.coefficients))
@@ -450,8 +409,6 @@ def test_vortex_j_maps_eigenvectors_to_eigenvectors():
 def test_factor_roots_diagnostics():
     op, basis = solved(4, [rs.regular(1.0, 1.0)], VORT)
     fac = factorize(op, basis)
-    eigs = fac.eigenvalues
-    assert set(eigs) == {b.label for b in fac.blocks}
     for blk in fac.blocks:
         r = blk.factor.roots()
         assert len(r) == blk.factor.degree
@@ -475,3 +432,53 @@ def test_d2_rhombus_all_blocks_quadratic(pot):
     fac = factorize(op, rs.assemble_global_basis(sol.system))
     assert [b.size for b in fac.blocks] == [2, 2, 2, 2]
     assert fac.oracle.passed
+
+
+# --- spectra from the block linearizations ---------------------------------
+
+@pytest.mark.parametrize("n,rings", [
+    (7, [rs.regular(1.0, 1.0), rs.regular(1.7, 1.0, phase=np.pi / 7),
+         rs.semiregular(2.3, 0.2, 1.0), rs.semiregular(2.9, 0.3, 1.0)]),
+    (12, [rs.center(3.0), rs.regular(1.0, 1.0), rs.regular(1.6, 1.0, phase=np.pi / 12),
+          rs.semiregular(2.2, 0.1, 1.0), rs.semiregular(2.8, 0.2, 1.0)]),
+])
+def test_coefficients_do_not_depend_on_ring_order(n, rings):
+    # a block's factor is the determinant of the pencil on an invariant
+    # subspace, whatever basis the ring order gives that subspace
+    facs = [factorize(*operator_at(n, order, NEWT, 1.0), oracle=False)
+            for order in (rings, rings[::-1])]
+    fwd, rev = ({b.label: b.factor.coefficients for b in fac.blocks} for fac in facs)
+    assert set(fwd) == set(rev)
+    for label, c in fwd.items():
+        assert np.max(np.abs(c - rev[label])) <= 1e-7 * np.max(np.abs(c)), label
+
+
+def test_roots_backward_error_at_large_n():
+    op, basis = solved_split_systems()[-1]
+    fac = factorize(op, basis, oracle=False)
+    w = op.omega
+    for blk in fac.blocks:
+        eye = np.eye(blk.size)
+        coeffs = [blk.a_block - w * w * eye, 2.0 * w * blk.j_block, eye]
+        norms = [np.linalg.norm(c, 2) for c in coeffs]
+        for lam in blk.factor.roots():
+            P = sum(c * lam ** k for k, c in enumerate(coeffs))
+            smin = np.linalg.svd(P, compute_uv=False)[-1]
+            scale = sum(nrm * abs(lam) ** k for k, nrm in enumerate(norms))
+            assert smin <= 1e-12 * scale, (blk.label, lam)
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_vortex_polygon_stability_thomson_havelock(n):
+    # the regular vortex n-gon is linearly stable for n <= 6, degenerate at
+    # n = 7 and unstable for n >= 8 (Havelock 1931)
+    op, basis = solved(n, [rs.regular(1.0, 1.0)], VORT)
+    fac = factorize(op, basis)
+    growth = max(np.max(f.roots().real) for f in fac.factors)
+    w = abs(op.omega)
+    if n <= 6:
+        assert growth <= 1e-9 * w
+    elif n == 7:
+        assert growth <= 1e-6 * w
+    else:
+        assert growth >= 0.5 * w

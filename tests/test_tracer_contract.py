@@ -1,11 +1,11 @@
 """The benchmark's opt-in tracer (perfbench/tracing.py) reads names of the
-program from outside: the public functions it wraps, `block_factor`'s
-arguments, `BlockReport.a_block`/`.j_block` and `PolyFactor.roots`.  Run
-it, loaded unedited from its file, on one small analyze job, so a change to
-those names cannot break `--trace 1` unnoticed.
+program from outside: the public functions it wraps, `BlockReport.a_block`/
+`.j_block` and `PolyFactor.roots`.  Run it, loaded unedited from its file,
+on one small analyze job, so a change to those names cannot break
+`--trace 1` unnoticed.
 
-The tracer counts only calls of the public `stability.block_factor`, which
-`factorize` does not make (it factors equal-size blocks as one stack), so
+The tracer counts only calls of a public `stability.block_factor`, which
+no longer exists (`factorize` factors equal-size blocks as one stack), so
 the metrics derived from those calls read 0 on every job.  They are listed
 here by name, so a zero elsewhere still fails and a tracer that reads the
 block sizes from the report shows up as a change to this list."""
@@ -42,8 +42,8 @@ phase = pi/n
 """
 
 
-#: per-layer metrics taken from `block_factor` calls; 0 while `factorize`
-#: does not call it, and not comparable with runs of code that did
+#: per-layer metrics taken from `block_factor` calls; 0 without that
+#: function, and not comparable with runs of code that had it
 BLOCK_FACTOR_ZEROS = ("stability.block_factor_calls", "stability.block_factor_s",
                       "stability.det_flops", "stability.max_block")
 
@@ -75,6 +75,6 @@ def test_tracer_runs_one_analyze_job(tmp_path, capsys):
     assert {k: metrics[k] for k in BLOCK_FACTOR_ZEROS} == dict.fromkeys(BLOCK_FACTOR_ZEROS, 0.0)
     assert metrics["stability.factorize_s"] > 0.0
     assert metrics["stability.offblock_residual"] > 0.0
-    assert metrics["stability.eig_backward_err"] > 0.0
+    assert metrics["stability.eig_backward_err"] <= 1e-12
     assert metrics["dynamics.gradient_calls"] == 2
     assert metrics["geometry.build_calls"] == 2
