@@ -20,8 +20,8 @@ from .dynamics import (Potential, ReleqSolution, StabilityOperator,
                        solve_releq, stability_operator,
                        translation_kernel_residual)
 from .geometry import RingSystem
-from .report import (build_report, factors_csv, format_invariant_line,
-                     to_machine, to_text)
+from .report import (block_matches, build_report, factors_csv,
+                     format_invariant_line, to_machine, to_text)
 from .stability import (OFF_BLOCK_TOL, ORACLE_TOL, FactorizationReport,
                         factorize)
 from .svg import emit_svg
@@ -149,10 +149,6 @@ def _write_outputs(args, cfg: JobConfig, sysm, basis, fac, doc):
                      title=blk.label)
 
 
-def _matches_block(label: str, wanted: str) -> bool:
-    return label == wanted or label.startswith(wanted + "_")
-
-
 def _cmd_analyze(cfg: JobConfig, args) -> int:
     sysm, pot, op, basis, fac, sol = _pipeline(cfg, args)
     rev = _reversed_residual(op)
@@ -161,7 +157,7 @@ def _cmd_analyze(cfg: JobConfig, args) -> int:
     if args.block is not None:
         doc["factorization"]["blocks"] = [
             b for b in doc["factorization"]["blocks"]
-            if _matches_block(b["label"], args.block)]
+            if block_matches(b["label"], args.block)]
     print(to_machine(doc) if args.format == "machine" else to_text(doc), end="")
     _write_outputs(args, cfg, sysm, basis, fac, doc)
     tol_oracle = _tol(args, cfg, "oracle", ORACLE_TOL)
@@ -289,11 +285,7 @@ def main(argv: list[str] | None = None) -> int:
         print("solver error: %s" % exc, file=_sys.stderr)
         return EXIT_SOLVER
     except ValueError as exc:
-        msg = str(exc)
-        if "free radius" in msg or "radius gauge" in msg:
-            print("config error: %s" % msg, file=_sys.stderr)
-            return EXIT_CONFIG
-        print("error: %s" % msg, file=_sys.stderr)
+        print("error: %s" % exc, file=_sys.stderr)
         return EXIT_GATE
 
 

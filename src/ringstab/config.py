@@ -281,11 +281,16 @@ def parse_config_text(text: str, path: str = "<string>") -> JobConfig:
     if rings and all(r.kind == "center" for r in rings):
         errors.append("need at least one non-center ring")
 
+    # the solver's radius gauge; indices are only sure when every ring parsed
+    gauge = None if len(rings) != len(ring_secs) else \
+        next((i for i, r in enumerate(rings) if r.kind != "center"), None)
     for idx in free:
         if idx < 0 or idx >= len(ring_secs):
             errors.append("free radius index %d out of range" % idx)
         elif idx < len(rings) and rings[idx].kind == "center":
             errors.append("free radius index %d names a center ring" % idx)
+        elif idx == gauge:
+            errors.append("ring %d is the radius gauge and cannot be freed" % idx)
 
     system = None
     if not errors and len(rings) == len(ring_secs):

@@ -251,7 +251,6 @@ class ReleqSolution:
     converged: bool
     iterations: int
     reduced_norm: float
-    full_norm: float
     stop: str                    # "converged" | "stalled" | "iteration limit"
 
 
@@ -438,9 +437,7 @@ def solve_releq(sys: RingSystem, pot: Potential, free_radii: tuple[int, ...] = (
         stop = "converged"
     omega = float(x[-1])
     system = build(sys.n, _ring_specs(sys.rings, x[:-1], free))
-    full = releq_residual(system, pot, omega)
     return ReleqSolution(system=system, omega=omega,
                          radii=np.array([r.radius for r in system.rings]),
                          converged=converged, iterations=it,
-                         reduced_norm=float(rnorm), full_norm=float(np.max(np.abs(full))),
-                         stop=stop)
+                         reduced_norm=float(rnorm), stop=stop)

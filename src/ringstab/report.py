@@ -212,6 +212,11 @@ def format_invariant_line(item: dict) -> str:
         item["status"], item["name"], _fmt_num(item["residual"]), thr_s)
 
 
+def block_matches(label: str, wanted: str) -> bool:
+    """The --block rule: wanted itself and its split halves (wanted + "_...")."""
+    return label == wanted or label.startswith(wanted + "_")
+
+
 def factor_rows(fac: FactorizationReport) -> list[list]:
     rows = []
     for blk in fac.blocks:
@@ -225,6 +230,6 @@ def factors_csv(fac: FactorizationReport, block: str | None = None) -> str:
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["label", "size", "degree", "coefficients..."])
     for row in factor_rows(fac):
-        if block is None or row[0] == block or str(row[0]).startswith(block + "_"):
+        if block is None or block_matches(row[0], block):
             w.writerow(row)
     return buf.getvalue()

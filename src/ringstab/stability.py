@@ -11,11 +11,13 @@ for point vortices
 
 with A = M^{-1} D(grad F) evaluated on the configuration.  In a
 symmetry-adapted basis both pencils are block diagonal, so P splits into one
-factor per block.  `factorize` projects each block out of one product A C
-(never conjugating by C^{-1}), and takes each factor from the spectrum of
-its block's linearization, one batched eigensolve per block size; the
-product is cross-checked against the dense determinant at Chebyshev sample
-points, in log space so large systems cannot overflow.
+factor per block.  The basis pairs every column u with J u, so J takes the
+standard form J_b = [[0, I], [-I, 0]] on each block exactly, and only A has
+to be projected: `factorize` projects each block out of one product A C
+(never conjugating by C^{-1}), and takes each monic factor from the
+spectrum of its block's linearization, one batched eigensolve per block
+size; the product is cross-checked against the dense determinant at
+Chebyshev sample points, in log space so large systems cannot overflow.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import StabilityOperator, apply_j, j_matrix
-from .symbasis import BlockPlan, SymBasis, multiplicities, translation_field
+from .symbasis import SymBasis, multiplicities, standard_j, translation_field
 
 #: relative Frobenius mass allowed outside the diagonal blocks
 OFF_BLOCK_TOL = 1e-9
@@ -85,17 +87,16 @@ def _slogdets(A, omega, kind, ts) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class PolyFactor:
-    """One factor of the characteristic polynomial, held as its leading
-    coefficient and its roots, the spectrum of its block's linearization;
-    every other view of the factor is read from these two."""
+    """One monic factor of the characteristic polynomial, held as its
+    roots, the spectrum of its block's linearization; every other view of
+    the factor is read from them."""
 
     label: str
     degree: int
-    lead: float
     spectrum: np.ndarray
 
     def __call__(self, lam: float) -> float:
-        return float((self.lead * np.prod(lam - self.spectrum)).real)
+        return float(np.prod(lam - self.spectrum).real)
 
     def roots(self) -> np.ndarray:
         """The roots, sorted by real part, then imaginary part."""
@@ -103,35 +104,36 @@ class PolyFactor:
 
     @property
     def coefficients(self) -> np.ndarray:
-        """Monomial coefficients, ascending."""
-        return (self.lead * np.poly(self.spectrum)).real[::-1]
+        """Monomial coefficients, ascending; the last is 1."""
+        return np.poly(self.spectrum).real[::-1]
 
 
-def _block_factors(labels: list[str], Ab: np.ndarray, Jb: np.ndarray, omega: float,
+def _block_factors(labels: list[str], Ab: np.ndarray, omega: float,
                    kind: str) -> list[PolyFactor]:
     """The factor of each block of a (k, s, s) stack of equal-size blocks,
-    from one batched eigensolve of the blocks' linearizations.
+    from one batched eigensolve of the blocks' linearizations, with J in
+    the standard form J_b (det J_b = 1, J_b^-1 = -J_b).
 
-    Vortex: det(A + omega I + lambda J) = det J * det(lambda I - L) with
-    L = -J^-1 (A + omega I).  Homogeneous: the monic quadratic
-    det(lambda^2 I + 2 omega lambda J + A - omega^2 I) = det(lambda I - L)
-    with the companion L = [[0, I], [-(A - omega^2 I), -2 omega J]].
+    Vortex: det(A + omega I + lambda J_b) = det(lambda I - L) with
+    L = J_b (A + omega I), a signed swap of the two row halves.
+    Homogeneous: det(lambda^2 I + 2 omega lambda J_b + A - omega^2 I)
+    = det(lambda I - L) with the companion
+    L = [[0, I], [-(A - omega^2 I), -2 omega J_b]].
     """
     size = Ab.shape[-1]
     eye = np.eye(size)
     if kind == "vortex":
-        leads = np.linalg.det(Jb)
-        lin = -np.linalg.solve(Jb, Ab + omega * eye)
+        shifted, m = Ab + omega * eye, size // 2
+        lin = np.concatenate([shifted[:, m:], -shifted[:, :m]], axis=1)
     else:
-        leads = np.ones(len(Ab))
         lin = np.zeros((len(Ab), 2 * size, 2 * size))
         lin[:, :size, size:] = eye
         lin[:, size:, :size] = omega * omega * eye - Ab
-        lin[:, size:, size:] = -2.0 * omega * Jb
+        lin[:, size:, size:] = -2.0 * omega * standard_j(size // 2)
     spectra = np.linalg.eigvals(lin).astype(complex)
-    return [PolyFactor(label=label, degree=lin.shape[-1], lead=float(lead),
+    return [PolyFactor(label=label, degree=lin.shape[-1],
                        spectrum=r[np.lexsort((r.imag, r.real))])
-            for label, lead, r in zip(labels, leads, spectra)]
+            for label, r in zip(labels, spectra)]
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +177,8 @@ def transform(op: StabilityOperator, basis: SymBasis,
 
 
 class _Products:
-    """A C and J C for projecting blocks out of the adapted basis C.
+    """A C for projecting blocks out of the adapted basis C; J needs no
+    product, since J C_b = C_b J_b exactly.
 
     Everything is kept transposed, one row per basis column, so a block's
     columns are a row gather.  W = |M|^(1/2) weights the residuals; for a
@@ -186,30 +189,25 @@ class _Products:
         md = op.system.mass_diag
         self.ct = basis.matrix.T
         self.mct = self.ct * md                   # rows of C^T M
-        self.xt = ((op.matrix @ basis.matrix).T, apply_j(self.ct))
+        self.act = (op.matrix @ basis.matrix).T
         self.w = np.sqrt(np.abs(md))
-        self.totals = tuple(float(np.linalg.norm(x * self.w)) for x in self.xt)
+        self.total = float(np.linalg.norm(self.act * self.w))
 
-    def project(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """A~_b and J~_b of each row of idx, a (k, s) stack of the column
-        indices of k coarse blocks: G_b^-1 C_b^T M (A C_b) with
-        G_b = C_b^T M C_b, one batched solve for both."""
+    def project(self, idx: np.ndarray) -> np.ndarray:
+        """A~_b of each row of idx, a (k, s) stack of the column indices of
+        k coarse blocks: G_b^-1 C_b^T M (A C_b) with G_b = C_b^T M C_b, one
+        batched solve."""
         ct, mct = self.ct[idx], self.mct[idx]
-        rhs = np.concatenate([mct @ x[idx].transpose(0, 2, 1) for x in self.xt], axis=2)
-        y = np.linalg.solve(mct @ ct.transpose(0, 2, 1), rhs)
-        s = idx.shape[1]
-        return y[..., :s], y[..., s:]
+        return np.linalg.solve(mct @ ct.transpose(0, 2, 1),
+                               mct @ self.act[idx].transpose(0, 2, 1))
 
-    def residuals(self, idx: np.ndarray, ab: np.ndarray, jb: np.ndarray) -> np.ndarray:
-        """max(||W (A C_b - C_b A~_b)||_F / ||W A C||_F, same for J) per row
-        of idx (column indices, (k, s)) and its blocks ab, jb ((k, s, s))."""
-        ct = self.ct[idx]
-        out = np.zeros(len(idx))
-        for x, y, total in zip(self.xt, (ab, jb), self.totals):
-            if total != 0.0:
-                r = (x[idx] - y.transpose(0, 2, 1) @ ct) * self.w
-                out = np.maximum(out, np.linalg.norm(r, axis=(1, 2)) / total)
-        return out
+    def residuals(self, idx: np.ndarray, ab: np.ndarray) -> np.ndarray:
+        """||W (A C_b - C_b A~_b)||_F / ||W A C||_F per row of idx (column
+        indices, (k, s)) and its blocks ab ((k, s, s))."""
+        if self.total == 0.0:
+            return np.zeros(len(idx))
+        r = (self.act[idx] - ab.transpose(0, 2, 1) @ self.ct[idx]) * self.w
+        return np.linalg.norm(r, axis=(1, 2)) / self.total
 
 
 @dataclass
@@ -221,15 +219,11 @@ class BlockReport:
     off_residual: float
     factor: PolyFactor
     a_block: np.ndarray | None = None
-    j_block: np.ndarray | None = None
 
-
-def _split_cols(blk: BlockPlan) -> tuple[list[int], list[int]]:
-    m = blk.pairs
-    lead = [blk.start, blk.start + m]
-    rest = [blk.start + i for i in range(1, m)] + \
-           [blk.start + m + i for i in range(1, m)]
-    return lead, rest
+    @property
+    def j_block(self) -> np.ndarray:
+        """J~_b, exactly the standard form J_b."""
+        return standard_j(self.size // 2)
 
 
 # ---------------------------------------------------------------------------
@@ -271,16 +265,15 @@ def _log_rel_errors(sp, lp, sd, ld) -> np.ndarray:
 
 
 def _factor_log_product(factors: list[PolyFactor], ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sign and log |prod_f f(t)| at each t in ts, from the leads and roots:
-    log |lead| + sum_i log |t - lambda_i|.  Conjugate pairs are positive,
-    so the sign is that of the leads times -1 per real root above t; a root
-    at a sample gives sign 0 and log -inf."""
-    leads = np.array([f.lead for f in factors])
+    """Sign and log |prod_f f(t)| at each t in ts, from the roots of the
+    monic factors: sum_i log |t - lambda_i|.  Conjugate pairs are positive,
+    so the sign is -1 per real root above t; a root at a sample gives sign
+    0 and log -inf."""
     roots = np.concatenate([f.spectrum for f in factors])
     real = roots.real[roots.imag == 0.0]
     with np.errstate(divide="ignore"):
-        logs = np.log(np.abs(leads)).sum() + np.log(np.abs(ts[:, None] - roots)).sum(axis=1)
-    signs = np.prod(np.sign(leads)) * (-1.0) ** (real > ts[:, None]).sum(axis=1)
+        logs = np.log(np.abs(ts[:, None] - roots)).sum(axis=1)
+    signs = (-1.0) ** (real > ts[:, None]).sum(axis=1)
     signs[np.isneginf(logs)] = 0.0
     return signs, logs
 
@@ -381,46 +374,47 @@ def factorize(op: StabilityOperator, basis: SymBasis,
     """Factor the stability pencil along the adapted basis.
 
     Each coarse block is projected out of one product A C (`_Products`):
-    A~_b = G_b^-1 C_b^T M (A C_b), J~_b likewise, with G_b = C_b^T M C_b.
-    Distinct isotypic blocks are M-orthogonal (M is D_n-invariant), so
-    these are the diagonal blocks of C^-1 A C and C^-1 J C, which
-    `transform` forms densely.  The off-block residual of a block is the
-    weighted invariance residual
-        max(||W (A C_b - C_b A~_b)||_F / ||W A C||_F, same for J),
+    A~_b = G_b^-1 C_b^T M (A C_b), with G_b = C_b^T M C_b.  Distinct
+    isotypic blocks are M-orthogonal (M is D_n-invariant), so these are the
+    diagonal blocks of C^-1 A C, which `transform` forms densely.  J needs
+    no projection: the basis layout gives J C_b = C_b J_b exactly, so
+    J~_b = J_b (`symbasis.standard_j`) and J leaks nothing.  The off-block
+    residual of a block is the weighted invariance residual
+        ||W (A C_b - C_b A~_b)||_F / ||W A C||_F,
     W = |M|^(1/2); when C^T M C = I it equals the Frobenius mass of
-    C^-1 A C (or C^-1 J C) outside the block's rows, relative to the whole.
+    C^-1 A C outside the block's rows, relative to the whole.
 
     At a verified relative equilibrium the leading pair (J kappa, kappa) of
     the tau/alpha block and (Delta_v, Delta_h) of the sigma block split off
     as their own quadratic sub-blocks; the split is kept only when the
     resulting partition still passes the off-block gate, otherwise the
     coarse block is reported with a note.  The lead and rest blocks are the
-    matching sub-blocks of the coarse A~_b and J~_b, as in C^-1 A C.
+    matching sub-blocks of the coarse A~_b, as in C^-1 A C.
     Blocks of equal size are projected, and factored, as one stack.
     """
     prod = _Products(op, basis)
-    coarse: dict[str, tuple[np.ndarray, np.ndarray, float]] = {}
+    coarse: dict[str, tuple[np.ndarray, float]] = {}
     for size in sorted({blk.size for blk in basis.blocks}):
         same = [blk for blk in basis.blocks if blk.size == size]
         idx = np.array([blk.cols for blk in same])
-        ab, jb = prod.project(idx)
-        for blk, a, j, off in zip(same, ab, jb, prod.residuals(idx, ab, jb)):
-            coarse[blk.label] = (a, j, float(off))
+        ab = prod.project(idx)
+        for blk, a, off in zip(same, ab, prod.residuals(idx, ab)):
+            coarse[blk.label] = (a, float(off))
 
     notes = []
     kind = op.potential.kind
     blocks: list[BlockReport] = []
     for blk in basis.blocks:
-        ab, jb, off = coarse[blk.label]
+        ab, off = coarse[blk.label]
         if blk.lead_pair and op.is_releq and blk.pairs > 1:
             halves = []
-            for suffix, cols in zip(("_lead", "_rest"), _split_cols(blk)):
+            for suffix, cols in zip(("_lead", "_rest"), blk.lead_split()):
                 loc = np.ix_(np.array(cols) - blk.start, np.array(cols) - blk.start)
-                sub_a, sub_j = ab[loc], jb[loc]
-                sub_off = prod.residuals(np.array([cols]), sub_a[None], sub_j[None])[0]
+                sub_a = ab[loc]
+                sub_off = prod.residuals(np.array([cols]), sub_a[None])[0]
                 halves.append(BlockReport(label=blk.label + suffix, cols=cols, size=len(cols),
                                           refined=True, off_residual=float(sub_off),
-                                          factor=None, a_block=sub_a, j_block=sub_j))
+                                          factor=None, a_block=sub_a))
             worst = max(h.off_residual for h in halves)
             if worst <= tol_off:
                 blocks += halves
@@ -429,15 +423,14 @@ def factorize(op: StabilityOperator, basis: SymBasis,
         elif blk.lead_pair and not op.is_releq:
             notes.append("not a relative equilibrium: %s lead pair kept coarse" % blk.label)
         blocks.append(BlockReport(label=blk.label, cols=blk.cols, size=blk.size, refined=False,
-                                  off_residual=off, factor=None, a_block=ab, j_block=jb))
+                                  off_residual=off, factor=None, a_block=ab))
     if not op.is_releq:
         notes.append("not a relative equilibrium (residual %.3g)" % op.releq_residual_norm)
 
     for size in sorted({blk.size for blk in blocks}):
         same = [blk for blk in blocks if blk.size == size]
         stack = _block_factors([blk.label for blk in same],
-                               np.stack([blk.a_block for blk in same]),
-                               np.stack([blk.j_block for blk in same]), op.omega, kind)
+                               np.stack([blk.a_block for blk in same]), op.omega, kind)
         for blk, f in zip(same, stack):
             blk.factor = f
 
@@ -461,5 +454,5 @@ def factorize(op: StabilityOperator, basis: SymBasis,
                                basis_cond=basis.cond,
                                m_orthogonal=basis.m_orthogonal,
                                blocks=blocks, degree_profile=profile,
-                               max_off_residual=max(off for _, _, off in coarse.values()),
+                               max_off_residual=max(off for _, off in coarse.values()),
                                oracle=orep, classical=classical, notes=notes)

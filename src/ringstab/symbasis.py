@@ -452,11 +452,18 @@ class BlockPlan:
     def cols(self) -> list[int]:
         return list(range(self.start, self.start + self.size))
 
-    @property
-    def j_pairs(self) -> list[tuple[int, int]]:
-        """(u column, Ju column) index pairs, in pairing order."""
-        return [(self.start + self.pairs + i, self.start + i)
-                for i in range(self.pairs)]
+    def lead_split(self) -> tuple[list[int], list[int]]:
+        """Columns of the lead pair (J u_1, u_1) and of the rest, each in
+        this (J side, u side) layout, so J takes standard form on both."""
+        lead = self.cols[::self.pairs]
+        return lead, [c for c in self.cols if c not in lead]
+
+
+def standard_j(pairs: int) -> np.ndarray:
+    """J_b = [[0, I], [-I, 0]]: a block's columns are (J u_1 ... J u_m,
+    u_1 ... u_m) and J J u = -u exactly, so J C_b = C_b J_b bit for bit."""
+    eye = np.eye(pairs)
+    return np.block([[0.0 * eye, eye], [-eye, 0.0 * eye]])
 
 
 @dataclass

@@ -326,6 +326,18 @@ def test_validation_error_exit_code(tmp_path):
             or len(r.stderr.strip().splitlines()) >= 2), r.stdout + r.stderr
 
 
+def test_freeing_the_radius_gauge_is_a_config_error(tmp_path, capsys):
+    # ring 0 is the center, so ring 1 is the gauge; both free_radii errors
+    # are reported, before any solve
+    cfg = tmp_path / "gauge.cfg"
+    cfg.write_text(DOUBLE_SQUARE.replace("free_radii = 2", "free_radii = 1, 5"))
+    code = cli.main(["analyze", "--config", str(cfg)])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2, err
+    assert err == ["config error: ring 1 is the radius gauge and cannot be freed",
+                   "config error: free radius index 5 out of range"], err
+
+
 def test_missing_config_file(tmp_path):
     r = run_cli(["analyze", "--config", "absent.cfg"], tmp_path)
     assert r.returncode == 2, r.stdout + r.stderr

@@ -313,8 +313,8 @@ def test_solver_builds_once_and_takes_no_full_gradient_while_iterating(monkeypat
     for sys, pot, free in cases:
         calls.clear()
         rs.solve_releq(sys, pot, free_radii=free)
-        # one build of the returned system, then its full residual
-        assert calls == ["build", "gradient"], calls
+        # one build of the returned system, and no full gradient at all
+        assert calls == ["build"], calls
 
 
 @pytest.mark.parametrize("n", [96, 192, 384])
@@ -327,7 +327,8 @@ def test_solver_converges_at_scale(n):
     sol = rs.solve_releq(sys, pot, free_radii=(2,))
     assert sol.converged and sol.stop == "converged"
     assert sol.iterations <= 8
-    assert sol.full_norm <= 1e-11 * np.max(np.abs(gradient(sol.system, pot)))
+    full = releq_residual(sol.system, pot, sol.omega)
+    assert np.max(np.abs(full)) <= 1e-11 * np.max(np.abs(gradient(sol.system, pot)))
 
 
 def test_stability_operator_flags():

@@ -9,6 +9,7 @@ from ringstab.stability import (_block_factors, _factor_log_product,
                                 _off_residual, _pencils, classical_checks,
                                 dense_oracle, expected_degree_profile,
                                 factorize, pencil, transform)
+from ringstab.symbasis import standard_j
 from test_acceptance import grid_system, type_grid
 
 NEWT = rs.newtonian()
@@ -30,8 +31,8 @@ def operator_at(n, rings, pot, omega):
     return rs.stability_operator(sys, pot, omega), rs.assemble_global_basis(sys)
 
 
-def block_factor(label, Ab, Jb, omega, kind):
-    return _block_factors([label], Ab[None], Jb[None], omega, kind)[0]
+def block_factor(label, Ab, omega, kind):
+    return _block_factors([label], Ab[None], omega, kind)[0]
 
 
 # --- hand-checked 2x2 determinants ---------------------------------------
@@ -39,16 +40,14 @@ def block_factor(label, Ab, Jb, omega, kind):
 def test_block_factor_translation_pair():
     # A = 0 with standard J gives ((lambda^2 + omega^2))^2
     w = 1.3
-    f = block_factor("t", np.zeros((2, 2)), np.array([[0.0, 1.0], [-1.0, 0.0]]),
-                     w, "homogeneous")
+    f = block_factor("t", np.zeros((2, 2)), w, "homogeneous")
     assert_allclose(f.coefficients, [w ** 4, 0.0, 2.0 * w ** 2, 0.0, 1.0], atol=1e-10)
     assert_allclose(f(0.7), (0.49 + w * w) ** 2, rtol=1e-12)
 
 
 def test_block_factor_vortex_shifted_identity():
     a, w = 0.8, 0.5
-    f = block_factor("v", a * np.eye(2), np.array([[0.0, 1.0], [-1.0, 0.0]]),
-                     w, "vortex")
+    f = block_factor("v", a * np.eye(2), w, "vortex")
     assert f.degree == 2
     assert_allclose(f.coefficients, [(a + w) ** 2, 0.0, 1.0], atol=1e-12)
 
@@ -57,8 +56,7 @@ def test_block_factor_full_degree_fallback():
     # a nilpotent block breaks evenness; det = l^4 + 2w^2 l^2 + 2w l + w^4
     w = 1.1
     Ab = np.array([[0.0, 1.0], [0.0, 0.0]])
-    f = block_factor("odd", Ab, np.array([[0.0, 1.0], [-1.0, 0.0]]),
-                     w, "homogeneous")
+    f = block_factor("odd", Ab, w, "homogeneous")
     assert_allclose(f.coefficients, [w ** 4, 2.0 * w, 2.0 * w ** 2, 0.0, 1.0],
                     atol=1e-9)
 
@@ -197,6 +195,23 @@ def test_projected_split_blocks_match_transform():
         assert_matches_transform(op, basis, fac)
 
 
+def test_j_pairing_is_exact_and_factors_monic():
+    # the basis layout makes J~_b the standard form exactly, which is all
+    # `factorize` assumes of J: over the grid, a mixed-sign D_5 vortex system
+    # and the D_2 vortex system with a -0.4 center
+    split = solved_split_systems()
+    for op, basis in list(grid_operators()) + [split[3], split[2]]:
+        C = basis.matrix
+        JC = rs.apply_j(C.T).T
+        for plan in basis.blocks:
+            cb = C[:, plan.cols]
+            assert np.array_equal(JC[:, plan.cols], cb @ standard_j(plan.pairs)), plan.label
+        fac = factorize(op, basis, oracle=False)
+        for blk in fac.blocks:
+            assert np.array_equal(blk.j_block, standard_j(blk.size // 2))
+            assert blk.factor.coefficients[-1] == 1.0, blk.label
+
+
 def leaking(op, eps, seed):
     """op with A moved off equivariance by eps ||A||_F, so that every block
     leaks by about eps and the residuals measure something."""
@@ -244,8 +259,8 @@ def test_stacked_factors_equal_block_factor():
             assert_factors_equal_block_determinants(
                 [blk.factor for blk in same], Ab, Jb, op.omega, op.potential.kind)
             assert_factors_equal_block_determinants(
-                [block_factor(blk.label, blk.a_block, blk.j_block, op.omega,
-                              op.potential.kind) for blk in same],
+                [block_factor(blk.label, blk.a_block, op.omega, op.potential.kind)
+                 for blk in same],
                 Ab, Jb, op.omega, op.potential.kind)
     # the D_48 system factors 23 blocks of size 8 as one stack
     assert sum(b.size == 8 for b in fac.blocks) == 23
@@ -258,7 +273,7 @@ def test_stacked_factors_mix_even_and_fallback():
     J = np.array([[0.0, 1.0], [-1.0, 0.0]])
     Ab = np.stack([np.array([[0.0, 1.0], [0.0, 0.0]]), 0.3 * np.eye(2)])
     Jb = np.stack([J, J])
-    stack = _block_factors(["odd", "even"], Ab, Jb, w, "homogeneous")
+    stack = _block_factors(["odd", "even"], Ab, w, "homogeneous")
     assert_factors_equal_block_determinants(stack, Ab, Jb, w, "homogeneous")
 
 
@@ -288,7 +303,7 @@ def test_factor_log_product_equals_loop():
         assert np.array_equal(got[0], ref[0])
         assert np.max(np.abs(got[1] - ref[1])) <= 1e-12
     # a root at a sample: sign 0 and log -inf, as in the loop
-    f = block_factor("v", np.zeros((2, 2)), np.array([[0.0, 1.0], [-1.0, 0.0]]), 0.0, "vortex")
+    f = block_factor("v", np.zeros((2, 2)), 0.0, "vortex")
     ts = np.array([0.0, 0.5])
     got, ref = _factor_log_product([f, f], ts), loop_log_product([f, f], ts)
     assert got[0][0] == 0.0 and got[1][0] == -np.inf == ref[1][0]

@@ -76,5 +76,5 @@ def test_tracer_runs_one_analyze_job(tmp_path, capsys):
     assert metrics["stability.factorize_s"] > 0.0
     assert metrics["stability.offblock_residual"] > 0.0
     assert metrics["stability.eig_backward_err"] <= 1e-12
-    assert metrics["dynamics.gradient_calls"] == 2
+    assert metrics["dynamics.gradient_calls"] == 1
     assert metrics["geometry.build_calls"] == 2
