@@ -9,6 +9,7 @@ radius domain.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys as _sys
 
@@ -130,14 +131,16 @@ def _pipeline(cfg: JobConfig, args):
     return sysm, pot, op, basis, fac, sol
 
 
-def _write_outputs(args, cfg: JobConfig, sysm, basis, fac, doc):
+def _write_outputs(args, cfg: JobConfig, sysm, basis, fac, report: str):
+    """Write the files the config asks for; report is the rendered report,
+    the text analyze printed."""
     if not args.out:
         return
     os.makedirs(args.out, exist_ok=True)
     if cfg.outputs.get("report", True):
         name = "report.json" if args.format == "machine" else "report.txt"
         with open(os.path.join(args.out, name), "w", encoding="utf-8") as fh:
-            fh.write(to_machine(doc) if args.format == "machine" else to_text(doc))
+            fh.write(report)
     if cfg.outputs.get("csv"):
         with open(os.path.join(args.out, "factors.csv"), "w", encoding="utf-8") as fh:
             fh.write(factors_csv(fac, block=args.block))
@@ -158,8 +161,9 @@ def _cmd_analyze(cfg: JobConfig, args) -> int:
         doc["factorization"]["blocks"] = [
             b for b in doc["factorization"]["blocks"]
             if block_matches(b["label"], args.block)]
-    print(to_machine(doc) if args.format == "machine" else to_text(doc), end="")
-    _write_outputs(args, cfg, sysm, basis, fac, doc)
+    report = to_machine(doc) if args.format == "machine" else to_text(doc)
+    print(report, end="")
+    _write_outputs(args, cfg, sysm, basis, fac, report)
     tol_oracle = _tol(args, cfg, "oracle", ORACLE_TOL)
     tol_off = _tol(args, cfg, "off_block", OFF_BLOCK_TOL)
     ok = fac.max_off_residual <= tol_off and \
@@ -203,7 +207,7 @@ def _cmd_diagram(cfg: JobConfig, args) -> int:
     os.makedirs(out, exist_ok=True)
     blocks = basis.blocks
     if args.block is not None:
-        blocks = [b for b in basis.blocks if b.label == args.block]
+        blocks = [b for b in basis.blocks if block_matches(b.label, args.block)]
         if not blocks:
             print("unknown block label %r; available: %s"
                   % (args.block, " ".join(b.label for b in basis.blocks)),
@@ -246,7 +250,10 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every main()
+    call in the process; parse_args keeps no state in it."""
     from . import __version__
     p = argparse.ArgumentParser(prog="ringstab",
                                 description="Symmetry-adapted stability analysis of ring systems.")

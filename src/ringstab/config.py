@@ -281,13 +281,17 @@ def parse_config_text(text: str, path: str = "<string>") -> JobConfig:
     if rings and all(r.kind == "center" for r in rings):
         errors.append("need at least one non-center ring")
 
-    # the solver's radius gauge; indices are only sure when every ring parsed
-    gauge = None if len(rings) != len(ring_secs) else \
-        next((i for i, r in enumerate(rings) if r.kind != "center"), None)
+    # free_radii counts every [ring] section, parsed or not, so it is checked
+    # against each section's kind; the solver's radius gauge is the first
+    # non-center ring, known when that section names a valid kind
+    kinds = [sec.get("kind") for sec in ring_secs]
+    gauge = next((i for i, k in enumerate(kinds) if k != "center"), None)
+    if gauge is not None and kinds[gauge] not in ("regular", "semiregular"):
+        gauge = None
     for idx in free:
         if idx < 0 or idx >= len(ring_secs):
             errors.append("free radius index %d out of range" % idx)
-        elif idx < len(rings) and rings[idx].kind == "center":
+        elif kinds[idx] == "center":
             errors.append("free radius index %d names a center ring" % idx)
         elif idx == gauge:
             errors.append("ring %d is the radius gauge and cannot be freed" % idx)

@@ -36,7 +36,9 @@ def _plain(obj):
     if isinstance(obj, (list, tuple)):
         return [_plain(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
+        if np.iscomplexobj(obj):
+            return np.stack([obj.real, obj.imag], -1).tolist()
+        return obj.tolist()
     if isinstance(obj, (complex, np.complexfloating)):
         return [float(obj.real), float(obj.imag)]
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
@@ -221,7 +223,7 @@ def factor_rows(fac: FactorizationReport) -> list[list]:
     rows = []
     for blk in fac.blocks:
         rows.append([blk.label, blk.size, blk.factor.degree]
-                    + [float(c) for c in blk.factor.coefficients])
+                    + blk.factor.coefficients.tolist())
     return rows
 
 

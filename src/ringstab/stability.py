@@ -22,6 +22,7 @@ Chebyshev sample points, in log space so large systems cannot overflow.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,10 +103,13 @@ class PolyFactor:
         """The roots, sorted by real part, then imaginary part."""
         return self.spectrum
 
-    @property
+    @functools.cached_property
     def coefficients(self) -> np.ndarray:
-        """Monomial coefficients, ascending; the last is 1."""
-        return np.poly(self.spectrum).real[::-1]
+        """Monomial coefficients, ascending; the last is 1.  Expanded on
+        first access and kept, read-only, since every caller shares it."""
+        coeffs = np.poly(self.spectrum).real[::-1]
+        coeffs.flags.writeable = False
+        return coeffs
 
 
 def _block_factors(labels: list[str], Ab: np.ndarray, omega: float,

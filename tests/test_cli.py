@@ -124,6 +124,18 @@ def test_parse_detects_collision():
         parse_config_text(text, path="inline")
 
 
+def test_free_radii_index_counts_every_ring_section():
+    # ring 0 fails to parse; index 1 still names the center section
+    text = ("n = 4\nkind = homogeneous\nomega = solve\nfree_radii = 1\n"
+            "[ring]\nkind = regular\nradius = -1\nmass = 1\n"
+            "[ring]\nkind = center\nmass = 2\n"
+            "[ring]\nkind = regular\nradius = 2\nmass = 1\n")
+    with pytest.raises(ConfigError) as ei:
+        parse_config_text(text, path="inline")
+    assert ei.value.errors == ["ring 0: invalid radius -1 (must be positive)",
+                               "free radius index 1 names a center ring"]
+
+
 def test_parse_duplicate_and_unknown_section():
     text = ("n = 4\nn = 5\nkind = vortex\nomega = 1\n[blob]\nx = 1\n"
             "[ring]\nkind = regular\nradius = 1\nmass = 1\n")
@@ -181,6 +193,18 @@ def test_machine_report_is_sorted_json():
     assert parsed["c"]["z"] == [1.0, 2.0]
     with pytest.raises(ValueError):
         to_machine({"x": float("nan")})
+
+
+def test_plain_arrays_match_elementwise_conversion():
+    from ringstab.report import _plain
+    z = np.array([[1.5 - 0.0j, complex(-0.0, 2.0)], [3e-300 + 1j, -4.25 - 1e300j]])
+    x = np.array([[0.1, -0.0], [1e-310, 7.0]])
+    want_z = [[[float(v.real), float(v.imag)] for v in row] for row in z.tolist()]
+    want_x = [[float(v) for v in row] for row in x.tolist()]
+    assert to_machine(_plain(z)) == to_machine(want_z)
+    assert to_machine(_plain(x)) == to_machine(want_x)
+    assert _plain(np.array([True, False])) == [True, False]
+    assert _plain(np.arange(2)) == [0, 1]
 
 
 def test_factors_csv_layout():
@@ -384,6 +408,13 @@ def test_diagram_files_and_block_filter(tmp_path, pentagon_cfg):
     cols = [n for n in os.listdir(tmp_path / "dt") if n.startswith("col")]
     assert len(cols) == 2
 
+    # --block follows the analyze rule: a label and its split halves
+    r = run_cli(["diagram", "--config", str(pentagon_cfg), "--out", "dr",
+                 "--block", "rho"], tmp_path)
+    assert r.returncode == 0, r.stdout + r.stderr
+    cols = sorted(n for n in os.listdir(tmp_path / "dr") if n.startswith("col"))
+    assert cols == ["col%03d_rho_2.svg" % c for c in range(2, 6)]
+
     r = run_cli(["diagram", "--config", str(pentagon_cfg), "--out", "dx",
                  "--block", "nope"], tmp_path)
     assert r.returncode == 2, r.stdout + r.stderr
@@ -415,3 +446,54 @@ def test_version_flag(tmp_path):
     r = run_cli(["--version"], tmp_path)
     assert r.returncode == 0, r.stdout + r.stderr
     assert rs.__version__ in r.stdout, r.stdout + r.stderr
+
+
+# --- in-process contracts -----------------------------------------------------
+
+@pytest.mark.parametrize("block", [None, "rho"])
+@pytest.mark.parametrize("fmt", ["text", "machine"])
+def test_analyze_writes_the_printed_report(tmp_path, capsys, fmt, block):
+    cfg = tmp_path / "pentagon.cfg"
+    cfg.write_text(PENTAGON.replace("omega = solve", "omega = solve\ncsv = true"))
+    argv = ["analyze", "--config", str(cfg), "--out", str(tmp_path / "out"),
+            "--format", fmt]
+    if block is not None:
+        argv += ["--block", block]
+    assert cli.main(argv) == 0
+    printed = capsys.readouterr().out
+    name = "report.json" if fmt == "machine" else "report.txt"
+    assert (tmp_path / "out" / name).read_text() == printed
+
+    if fmt == "machine":
+        report = json.loads(printed)["factorization"]["blocks"]
+        rows = (tmp_path / "out" / "factors.csv").read_text().splitlines()[1:]
+        assert [r.split(",")[0] for r in rows] == [b["label"] for b in report]
+        assert [[float(c) for c in r.split(",")[3:]] for r in rows] == \
+            [b["coefficients"] for b in report]
+        if block is not None:
+            assert [b["label"] for b in report] == ["rho_2"]
+
+
+def test_parser_and_coefficients_are_cached():
+    assert cli._parser() is cli._parser()
+    sys_ = rs.build(5, [rs.regular(1.0, 1.0)])
+    sol = rs.solve_releq(sys_, rs.vortex())
+    op = rs.stability_operator(sol.system, rs.vortex(), sol.omega)
+    f = rs.factorize(op, rs.assemble_global_basis(sol.system)).blocks[1].factor
+    assert f.coefficients is f.coefficients
+    assert not f.coefficients.flags.writeable
+    assert np.array_equal(f.coefficients, np.poly(f.spectrum).real[::-1])
+
+
+def test_back_to_back_main_calls_share_no_state(tmp_path, capsys, pentagon_cfg):
+    assert cli.main(["diagram", "--config", str(pentagon_cfg),
+                     "--out", str(tmp_path / "d"), "--block", "rho"]) == 0
+    capsys.readouterr()
+    assert cli.main(["analyze", "--config", str(pentagon_cfg), "--format", "machine"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert [b["label"] for b in doc["factorization"]["blocks"]] == \
+        ["tau_alpha", "rho_2", "sigma_lead", "sigma_rest"]
+    assert cli.main(["verify", "--config", str(pentagon_cfg)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "verdict: pass"
+    args = cli._parser().parse_args(["releq", "--config", "x"])
+    assert (args.block, args.out, args.tol, args.format) == (None, None, None, "text")
