@@ -52,10 +52,32 @@ def _resolve_omega(cfg: JobConfig, sysm: RingSystem, pot: Potential):
     return sysm, float(cfg.omega), None
 
 
-def _tol(args, cfg: JobConfig, name: str, default: float) -> float:
-    if args.tol is not None:
-        return args.tol
-    return cfg.tolerances.get(name, default)
+def _thresholds(args, cfg: JobConfig):
+    """limit(key, default): --tol when given, else the config's tol_<key>, else default."""
+    def limit(key: str, default: float) -> float:
+        return args.tol if args.tol is not None else cfg.tolerances.get(key, default)
+    return limit
+
+
+def _item(name, residual, threshold, status=None, gated=True) -> dict:
+    """One reported check; with no status given it passes at residual <= threshold."""
+    if status is None:
+        status = "PASS" if residual <= threshold else "FAIL"
+    return {"name": name, "residual": float(residual), "threshold": threshold,
+            "status": status, "gated": gated}
+
+
+def _verdict(items) -> int:
+    """The job's exit code: EXIT_OK when every gated item passes."""
+    return EXIT_OK if all(i["status"] == "PASS" for i in items if i["gated"]) else EXIT_GATE
+
+
+def _factor_gates(fac: FactorizationReport, limit) -> dict[str, dict]:
+    """The off-block residual and oracle items, the gates of analyze."""
+    return {"off_block": _item("off-block residual", fac.max_off_residual,
+                               limit("off_block", OFF_BLOCK_TOL)),
+            "oracle": _item("factor product vs dense oracle", fac.oracle.max_rel_error,
+                            limit("oracle", ORACLE_TOL))}
 
 
 def _reversed_residual(op: StabilityOperator) -> float:
@@ -64,71 +86,50 @@ def _reversed_residual(op: StabilityOperator) -> float:
 
 
 def invariant_suite(op: StabilityOperator, basis: SymBasis,
-                    fac: FactorizationReport,
-                    tol_invariants: float | None = None,
-                    tol_off: float = OFF_BLOCK_TOL,
-                    tol_oracle: float = ORACLE_TOL) -> tuple[list[dict], bool]:
-    """One entry per invariant; second value is the gated verdict.
+                    fac: FactorizationReport, limit) -> list[dict]:
+    """One item per invariant, at the thresholds of limit (`_thresholds`).
 
     The projector family of op's system is built once and shared by the
     projector checks; the operator checks read op, the operator that fac
     factored.
     """
-
-    def t(default: float) -> float:
-        return tol_invariants if tol_invariants is not None else default
-
-    items: list[dict] = []
-
-    def add(name, residual, threshold, status=None, gated=True):
-        if status is None:
-            status = "PASS" if residual <= threshold else "FAIL"
-        items.append({"name": name, "residual": float(residual),
-                      "threshold": threshold, "status": status, "gated": gated})
-
+    inv = functools.partial(limit, "invariants")
     fam = projector_family(op.system)
-    pa = projector_algebra_check(fam, tol=t(1e-11))
-    add("projector algebra + completeness", pa.max_residual, t(1e-11))
-    jr = j_relations_check(fam, tol=t(1e-11))
-    add("J relations", jr.max_residual, t(1e-11))
+    items = [_item("projector algebra + completeness",
+                   projector_algebra_check(fam).max_residual, inv(1e-11)),
+             _item("J relations", j_relations_check(fam).max_residual, inv(1e-11))]
     try:
         isotypic_decomposition(fam)
-        add("multiplicity ranks", 0.0, "exact", status="PASS")
+        items.append(_item("multiplicity ranks", 0.0, "exact", status="PASS"))
     except ValueError:
-        add("multiplicity ranks", 1.0, "exact", status="FAIL")
-    add("equivariance of A", equivariance_residual(op, fam.action), t(1e-9))
-    add("hessian vs finite differences", hessian_fd_residual(op), t(1e-5))
-    add("translation kernel of A", translation_kernel_residual(op), t(1e-9))
-    g = gram_residual(basis)
-    if basis.m_orthogonal == "partial" or not basis.normalized:
-        # mixed signs leave the mass form indefinite; orthogonality is then
-        # reported but never gated
-        add("basis M-orthogonality", g, t(1e-10), status="PARTIAL", gated=False)
-    else:
-        add("basis M-orthogonality", g, t(1e-10))
-    add("off-block residual", fac.max_off_residual, tol_off)
-    if fac.oracle is not None:
-        add("factor product vs dense oracle", fac.oracle.max_rel_error, tol_oracle)
+        items.append(_item("multiplicity ranks", 1.0, "exact", status="FAIL"))
+    items += [_item("equivariance of A", equivariance_residual(op, fam.action), inv(1e-9)),
+              _item("hessian vs finite differences", hessian_fd_residual(op), inv(1e-5)),
+              _item("translation kernel of A", translation_kernel_residual(op), inv(1e-9))]
+    # mixed signs leave the mass form indefinite: orthogonality is then not gated
+    partial = basis.m_orthogonal == "partial" or not basis.normalized
+    items.append(_item("basis M-orthogonality", gram_residual(basis), inv(1e-10),
+                       status="PARTIAL" if partial else None, gated=not partial))
+    items += _factor_gates(fac, limit).values()
     if op.is_releq and fac.classical:
-        add("classical eigenvector identities", max(fac.classical.values()), t(1e-8))
+        items.append(_item("classical eigenvector identities",
+                           max(fac.classical.values()), inv(1e-8)))
     else:
-        add("classical eigenvector identities", 0.0, "-",
-            status="SKIP (not a relative equilibrium)", gated=False)
-    sy = symplectic_residuals(fam)
-    add("symplectic pairing diagnostics", max(sy.values()), "-", status="INFO", gated=False)
-
-    ok = all(i["status"] == "PASS" for i in items if i["gated"])
-    return items, ok
+        items.append(_item("classical eigenvector identities", 0.0, "-",
+                           status="SKIP (not a relative equilibrium)", gated=False))
+    items.append(_item("symplectic pairing diagnostics", max(symplectic_residuals(fam).values()),
+                       "-", status="INFO", gated=False))
+    return items
 
 
-def _pipeline(cfg: JobConfig, args):
+def _pipeline(cfg: JobConfig, limit):
     sysm = cfg.system()
     pot = cfg.potential()
     sysm, omega, sol = _resolve_omega(cfg, sysm, pot)
     op = stability_operator(sysm, pot, omega)
     basis = assemble_global_basis(sysm)
-    fac = factorize(op, basis, tol_off=_tol(args, cfg, "off_block", OFF_BLOCK_TOL))
-    return sysm, pot, op, basis, fac, sol
+    fac = factorize(op, basis, tol_off=limit("off_block", OFF_BLOCK_TOL))
+    return sysm, op, basis, fac, sol
 
 
 def _write_outputs(args, cfg: JobConfig, sysm, basis, fac, report: str):
@@ -153,10 +154,12 @@ def _write_outputs(args, cfg: JobConfig, sysm, basis, fac, report: str):
 
 
 def _cmd_analyze(cfg: JobConfig, args) -> int:
-    sysm, pot, op, basis, fac, sol = _pipeline(cfg, args)
-    rev = _reversed_residual(op)
+    limit = _thresholds(args, cfg)
+    sysm, op, basis, fac, sol = _pipeline(cfg, limit)
+    gates = _factor_gates(fac, limit)
     doc = build_report(cfg, sysm, op=op, basis=basis, fac=fac, solution=sol,
-                       reversed_residual=rev)
+                       reversed_residual=_reversed_residual(op),
+                       oracle_passed=gates["oracle"]["status"] == "PASS")
     if args.block is not None:
         doc["factorization"]["blocks"] = [
             b for b in doc["factorization"]["blocks"]
@@ -164,29 +167,23 @@ def _cmd_analyze(cfg: JobConfig, args) -> int:
     report = to_machine(doc) if args.format == "machine" else to_text(doc)
     print(report, end="")
     _write_outputs(args, cfg, sysm, basis, fac, report)
-    tol_oracle = _tol(args, cfg, "oracle", ORACLE_TOL)
-    tol_off = _tol(args, cfg, "off_block", OFF_BLOCK_TOL)
-    ok = fac.max_off_residual <= tol_off and \
-        fac.oracle is not None and fac.oracle.max_rel_error <= tol_oracle
-    return EXIT_OK if ok else EXIT_GATE
+    return _verdict(gates.values())
 
 
 def _cmd_verify(cfg: JobConfig, args) -> int:
-    sysm, pot, op, basis, fac, sol = _pipeline(cfg, args)
-    items, ok = invariant_suite(
-        op, basis, fac,
-        tol_invariants=args.tol if args.tol is not None else cfg.tolerances.get("invariants"),
-        tol_off=_tol(args, cfg, "off_block", OFF_BLOCK_TOL),
-        tol_oracle=_tol(args, cfg, "oracle", ORACLE_TOL))
+    limit = _thresholds(args, cfg)
+    sysm, op, basis, fac, sol = _pipeline(cfg, limit)
+    items = invariant_suite(op, basis, fac, limit)
+    code = _verdict(items)
     if args.format == "machine":
         doc = build_report(cfg, sysm, op=op, basis=basis, solution=sol, invariants=items)
-        doc["passed"] = ok
+        doc["passed"] = code == EXIT_OK
         print(to_machine(doc), end="")
     else:
         for item in items:
             print(format_invariant_line(item))
-        print("verdict: %s" % ("pass" if ok else "FAIL"))
-    return EXIT_OK if ok else EXIT_GATE
+        print("verdict: %s" % ("pass" if code == EXIT_OK else "FAIL"))
+    return code
 
 
 def _cmd_releq(cfg: JobConfig, args) -> int:
@@ -205,48 +202,60 @@ def _cmd_diagram(cfg: JobConfig, args) -> int:
     basis = assemble_global_basis(sysm)
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
-    blocks = basis.blocks
-    if args.block is not None:
-        blocks = [b for b in basis.blocks if block_matches(b.label, args.block)]
-        if not blocks:
-            print("unknown block label %r; available: %s"
-                  % (args.block, " ".join(b.label for b in basis.blocks)),
-                  file=_sys.stderr)
-            return EXIT_CONFIG
+    # --block selects whole blocks by the analyze rule, or one half of a
+    # lead-pair block by its factor label, LABEL_lead or LABEL_rest
+    halves = {label: (blk, cols) for blk in basis.blocks for label, cols in blk.halves()}
+    picks = [(blk, blk.cols) for blk in basis.blocks
+             if args.block is None or block_matches(blk.label, args.block)]
+    if args.block in halves:
+        picks = [halves[args.block]]
+    if not picks:
+        print("unknown block label %r; available: %s"
+              % (args.block, " ".join([b.label for b in basis.blocks] + list(halves))),
+              file=_sys.stderr)
+        return EXIT_CONFIG
     paths = [emit_svg(sysm, None, os.path.join(out, "system.svg"), title="system")]
-    for blk in blocks:
-        for i, col in enumerate(blk.cols):
+    for blk, cols in picks:
+        for col in cols:
             paths.append(emit_svg(
                 sysm, col, os.path.join(out, "col%03d_%s.svg" % (col, blk.label)),
-                basis=basis.matrix, title="%s column %d" % (blk.label, i)))
+                basis=basis.matrix, title="%s column %d" % (blk.label, col - blk.start)))
     for p in paths:
         print(p)
     return EXIT_OK
 
 
 def _cmd_oracle(cfg: JobConfig, args) -> int:
-    sysm, pot, op, basis, fac, sol = _pipeline(cfg, args)
-    orc = fac.oracle
-    tol_oracle = _tol(args, cfg, "oracle", ORACLE_TOL)
-    ok = orc.max_rel_error <= tol_oracle
+    limit = _thresholds(args, cfg)
+    sysm, op, basis, fac, sol = _pipeline(cfg, limit)
+    orc, gate = fac.oracle, _factor_gates(fac, limit)["oracle"]
+    code = _verdict([gate])
     if args.format == "machine":
-        doc = build_report(cfg, sysm, op=op, basis=basis, fac=fac, solution=sol)
-        doc["oracle_passed"] = bool(ok)
-        print(to_machine(doc), end="")
+        print(to_machine(build_report(cfg, sysm, op=op, basis=basis, fac=fac, solution=sol,
+                                      oracle_passed=code == EXIT_OK)), end="")
     else:
         for t, e in zip(orc.samples, orc.rel_errors):
             print("lambda=%+.6f  rel_error=%.3e" % (t, e))
         print("max rel error %.3e threshold %.3e -> %s"
-              % (orc.max_rel_error, tol_oracle, "pass" if ok else "FAIL"))
-    return EXIT_OK if ok else EXIT_GATE
+              % (orc.max_rel_error, gate["threshold"], "pass" if code == EXIT_OK else "FAIL"))
+    return code
 
 
-_COMMANDS = {
-    "analyze": _cmd_analyze,
-    "verify": _cmd_verify,
-    "releq": _cmd_releq,
-    "diagram": _cmd_diagram,
-    "oracle": _cmd_oracle,
+#: each verb's handler, help and the flags it reads besides --config
+_VERBS = {
+    "analyze": (_cmd_analyze, "full pipeline: solve, decompose, factor, report",
+                ("out", "tol", "format", "block")),
+    "verify": (_cmd_verify, "run every invariant suite, one line each", ("tol", "format")),
+    "releq": (_cmd_releq, "solve or check the relative equilibrium only", ("format",)),
+    "diagram": (_cmd_diagram, "emit SVG diagrams of basis columns", ("out", "block")),
+    "oracle": (_cmd_oracle, "compare factor product against the dense determinant",
+               ("tol", "format")),
+}
+_FLAGS = {
+    "out": dict(default=None, help="directory for output files"),
+    "tol": dict(type=float, default=None, help="override every gate threshold with this value"),
+    "format": dict(choices=("text", "machine"), default="text"),
+    "block": dict(default=None, help="restrict diagrams/factors to one block label"),
 }
 
 
@@ -259,19 +268,11 @@ def _parser() -> argparse.ArgumentParser:
                                 description="Symmetry-adapted stability analysis of ring systems.")
     p.add_argument("--version", action="version", version="ringstab %s" % __version__)
     sub = p.add_subparsers(dest="command", required=True)
-    for name, help_ in (("analyze", "full pipeline: solve, decompose, factor, report"),
-                        ("verify", "run every invariant suite, one line each"),
-                        ("releq", "solve or check the relative equilibrium only"),
-                        ("diagram", "emit SVG diagrams of basis columns"),
-                        ("oracle", "compare factor product against the dense determinant")):
+    for name, (_, help_, flags) in _VERBS.items():
         q = sub.add_parser(name, help=help_)
         q.add_argument("--config", required=True, help="path to the job config")
-        q.add_argument("--out", default=None, help="directory for output files")
-        q.add_argument("--tol", type=float, default=None,
-                       help="override every gate threshold with this value")
-        q.add_argument("--format", choices=("text", "machine"), default="text")
-        q.add_argument("--block", default=None,
-                       help="restrict diagrams/factors to one block label")
+        for flag in flags:
+            q.add_argument("--" + flag, **_FLAGS[flag])
     return p
 
 
@@ -287,7 +288,7 @@ def main(argv: list[str] | None = None) -> int:
         print("config error: %s" % exc, file=_sys.stderr)
         return EXIT_CONFIG
     try:
-        return _COMMANDS[args.command](cfg, args)
+        return _VERBS[args.command][0](cfg, args)
     except RuntimeError as exc:
         print("solver error: %s" % exc, file=_sys.stderr)
         return EXIT_SOLVER

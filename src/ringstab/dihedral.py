@@ -131,6 +131,11 @@ def rho(k: int) -> IrrepLabel:
     return IrrepLabel("rho", k)
 
 
+def rho_range(n: int) -> range:
+    """k of every rho_k of D_n: up to n/2 - 1 (even n) or (n - 1)/2 (odd n)."""
+    return range(1, (n // 2 - 1 if n % 2 == 0 else (n - 1) // 2) + 1)
+
+
 def irrep_list(n: int) -> list[IrrepLabel]:
     """All real irreps of D_n: sum of squared degrees equals 2n.
 
@@ -143,8 +148,7 @@ def irrep_list(n: int) -> list[IrrepLabel]:
     labels = [TAU, ALPHA]
     if n % 2 == 0:
         labels += [PHI, PSI]
-    t = (n // 2 - 1) if n % 2 == 0 else (n - 1) // 2
-    labels += [rho(k) for k in range(1, t + 1)]
+    labels += [rho(k) for k in rho_range(n)]
     return labels
 
 
@@ -158,10 +162,8 @@ def irrep_matrix(label: IrrepLabel, g: DihedralElement) -> np.ndarray:
     n, j = g.n, g.rot
     if label.kind in ("phi", "psi") and n % 2:
         raise ValueError("irrep %r requires even group order, got n=%d" % (label, n))
-    if label.kind == "rho":
-        t = (n // 2 - 1) if n % 2 == 0 else (n - 1) // 2
-        if not (n > 2 and 1 <= label.k <= t):
-            raise ValueError("irrep %r not defined for D_%d" % (label, n))
+    if label.kind == "rho" and label.k not in rho_range(n):
+        raise ValueError("irrep %r not defined for D_%d" % (label, n))
     if label.kind == "tau":
         return np.array([[1.0]])
     if label.kind == "alpha":

@@ -46,10 +46,6 @@ class Potential:
         if self.kind == "homogeneous" and self.gamma == -1.0:
             raise ValueError("gamma = -1 is excluded (use the vortex kind)")
 
-    @property
-    def is_newtonian(self) -> bool:
-        return self.kind == "homogeneous" and self.gamma == -1.5
-
 
 def homogeneous(gamma: float) -> Potential:
     return Potential("homogeneous", gamma)
@@ -134,10 +130,14 @@ def hessian(sys: RingSystem, pot: Potential) -> np.ndarray:
     return B.transpose(0, 2, 1, 3).reshape(2 * N, 2 * N)
 
 
-def hessian_fd(sys: RingSystem, pot: Potential, step: float = 1e-6) -> np.ndarray:
+#: relative step of the central-difference Hessian
+FD_STEP = 1e-6
+
+
+def hessian_fd(sys: RingSystem, pot: Potential) -> np.ndarray:
     """Central-difference Hessian from the analytic pair forces.
 
-    Moving coordinate d of point p by h = step * max(1, |x_pd|) changes
+    Moving coordinate d of point p by h = FD_STEP * max(1, |x_pd|) changes
     only the pair forces between p and the other points, so each column is
     differenced from those N - 1 terms: O(N^2) in all.  Column (p, d) holds
     D_pq = (f_pq(+h) - f_pq(-h)) / 2h: -D_pq in row block q != p (the force
@@ -145,7 +145,7 @@ def hessian_fd(sys: RingSystem, pot: Potential, step: float = 1e-6) -> np.ndarra
     """
     npts = sys.npoints
     x = sys.positions
-    h = step * np.maximum(1.0, np.abs(x))                     # (N, 2)
+    h = FD_STEP * np.maximum(1.0, np.abs(x))                  # (N, 2)
     diff = x[:, None, :] - x[None, :, :]                      # (N, N, 2)
     mm = np.outer(sys.masses, sys.masses)
     D = np.zeros((npts, 2, npts, 2))                          # (p, d, q, c)
@@ -165,11 +165,11 @@ def hessian_fd(sys: RingSystem, pot: Potential, step: float = 1e-6) -> np.ndarra
     return out.transpose(2, 3, 0, 1).reshape(2 * npts, 2 * npts)
 
 
-def hessian_fd_residual(op: StabilityOperator, step: float = 1e-6) -> float:
+def hessian_fd_residual(op: StabilityOperator) -> float:
     """Relative error of the operator's Hessian H = M A against central
     differences."""
     H = op.system.mass_diag[:, None] * op.matrix
-    F = hessian_fd(op.system, op.potential, step)
+    F = hessian_fd(op.system, op.potential)
     return float(np.linalg.norm(H - F) / max(np.linalg.norm(F), 1e-300))
 
 
@@ -260,6 +260,10 @@ class ReleqSolution:
 FLOOR_UNITS = 16.0
 #: iterations without a new best residual before the solver calls it stalled
 STALL_ITERS = 3
+#: the stop rule's residual limit, relative to the force scale
+SOLVE_TOL = 1e-12
+#: iterations before the solver gives up with "iteration limit"
+MAX_ITERS = 50
 _EPS = np.finfo(float).eps
 
 
@@ -337,8 +341,8 @@ def _ring_specs(rings: list[RingSpec], radii: np.ndarray, free: list[int]) -> li
     return out
 
 
-def solve_releq(sys: RingSystem, pot: Potential, free_radii: tuple[int, ...] = (),
-                max_iter: int = 50, tol: float = 1e-12) -> ReleqSolution:
+def solve_releq(sys: RingSystem, pot: Potential,
+                free_radii: tuple[int, ...] = ()) -> ReleqSolution:
     """Newton iteration on (free ring radii, omega) for the reduced residual.
 
     free_radii lists ring indices whose radius is adjusted; the first
@@ -348,11 +352,12 @@ def solve_releq(sys: RingSystem, pot: Potential, free_radii: tuple[int, ...] = (
     system is the one `build` of the call.
 
     Stop rule, on the max norm of the reduced residual: converged when it
-    is at most max(tol * max(max |grad F|, 1), its rounding floor), with
-    grad F taken at the representatives, so tol is relative to the force
-    scale (`_force_scale`, the scale of `StabilityOperator.is_releq`).  The iteration gives up as "stalled"
+    is at most max(SOLVE_TOL * max(max |grad F|, 1), its rounding floor),
+    with grad F taken at the representatives, so SOLVE_TOL is relative to
+    the force scale (`_force_scale`, the scale of
+    `StabilityOperator.is_releq`).  The iteration gives up as "stalled"
     when STALL_ITERS iterations bring no new best residual or a step is
-    below eps |x|, and as "iteration limit" after max_iter iterations.
+    below eps |x|, and as "iteration limit" after MAX_ITERS iterations.
     Returns the best iterate with a convergence flag and the stop reason
     (no exception on non-convergence).
     """
@@ -368,7 +373,7 @@ def solve_releq(sys: RingSystem, pot: Potential, free_radii: tuple[int, ...] = (
 
     def balance(f: _RingForces, omega: float):
         """The reduced residual and the stop rule's limit for it."""
-        return _ring_balance(f, pot, omega), max(tol * _force_scale(f.grad), f.floor)
+        return _ring_balance(f, pot, omega), max(SOLVE_TOL * _force_scale(f.grad), f.floor)
 
     def residual(vec: np.ndarray):
         # invalid trial geometry (radius <= 0, collision) reads as "reject
@@ -385,7 +390,7 @@ def solve_releq(sys: RingSystem, pot: Potential, free_radii: tuple[int, ...] = (
     stale = 0
     stop = "iteration limit"
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITERS + 1):
         norm = np.max(np.abs(F))
         if norm <= limit:
             stop = "converged"

@@ -50,7 +50,9 @@ def build_report(cfg: JobConfig, sysm: RingSystem, op: StabilityOperator | None 
                  basis: SymBasis | None = None, fac: FactorizationReport | None = None,
                  solution: ReleqSolution | None = None,
                  invariants: list[dict] | None = None,
-                 reversed_residual: float | None = None) -> dict:
+                 reversed_residual: float | None = None,
+                 oracle_passed: bool | None = None) -> dict:
+    """The report document; oracle_passed is the caller's oracle verdict."""
     a, b, c = sysm.type_abc
     rings = []
     for r in cfg.rings:
@@ -133,7 +135,7 @@ def build_report(cfg: JobConfig, sysm: RingSystem, op: StabilityOperator | None 
                 "samples": fac.oracle.samples,
                 "rel_errors": fac.oracle.rel_errors,
                 "max_rel_error": fac.oracle.max_rel_error,
-                "passed": fac.oracle.passed,
+                "passed": oracle_passed,
             }
         if fac.classical is not None:
             fdoc["classical"] = fac.classical

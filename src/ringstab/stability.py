@@ -30,9 +30,9 @@ import numpy as np
 from .dynamics import StabilityOperator, apply_j, j_matrix
 from .symbasis import SymBasis, multiplicities, standard_j, translation_field
 
-#: relative Frobenius mass allowed outside the diagonal blocks
+#: default off-block threshold; `factorize` splits lead pairs against it, `cli` gates on it
 OFF_BLOCK_TOL = 1e-9
-#: relative mismatch allowed between factor product and dense determinant
+#: default threshold of the oracle's relative mismatch, gated by `cli`
 ORACLE_TOL = 1e-8
 
 
@@ -150,7 +150,6 @@ class TransformResult:
     j_tilde: np.ndarray
     off_residuals: dict[str, float]
     max_off: float
-    passed: bool
 
 
 def _off_residual(M: np.ndarray, cols: np.ndarray, total: float) -> float:
@@ -162,8 +161,7 @@ def _off_residual(M: np.ndarray, cols: np.ndarray, total: float) -> float:
     return float(np.linalg.norm(M[np.ix_(mask, cols)]) / total)
 
 
-def transform(op: StabilityOperator, basis: SymBasis,
-              tol: float = OFF_BLOCK_TOL) -> TransformResult:
+def transform(op: StabilityOperator, basis: SymBasis) -> TransformResult:
     """Conjugate A and J into the adapted basis and measure block leakage.
 
     The dense reference for `factorize`'s projected blocks: two 2N x 2N
@@ -175,9 +173,8 @@ def transform(op: StabilityOperator, basis: SymBasis,
     offs = {blk.label: max(_off_residual(a_t, np.array(blk.cols), norms[0]),
                            _off_residual(j_t, np.array(blk.cols), norms[1]))
             for blk in basis.blocks}
-    mx = max(offs.values())
     return TransformResult(a_tilde=a_t, j_tilde=j_t, off_residuals=offs,
-                           max_off=mx, passed=bool(mx <= tol))
+                           max_off=max(offs.values()))
 
 
 class _Products:
@@ -239,7 +236,6 @@ class OracleReport:
     samples: np.ndarray
     rel_errors: np.ndarray
     max_rel_error: float
-    passed: bool
 
 
 def dense_oracle(op: StabilityOperator, nsamples: int = 20) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -286,7 +282,7 @@ def _factor_log_product(factors: list[PolyFactor], ts: np.ndarray) -> tuple[np.n
 # classical residuals at a relative equilibrium
 
 
-def classical_checks(op: StabilityOperator, tol: float = 1e-8) -> dict[str, float]:
+def classical_checks(op: StabilityOperator) -> dict[str, float]:
     """Relative residuals of the exact eigenvector identities at a releq.
 
     The radial field kappa, its rotation J kappa, and the two translations
@@ -410,13 +406,13 @@ def factorize(op: StabilityOperator, basis: SymBasis,
     blocks: list[BlockReport] = []
     for blk in basis.blocks:
         ab, off = coarse[blk.label]
-        if blk.lead_pair and op.is_releq and blk.pairs > 1:
+        if op.is_releq and blk.halves():
             halves = []
-            for suffix, cols in zip(("_lead", "_rest"), blk.lead_split()):
+            for label, cols in blk.halves():
                 loc = np.ix_(np.array(cols) - blk.start, np.array(cols) - blk.start)
                 sub_a = ab[loc]
                 sub_off = prod.residuals(np.array([cols]), sub_a[None])[0]
-                halves.append(BlockReport(label=blk.label + suffix, cols=cols, size=len(cols),
+                halves.append(BlockReport(label=label, cols=cols, size=len(cols),
                                           refined=True, off_residual=float(sub_off),
                                           factor=None, a_block=sub_a))
             worst = max(h.off_residual for h in halves)
@@ -446,9 +442,7 @@ def factorize(op: StabilityOperator, basis: SymBasis,
         ts, sd, ld = dense_oracle(op)
         sp, lp = _factor_log_product([blk.factor for blk in blocks], ts)
         rel = _log_rel_errors(sp, lp, sd, ld)
-        mx = float(np.max(rel))
-        orep = OracleReport(samples=ts, rel_errors=rel, max_rel_error=mx,
-                            passed=bool(mx <= ORACLE_TOL))
+        orep = OracleReport(samples=ts, rel_errors=rel, max_rel_error=float(np.max(rel)))
 
     classical = classical_checks(op) if op.is_releq else None
     gamma = op.potential.gamma if kind == "homogeneous" else None

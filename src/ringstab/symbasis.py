@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dihedral import (TAU, IrrepLabel, irrep_list, reflection, rho,
-                       rotation)
+                       rho_range, rotation)
 from .dynamics import apply_j
 from .geometry import GroupAction, RingSystem
 
@@ -69,10 +69,6 @@ def averaging_operator(sys: RingSystem, kind: str, k: int) -> np.ndarray:
     return _averaging(sys.group_action(), kind, k)
 
 
-def _rho_range(n: int) -> range:
-    return range(1, (n // 2 - 1 if n % 2 == 0 else (n - 1) // 2) + 1)
-
-
 def projector(sys: RingSystem, label: IrrepLabel, part: tuple[int, int] | None = None) -> np.ndarray:
     """Projector onto an isotypic component, or one p_ij block of a rho component.
 
@@ -95,7 +91,7 @@ def _projector(act: GroupAction, label: IrrepLabel,
         avg = _averaging(act, "c", 0 if label.kind in ("tau", "alpha") else n // 2)
         sign = 1.0 if label.kind in ("tau", "phi") else -1.0
         return avg + sign * act.right(avg, reflection(n))
-    if n == 2 or label.k not in _rho_range(n):
+    if label.k not in rho_range(n):
         raise ValueError("irrep %r not defined for D_%d" % (label, n))
     if part is None:
         return 4.0 * _averaging(act, "c", label.k)
@@ -132,7 +128,7 @@ def projector_family(sys: RingSystem) -> ProjectorFamily:
     return ProjectorFamily(
         system=sys, action=act,
         one_dim={lab: _projector(act, lab) for lab in irrep_list(sys.n) if lab.kind != "rho"},
-        rho={k: _rho_parts(act, k) for k in _rho_range(sys.n)})
+        rho={k: _rho_parts(act, k) for k in rho_range(sys.n)})
 
 
 def m_inner(sys: RingSystem, u: np.ndarray, v: np.ndarray) -> float:
@@ -155,7 +151,7 @@ def multiplicities(n: int, a: int, b: int, c: int) -> dict[str, int]:
     if n % 2 == 0:
         out["phi"] = w
         out["psi"] = w
-    for k in _rho_range(n):
+    for k in rho_range(n):
         out["rho_%d" % k] = (a + 2 * w) if k == 1 else 2 * w
     return out
 
@@ -220,11 +216,9 @@ def isotypic_decomposition(fam: ProjectorFamily) -> list[IsotypicComponent]:
 class ResidualReport:
     residuals: dict[str, float]
     max_residual: float
-    passed: bool
 
 
-def projector_algebra_check(fam: ProjectorFamily, tol: float = 1e-11,
-                            probe_dim: int = 96) -> ResidualReport:
+def projector_algebra_check(fam: ProjectorFamily, probe_dim: int = 96) -> ResidualReport:
     """Residuals of the full composition table of the projector family.
 
     p_a p_b = delta_ab p_a for one-dimensional labels a, b; within each
@@ -273,15 +267,14 @@ def projector_algebra_check(fam: ProjectorFamily, tol: float = 1e-11,
     total = sum(P for id_, P in zip(ids, ops)
                 if id_[0] != "rho" or id_[2] == id_[3])
     res["completeness"] = float(np.linalg.norm(total - np.eye(dim)))
-    mx = max(res.values())
-    return ResidualReport(residuals=res, max_residual=mx, passed=bool(mx <= tol))
+    return ResidualReport(residuals=res, max_residual=max(res.values()))
 
 
 #: the label whose projector J carries each one-dimensional projector to
 _J_PARTNER = {"tau": "alpha", "alpha": "tau", "phi": "psi", "psi": "phi"}
 
 
-def j_relations_check(fam: ProjectorFamily, tol: float = 1e-11) -> ResidualReport:
+def j_relations_check(fam: ProjectorFamily) -> ResidualReport:
     """Residuals of the commutation identities between J and the group machinery.
 
     J commutes with rotations and anticommutes with reflections; consequently
@@ -309,8 +302,7 @@ def j_relations_check(fam: ProjectorFamily, tol: float = 1e-11) -> ResidualRepor
             name = "J p%d%d %s p%d%d J (k=%d)" % (i, j, sign, 3 - i, 3 - j, k)
             res[name] = np.linalg.norm(_j_left(P) - Q if i == j else _j_left(P) + Q)
     res = {k: float(v / nrm) for k, v in res.items()}
-    mx = max(res.values())
-    return ResidualReport(residuals=res, max_residual=mx, passed=bool(mx <= tol))
+    return ResidualReport(residuals=res, max_residual=max(res.values()))
 
 
 def symplectic_residuals(fam: ProjectorFamily) -> dict[str, float]:
@@ -416,7 +408,7 @@ def _orbit_contribution(sys: RingSystem, i: int) -> dict[str, list[np.ndarray]]:
             phi.append(column(np.cos(half), zero))
         if semi or not phase0:
             phi.append(column(zero, np.sin(half)))
-    for k in _rho_range(n):
+    for k in rho_range(n):
         c, s = np.cos(k * theta), np.sin(k * theta)
         if k == 1:
             out["sigma"] = [t, column(c, s)]
@@ -452,11 +444,15 @@ class BlockPlan:
     def cols(self) -> list[int]:
         return list(range(self.start, self.start + self.size))
 
-    def lead_split(self) -> tuple[list[int], list[int]]:
-        """Columns of the lead pair (J u_1, u_1) and of the rest, each in
-        this (J side, u side) layout, so J takes standard form on both."""
+    def halves(self) -> list[tuple[str, list[int]]]:
+        """(LABEL_lead, columns of the lead pair (J u_1, u_1)), (LABEL_rest,
+        the other columns) in this (J side, u side) layout, so J takes
+        standard form on both; none without a lead pair and a rest."""
+        if not (self.lead_pair and self.pairs > 1):
+            return []
         lead = self.cols[::self.pairs]
-        return lead, [c for c in self.cols if c not in lead]
+        return [(self.label + "_lead", lead),
+                (self.label + "_rest", [c for c in self.cols if c not in lead])]
 
 
 def standard_j(pairs: int) -> np.ndarray:
@@ -588,7 +584,7 @@ def assemble_global_basis(sys: RingSystem) -> SymBasis:
         add_block("phi_psi", u, lead=(sys.n == 2))
 
     if sys.n > 2:
-        for k in _rho_range(sys.n):
+        for k in rho_range(sys.n):
             if k == 1:
                 continue
             u = [v for lst in per_orbit("rho_%d" % k) for v in lst]

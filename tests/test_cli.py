@@ -496,4 +496,64 @@ def test_back_to_back_main_calls_share_no_state(tmp_path, capsys, pentagon_cfg):
     assert cli.main(["verify", "--config", str(pentagon_cfg)]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "verdict: pass"
     args = cli._parser().parse_args(["releq", "--config", "x"])
-    assert (args.block, args.out, args.tol, args.format) == (None, None, None, "text")
+    assert vars(args) == {"command": "releq", "config": "x", "format": "text"}
+
+
+@pytest.mark.parametrize("override", [[], ["--tol", "1.0"]])
+def test_one_verdict_sets_exit_code_and_pass_marks(tmp_path, capsys, override):
+    """tol_oracle = 1e-30 fails the pentagon's oracle (error ~5e-15) in
+    analyze and oracle alike, on the exit code and on every pass mark;
+    --tol overrides the config and passes both."""
+    cfg = tmp_path / "strict.cfg"
+    cfg.write_text(PENTAGON.replace("omega = solve\n", "omega = solve\ntol_oracle = 1e-30\n"))
+    passed = bool(override)
+    code = 0 if passed else 3
+    assert cli.main(["analyze", "--config", str(cfg)] + override) == code
+    oracle_line = [l for l in capsys.readouterr().out.splitlines() if l.startswith("oracle:")]
+    assert len(oracle_line) == 1
+    assert oracle_line[0].endswith("(pass)" if passed else "(FAIL)")
+    assert cli.main(["analyze", "--config", str(cfg), "--format", "machine"] + override) == code
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["factorization"]["oracle"]["passed"] is passed
+    assert cli.main(["oracle", "--config", str(cfg), "--format", "machine"] + override) == code
+    text = capsys.readouterr().out
+    assert text.count('"passed"') == 1 and "oracle_passed" not in text
+    assert json.loads(text)["factorization"]["oracle"]["passed"] is passed
+    assert cli.main(["oracle", "--config", str(cfg)] + override) == code
+    assert capsys.readouterr().out.splitlines()[-1].endswith("pass" if passed else "FAIL")
+
+
+#: the optional flags each verb reads
+VERB_FLAGS = {"analyze": {"out", "tol", "format", "block"}, "verify": {"tol", "format"},
+              "releq": {"format"}, "diagram": {"out", "block"}, "oracle": {"tol", "format"}}
+FLAG_VALUES = {"out": "d", "tol": "1.0", "format": "machine", "block": "sigma"}
+
+
+@pytest.mark.parametrize("flag", sorted(FLAG_VALUES))
+@pytest.mark.parametrize("verb", sorted(VERB_FLAGS))
+def test_each_verb_takes_only_the_flags_it_reads(verb, flag, capsys):
+    argv = [verb, "--config", "x", "--" + flag, FLAG_VALUES[flag]]
+    if flag in VERB_FLAGS[verb]:
+        args = cli._parser().parse_args(argv)
+        assert vars(args)[flag] == (1.0 if flag == "tol" else FLAG_VALUES[flag])
+    else:
+        with pytest.raises(SystemExit) as exc:
+            cli._parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --%s" % flag in capsys.readouterr().err
+
+
+def test_diagram_block_selects_split_halves(tmp_path, pentagon_cfg, capsys):
+    for label, cols in (("sigma_lead", [6, 8]), ("sigma_rest", [7, 9]), ("sigma", [6, 7, 8, 9])):
+        out = tmp_path / label
+        assert cli.main(["diagram", "--config", str(pentagon_cfg), "--out", str(out),
+                         "--block", label]) == 0
+        assert sorted(n for n in os.listdir(out) if n.startswith("col")) == \
+            ["col%03d_sigma.svg" % c for c in cols]
+        # titles count columns within the coarse block
+        first = (out / ("col%03d_sigma.svg" % cols[0])).read_text()
+        assert "sigma column %d" % (cols[0] - 6) in first
+    capsys.readouterr()
+    assert cli.main(["diagram", "--config", str(pentagon_cfg), "--out", str(tmp_path / "x"),
+                     "--block", "nope"]) == 2
+    assert "available: tau_alpha rho_2 sigma sigma_lead sigma_rest" in capsys.readouterr().err
