@@ -15,7 +15,7 @@ import sys as _sys
 
 import numpy as np
 
-from .config import ConfigError, JobConfig, parse_config
+from .config import ConfigError, JobConfig, parse_config, threshold
 from .dynamics import (Potential, ReleqSolution, StabilityOperator,
                        equivariance_residual, hessian_fd_residual,
                        solve_releq, stability_operator,
@@ -253,7 +253,8 @@ _VERBS = {
 }
 _FLAGS = {
     "out": dict(default=None, help="directory for output files"),
-    "tol": dict(type=float, default=None, help="override every gate threshold with this value"),
+    "tol": dict(type=threshold, default=None,
+                help="override every gate threshold with this positive finite value"),
     "format": dict(choices=("text", "machine"), default="text"),
     "block": dict(default=None, help="restrict diagrams/factors to one block label"),
 }

@@ -18,8 +18,11 @@ Example::
     phase = 0
 
 Angle values accept plain floats plus the forms "pi/n" (the config's n) and
-"pi/<number>".  Validation collects every error before reporting, so a bad
-config fails with the complete list, not just the first problem.
+"pi/<number>".  This module parses text into typed values and collects every
+problem, so a bad config fails with the complete list, not just the first.
+The rules on the values belong to the library: `check_ring` judges a ring,
+`build` the system, `Potential` the kind and gamma, `free_radius_errors` the
+free radii.  The threshold rule of `tol_<key>` and `--tol` is `threshold`'s.
 """
 
 from __future__ import annotations
@@ -28,13 +31,16 @@ import hashlib
 import math
 from dataclasses import dataclass, field
 
-from .dynamics import Potential, homogeneous, vortex
-from .geometry import RingSpec, RingSystem, build
+from .dynamics import Potential, free_radius_errors, homogeneous
+from .geometry import RingSpec, RingSystem, build, check_ring
 
 _TOP_KEYS = ("n", "kind", "gamma", "omega", "free_radii",
              "tol_off_block", "tol_oracle", "tol_invariants",
              "report", "csv", "svg")
 _RING_KEYS = ("kind", "mass", "radius", "phase", "half_gap")
+#: the value keys each ring kind takes; phase may be left out and reads 0
+_RING_VALUES = {"center": ("mass",), "regular": ("mass", "radius", "phase"),
+                "semiregular": ("mass", "radius", "half_gap")}
 
 
 class ConfigError(ValueError):
@@ -65,9 +71,15 @@ class JobConfig:
         return self._system
 
     def potential(self) -> Potential:
-        if self.kind == "vortex":
-            return vortex()
-        return homogeneous(self.gamma if self.gamma is not None else -1.5)
+        return Potential(self.kind) if self.gamma is None else Potential(self.kind, self.gamma)
+
+
+def threshold(text: str) -> float:
+    """A gate threshold, from `tol_<key>` or `--tol`: a positive finite number."""
+    value = float(text)
+    if not (value > 0 and math.isfinite(value)):
+        raise ValueError("threshold must be positive and finite, got %g" % value)
+    return value
 
 
 def _parse_angle(text: str, n: int) -> float:
@@ -122,69 +134,35 @@ def _read_sections(text: str, errors: list[str]):
 
 
 def _ring_spec(idx: int, sec: dict[str, str], n: int, errors: list[str]) -> RingSpec | None:
+    """The section's RingSpec when its values parse and `check_ring` admits
+    it; otherwise None, with the problems appended to errors."""
+    prefix = "ring %d: " % idx
     kind = sec.get("kind")
-    if kind not in ("center", "regular", "semiregular"):
-        errors.append("ring %d: kind must be center, regular, or semiregular, got %r" % (idx, kind))
+    if kind not in _RING_VALUES:
+        errors.append(prefix + "kind must be center, regular, or semiregular, got %r" % (kind,))
         return None
+    keys = _RING_VALUES[kind]
+    errors += [prefix + "%s rings take no %s" % (kind, k)
+               for k in _RING_KEYS[1:] if k in sec and k not in keys]
+    values = {}
+    for key in keys:
+        text = sec.get(key, "0" if key == "phase" else None)
+        if text is None:
+            errors.append(prefix + "missing %s" % key)
+            continue
+        try:
+            values[key] = float(text) if key in ("mass", "radius") else _parse_angle(text, n)
+        except (ValueError, ZeroDivisionError):
+            errors.append(prefix + "invalid %s %r" % (key, text))
+    if len(values) < len(keys):
+        return None
+    spec = RingSpec(kind, **values)
     try:
-        mass = float(sec["mass"])
-    except KeyError:
-        errors.append("ring %d: missing mass" % idx)
+        check_ring(n, spec)
+    except ValueError as exc:
+        errors.append(prefix + str(exc))
         return None
-    except ValueError:
-        errors.append("ring %d: invalid mass %r" % (idx, sec["mass"]))
-        return None
-    if mass == 0.0 or not math.isfinite(mass):
-        errors.append("ring %d: invalid mass %g (must be nonzero and finite)" % (idx, mass))
-        return None
-
-    if kind == "center":
-        for k in ("radius", "phase", "half_gap"):
-            if k in sec:
-                errors.append("ring %d: center rings take no %s" % (idx, k))
-        return RingSpec("center", mass)
-
-    try:
-        radius = float(sec["radius"])
-    except KeyError:
-        errors.append("ring %d: missing radius" % idx)
-        return None
-    except ValueError:
-        errors.append("ring %d: invalid radius %r" % (idx, sec["radius"]))
-        return None
-    if radius <= 0.0 or not math.isfinite(radius):
-        errors.append("ring %d: invalid radius %g (must be positive)" % (idx, radius))
-        return None
-
-    if kind == "regular":
-        if "half_gap" in sec:
-            errors.append("ring %d: half_gap applies to semiregular rings only" % idx)
-        phase = 0.0
-        if "phase" in sec:
-            try:
-                phase = _parse_angle(sec["phase"], n)
-            except ValueError:
-                errors.append("ring %d: invalid phase %r" % (idx, sec["phase"]))
-                return None
-        if not (abs(phase) <= 1e-9 * max(1.0, abs(phase)) or abs(phase - math.pi / n) <= 1e-9):
-            errors.append("ring %d: invalid phase %g: regular rings allow 0 or pi/n" % (idx, phase))
-            return None
-        return RingSpec("regular", mass, radius=radius, phase=phase)
-
-    if "phase" in sec:
-        errors.append("ring %d: phase applies to regular rings only" % idx)
-    try:
-        mu = _parse_angle(sec["half_gap"], n)
-    except KeyError:
-        errors.append("ring %d: missing half_gap" % idx)
-        return None
-    except ValueError:
-        errors.append("ring %d: invalid half_gap %r" % (idx, sec["half_gap"]))
-        return None
-    if not (0.0 < mu < math.pi / n):
-        errors.append("ring %d: invalid half_gap %g: need 0 < mu < pi/n" % (idx, mu))
-        return None
-    return RingSpec("semiregular", mass, radius=radius, half_gap=mu)
+    return spec
 
 
 def parse_config_text(text: str, path: str = "<string>") -> JobConfig:
@@ -204,9 +182,11 @@ def parse_config_text(text: str, path: str = "<string>") -> JobConfig:
             if n < 2:
                 errors.append("n must be an integer >= 2, got %d" % n)
 
-    kind = top.get("kind", "")
-    if kind not in ("homogeneous", "vortex"):
-        errors.append("kind must be homogeneous or vortex, got %r" % (top.get("kind"),))
+    kind = top.get("kind")
+    try:
+        Potential(kind)
+    except ValueError as exc:
+        errors.append(str(exc))
 
     gamma = None
     if "gamma" in top:
@@ -217,10 +197,12 @@ def parse_config_text(text: str, path: str = "<string>") -> JobConfig:
         except ValueError:
             errors.append("invalid gamma %r" % top["gamma"])
         else:
-            if gamma == -1.0:
-                errors.append("gamma = -1 is excluded (logarithmic potential)")
-            elif not math.isfinite(gamma):
-                errors.append("invalid gamma %g" % gamma)
+            # judged as a homogeneous exponent whatever the kind, so a bad
+            # kind and a bad gamma are both reported
+            try:
+                homogeneous(gamma)
+            except ValueError as exc:
+                errors.append(str(exc))
 
     omega: float | str = "solve"
     if "omega" not in top:
@@ -249,14 +231,9 @@ def parse_config_text(text: str, path: str = "<string>") -> JobConfig:
                       ("tol_invariants", "invariants")):
         if key in top:
             try:
-                v = float(top[key])
+                tolerances[name] = threshold(top[key])
             except ValueError:
-                errors.append("invalid %s %r" % (key, top[key]))
-                continue
-            if not (v > 0 and math.isfinite(v)):
-                errors.append("invalid %s %g (must be positive)" % (key, v))
-            else:
-                tolerances[name] = v
+                errors.append("invalid %s %r (must be positive and finite)" % (key, top[key]))
 
     outputs = {"report": True, "csv": False, "svg": False}
     for key in ("report", "csv", "svg"):
@@ -275,33 +252,17 @@ def parse_config_text(text: str, path: str = "<string>") -> JobConfig:
             if spec is not None:
                 rings.append(spec)
 
-    ncenter = sum(1 for r in rings if r.kind == "center")
-    if ncenter > 1:
-        errors.append("at most one center ring allowed")
-    if rings and all(r.kind == "center" for r in rings):
-        errors.append("need at least one non-center ring")
-
-    # free_radii counts every [ring] section, parsed or not, so it is checked
-    # against each section's kind; the solver's radius gauge is the first
-    # non-center ring, known when that section names a valid kind
-    kinds = [sec.get("kind") for sec in ring_secs]
-    gauge = next((i for i, k in enumerate(kinds) if k != "center"), None)
-    if gauge is not None and kinds[gauge] not in ("regular", "semiregular"):
-        gauge = None
-    for idx in free:
-        if idx < 0 or idx >= len(ring_secs):
-            errors.append("free radius index %d out of range" % idx)
-        elif kinds[idx] == "center":
-            errors.append("free radius index %d names a center ring" % idx)
-        elif idx == gauge:
-            errors.append("ring %d is the radius gauge and cannot be freed" % idx)
-
+    # the system rules are judged on every ring or not at all
     system = None
-    if not errors and len(rings) == len(ring_secs):
+    if rings and len(rings) == len(ring_secs):
         try:
             system = build(n, rings)
         except ValueError as exc:
             errors.append(str(exc))
+
+    # free_radii counts every [ring] section, parsed or not
+    errors += free_radius_errors([sec.get("kind") if sec.get("kind") in _RING_VALUES else None
+                                  for sec in ring_secs], free)
 
     if errors:
         raise ConfigError(errors)

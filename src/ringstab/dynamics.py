@@ -24,6 +24,7 @@ with J = blockdiag([[0, -1], [1, 0]]).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from itertools import accumulate
 from typing import NamedTuple
@@ -42,9 +43,12 @@ class Potential:
 
     def __post_init__(self):
         if self.kind not in ("homogeneous", "vortex"):
-            raise ValueError("unknown potential kind %r" % (self.kind,))
-        if self.kind == "homogeneous" and self.gamma == -1.0:
-            raise ValueError("gamma = -1 is excluded (use the vortex kind)")
+            raise ValueError("kind must be homogeneous or vortex, got %r" % (self.kind,))
+        if self.kind == "homogeneous":
+            if self.gamma == -1.0:
+                raise ValueError("gamma = -1 is excluded (logarithmic potential)")
+            if not math.isfinite(self.gamma):
+                raise ValueError("invalid gamma %g" % self.gamma)
 
 
 def homogeneous(gamma: float) -> Potential:
@@ -341,6 +345,25 @@ def _ring_specs(rings: list[RingSpec], radii: np.ndarray, free: list[int]) -> li
     return out
 
 
+def free_radius_errors(kinds: list[str | None], free_radii: list[int] | tuple[int, ...]) -> list[str]:
+    """The problems of free_radii, in its order, for rings of the given
+    kinds (None for a ring whose kind is not known).
+
+    An index must name a ring that is not a center and not the radius
+    gauge, the first non-center ring; a gauge of unknown kind is not judged.
+    """
+    gauge = next((i for i, k in enumerate(kinds) if k != "center"), None)
+    errors = []
+    for i in free_radii:
+        if not 0 <= i < len(kinds):
+            errors.append("free radius index %d out of range" % i)
+        elif kinds[i] == "center":
+            errors.append("free radius index %d names a center ring" % i)
+        elif i == gauge and kinds[i] is not None:
+            errors.append("ring %d is the radius gauge and cannot be freed" % i)
+    return errors
+
+
 def solve_releq(sys: RingSystem, pot: Potential,
                 free_radii: tuple[int, ...] = ()) -> ReleqSolution:
     """Newton iteration on (free ring radii, omega) for the reduced residual.
@@ -362,14 +385,9 @@ def solve_releq(sys: RingSystem, pot: Potential,
     (no exception on non-convergence).
     """
     free = sorted(set(int(i) for i in free_radii))
-    first = next(i for i, r in enumerate(sys.rings) if r.kind != "center")
-    for i in free:
-        if not 0 <= i < len(sys.rings):
-            raise ValueError("free radius index %d out of range" % i)
-        if sys.rings[i].kind == "center":
-            raise ValueError("free radius index %d names a center ring" % i)
-        if i == first:
-            raise ValueError("ring %d is the radius gauge and cannot be freed" % i)
+    errors = free_radius_errors([r.kind for r in sys.rings], free)
+    if errors:
+        raise ValueError(errors[0])
 
     def balance(f: _RingForces, omega: float):
         """The reduced residual and the stop rule's limit for it."""

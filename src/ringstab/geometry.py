@@ -15,6 +15,7 @@ otherwise arbitrary nonzero reals.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +25,8 @@ from .dihedral import (DihedralElement, full_group, planar_action, reflection,
 
 #: matching tolerance for the permutation action, relative to the largest radius
 MATCH_RTOL = 1e-9
+#: how far a regular ring's phase may lie from 0 or pi/n
+PHASE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -176,25 +179,38 @@ class RingSystem:
         return out
 
 
+def check_ring(n: int, spec: RingSpec) -> None:
+    """Raise ValueError unless spec is an admissible ring of D_n: a nonzero
+    finite mass; for non-center rings a positive finite radius; a regular
+    phase within PHASE_TOL of 0 or pi/n; a semiregular 0 < mu < pi/n.  The
+    message names no ring; callers prefix it."""
+    if spec.mass == 0.0 or not math.isfinite(spec.mass):
+        raise ValueError("invalid mass %g (must be nonzero and finite)" % spec.mass)
+    if spec.kind == "center":
+        return
+    if not 0.0 < spec.radius < math.inf:
+        raise ValueError("invalid radius %g (must be positive)" % spec.radius)
+    if spec.kind == "regular":
+        if not (abs(spec.phase) < PHASE_TOL or abs(spec.phase - math.pi / n) < PHASE_TOL):
+            raise ValueError("invalid phase %.12g: regular rings allow 0 or pi/n" % spec.phase)
+    elif not 0.0 < spec.half_gap < math.pi / n:
+        raise ValueError("invalid half_gap %.12g: need 0 < mu < pi/n" % spec.half_gap)
+
+
 def ring_positions(n: int, spec: RingSpec) -> np.ndarray:
-    """Points of one ring in deterministic order.
+    """Points of one ring in deterministic order, after `check_ring`.
 
     Regular rings: angles phase + 2*pi*j/n, j ascending.  Semiregular rings:
     pairs (+mu, -mu) shifted by 2*pi*j/n, j ascending; the adapted basis
     reads each point's interleave sign from this order.
     """
+    check_ring(n, spec)
     if spec.kind == "center":
         return np.zeros((1, 2))
-    if spec.radius <= 0.0:
-        raise ValueError("invalid radius %g for %s ring" % (spec.radius, spec.kind))
     base = 2.0 * np.pi * np.arange(n) / n
     if spec.kind == "regular":
-        if not (abs(spec.phase) < 1e-12 or abs(spec.phase - np.pi / n) < 1e-12):
-            raise ValueError("invalid phase %g: regular rings allow 0 or pi/n" % spec.phase)
         ang = spec.phase + base
     else:
-        if not (0.0 < spec.half_gap < np.pi / n):
-            raise ValueError("invalid half_gap %g: need 0 < mu < pi/n" % spec.half_gap)
         ang = np.empty(2 * n)
         ang[0::2] = spec.half_gap + base
         ang[1::2] = -spec.half_gap + base
@@ -226,7 +242,9 @@ def _check_collisions(positions: np.ndarray) -> None:
 
 
 def build(n: int, rings: list[RingSpec]) -> RingSystem:
-    """Assemble and validate a ring system for D_n."""
+    """Assemble and validate a ring system for D_n: every ring passes
+    `check_ring` (its message prefixed "ring i: "), at most one is a center,
+    at least one is not, and no two points collide."""
     if n < 2:
         raise ValueError("group order mismatch: need n >= 2")
     if not rings:
@@ -238,9 +256,10 @@ def build(n: int, rings: list[RingSpec]) -> RingSystem:
     chunks, masses, orbit_of, slices = [], [], [], []
     start = 0
     for idx, spec in enumerate(rings):
-        if spec.mass == 0.0 or not np.isfinite(spec.mass):
-            raise ValueError("invalid mass %g in ring %d" % (spec.mass, idx))
-        pts = ring_positions(n, spec)
+        try:
+            pts = ring_positions(n, spec)
+        except ValueError as exc:
+            raise ValueError("ring %d: %s" % (idx, exc)) from None
         chunks.append(pts)
         masses.extend([spec.mass] * len(pts))
         orbit_of.extend([idx] * len(pts))

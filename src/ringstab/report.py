@@ -185,9 +185,6 @@ def to_text(doc: dict) -> str:
                    % (_fmt_num(d["basis_cond"]), d["m_orthogonal"], d["normalized"]))
         out.append("multiplicities: " + " ".join(
             "%s=%d" % (k, v) for k, v in sorted(doc["system"]["multiplicities"].items())))
-    if "invariants" in doc:
-        for item in doc["invariants"]:
-            out.append(format_invariant_line(item))
     if "factorization" in doc:
         f = doc["factorization"]
         out.append("off-block residual: %s" % _fmt_num(f["max_off_residual"]))

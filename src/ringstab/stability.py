@@ -299,27 +299,22 @@ def classical_checks(op: StabilityOperator) -> dict[str, float]:
     dh = translation_field(sys, direction=0)
     dv = translation_field(sys, direction=1)
     anorm = np.linalg.norm(A)
+    # each identity's residual with the vector it is taken on
     if op.potential.kind == "vortex":
         pairs = {
-            "A kappa - omega kappa": A @ kap - op.omega * kap,
-            "A J kappa + omega J kappa": A @ jkap + op.omega * jkap,
+            "A kappa - omega kappa": (A @ kap - op.omega * kap, kap),
+            "A J kappa + omega J kappa": (A @ jkap + op.omega * jkap, jkap),
         }
     else:
         lam_r = (2.0 * op.potential.gamma + 1.0) * op.omega ** 2
         pairs = {
-            "A kappa - (2 gamma + 1) omega^2 kappa": A @ kap - lam_r * kap,
-            "A J kappa - omega^2 J kappa": A @ jkap - op.omega ** 2 * jkap,
+            "A kappa - (2 gamma + 1) omega^2 kappa": (A @ kap - lam_r * kap, kap),
+            "A J kappa - omega^2 J kappa": (A @ jkap - op.omega ** 2 * jkap, jkap),
         }
-    pairs["A Delta_h"] = A @ dh
-    pairs["A Delta_v"] = A @ dv
-    vecs = {"A kappa - omega kappa": kap, "A J kappa + omega J kappa": jkap,
-            "A kappa - (2 gamma + 1) omega^2 kappa": kap,
-            "A J kappa - omega^2 J kappa": jkap,
-            "A Delta_h": dh, "A Delta_v": dv}
-    out = {}
-    for name, r in pairs.items():
-        out[name] = float(np.linalg.norm(r) / (anorm * np.linalg.norm(vecs[name]) + 1e-300))
-    return out
+    pairs["A Delta_h"] = (A @ dh, dh)
+    pairs["A Delta_v"] = (A @ dv, dv)
+    return {name: float(np.linalg.norm(r) / (anorm * np.linalg.norm(v) + 1e-300))
+            for name, (r, v) in pairs.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -348,9 +343,6 @@ class FactorizationReport:
     omega: float
     gamma: float | None
     is_releq: bool
-    releq_residual_norm: float
-    basis_cond: float
-    m_orthogonal: str
     blocks: list[BlockReport]
     degree_profile: list[int]
     max_off_residual: float
@@ -447,10 +439,6 @@ def factorize(op: StabilityOperator, basis: SymBasis,
     classical = classical_checks(op) if op.is_releq else None
     gamma = op.potential.gamma if kind == "homogeneous" else None
     return FactorizationReport(kind=kind, omega=op.omega, gamma=gamma,
-                               is_releq=op.is_releq,
-                               releq_residual_norm=op.releq_residual_norm,
-                               basis_cond=basis.cond,
-                               m_orthogonal=basis.m_orthogonal,
-                               blocks=blocks, degree_profile=profile,
+                               is_releq=op.is_releq, blocks=blocks, degree_profile=profile,
                                max_off_residual=max(off for _, off in coarse.values()),
                                oracle=orep, classical=classical, notes=notes)

@@ -97,6 +97,8 @@ def test_parse_angle_forms():
     semi = ("n = 6\nkind = vortex\nomega = 1.0\n[ring]\nkind = semiregular\n"
             "radius = 2\nmass = 1\nhalf_gap = pi/24\n")
     assert abs(parse_config_text(semi, path="inline").rings[0].half_gap - np.pi / 24) < 1e-15
+    with pytest.raises(ConfigError, match="invalid half_gap 'pi/0'"):
+        parse_config_text(semi.replace("pi/24", "pi/0"), path="inline")
 
 
 def test_parse_collects_all_errors():
@@ -134,6 +136,49 @@ def test_free_radii_index_counts_every_ring_section():
         parse_config_text(text, path="inline")
     assert ei.value.errors == ["ring 0: invalid radius -1 (must be positive)",
                                "free radius index 1 names a center ring"]
+
+
+RING_CASES = [rs.regular(1.0, 1.0), rs.regular(1.0, 1.0, phase=np.pi / 4),
+              rs.regular(1.0, 1.0, phase=np.pi / 4 + 5e-10),
+              rs.regular(1.0, 1.0, phase=np.pi / 4 - 5e-10),
+              rs.regular(1.0, 1.0, phase=5e-10), rs.regular(1.0, 0.0),
+              rs.regular(-1.0, 1.0), rs.regular(np.inf, 1.0),
+              rs.semiregular(1.0, np.pi / 8, 1.0), rs.semiregular(1.0, 0.0, 1.0),
+              rs.semiregular(1.0, np.pi / 4, 1.0)]
+
+
+@pytest.mark.parametrize("spec", RING_CASES)
+def test_config_admits_a_ring_exactly_when_build_does(spec):
+    text = ("n = 4\nkind = vortex\nomega = 1\n[ring]\nkind = center\nmass = 2\n"
+            "[ring]\nkind = %s\nmass = %r\nradius = %r\n" % (spec.kind, spec.mass, spec.radius))
+    text += ("phase = %r\n" % spec.phase if spec.kind == "regular"
+             else "half_gap = %r\n" % spec.half_gap)
+    try:
+        rs.build(4, [rs.center(2.0), spec])
+    except ValueError as exc:
+        assert str(exc).startswith("ring 1: ")
+        with pytest.raises(ConfigError) as ei:
+            parse_config_text(text, path="inline")
+        assert ei.value.errors == [str(exc)]
+    else:
+        assert parse_config_text(text, path="inline").rings[1] == spec
+
+
+def test_system_rules_are_not_judged_on_a_subset_of_rings():
+    text = ("n = 4\nkind = vortex\nomega = 1\n[ring]\nkind = center\nmass = 2\n"
+            "[ring]\nkind = regular\nmass = 1\nradius = -1\n")
+    with pytest.raises(ConfigError) as ei:
+        parse_config_text(text, path="inline")
+    assert ei.value.errors == ["ring 1: invalid radius -1 (must be positive)"]
+
+
+@pytest.mark.parametrize("verb", ["analyze", "verify", "oracle"])
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+def test_tol_must_be_positive_and_finite(verb, tol, pentagon_cfg, capsys):
+    with pytest.raises(SystemExit) as ei:
+        cli.main([verb, "--config", str(pentagon_cfg), "--tol", tol])
+    assert ei.value.code == 2
+    assert "argument --tol: invalid threshold value" in capsys.readouterr().err
 
 
 def test_parse_duplicate_and_unknown_section():

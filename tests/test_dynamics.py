@@ -344,3 +344,6 @@ def test_stability_operator_flags():
 def test_gamma_validation():
     with pytest.raises(ValueError, match="gamma = -1"):
         rs.homogeneous(-1.0)
+    for gamma in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="invalid gamma"):
+            rs.homogeneous(gamma)

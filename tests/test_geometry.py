@@ -110,6 +110,11 @@ def test_ring_validation():
         ring_positions(4, rs.semiregular(1.0, np.pi / 4, 1.0))
     with pytest.raises(ValueError, match="unknown ring kind"):
         rs.geometry.RingSpec("pentagon", 1.0)
+    for radius in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="invalid radius"):
+            ring_positions(4, rs.regular(radius, 1.0))
+        with pytest.raises(ValueError, match="^ring 1: invalid radius"):
+            rs.build(4, [rs.center(1.0), rs.semiregular(radius, 0.3, 1.0)])
 
 
 def test_phase_pi_over_n_offsets_ring():
