@@ -18,11 +18,12 @@ to be projected: `factorize` projects each block out of one product A C
 spectrum of its block's linearization, one batched eigensolve per block
 size; the product is cross-checked against the dense determinant at
 Chebyshev sample points, in log space so large systems cannot overflow.
+The samples come in pairs (t, -t), and the pencil's determinant is even in
+lambda, so the dense check takes one 2N x 2N LU per pair.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -89,12 +90,14 @@ def _slogdets(A, omega, kind, ts) -> tuple[np.ndarray, np.ndarray]:
 @dataclass
 class PolyFactor:
     """One monic factor of the characteristic polynomial, held as its
-    roots, the spectrum of its block's linearization; every other view of
-    the factor is read from them."""
+    roots, the spectrum of its block's linearization, and its monomial
+    coefficients, ascending (the last is 1), expanded from those roots.
+    The coefficients are read-only, since every caller shares them."""
 
     label: str
     degree: int
     spectrum: np.ndarray
+    coefficients: np.ndarray
 
     def __call__(self, lam: float) -> float:
         return float(np.prod(lam - self.spectrum).real)
@@ -103,13 +106,16 @@ class PolyFactor:
         """The roots, sorted by real part, then imaginary part."""
         return self.spectrum
 
-    @functools.cached_property
-    def coefficients(self) -> np.ndarray:
-        """Monomial coefficients, ascending; the last is 1.  Expanded on
-        first access and kept, read-only, since every caller shares it."""
-        coeffs = np.poly(self.spectrum).real[::-1]
-        coeffs.flags.writeable = False
-        return coeffs
+
+def _expand(roots: np.ndarray) -> np.ndarray:
+    """Monomial coefficients, ascending, of prod_j (lambda - r_j) for each
+    row of a (k, d) stack of roots: `np.poly`'s product, one factor
+    (lambda - r_j) at a time, taken across the whole stack at once."""
+    c = np.zeros((roots.shape[0], roots.shape[1] + 1), dtype=complex)
+    c[:, 0] = 1.0
+    for j in range(roots.shape[1]):
+        c[:, 1:j + 2] -= roots[:, j:j + 1] * c[:, :j + 1]
+    return c.real[:, ::-1]
 
 
 def _block_factors(labels: list[str], Ab: np.ndarray, omega: float,
@@ -135,9 +141,12 @@ def _block_factors(labels: list[str], Ab: np.ndarray, omega: float,
         lin[:, size:, :size] = omega * omega * eye - Ab
         lin[:, size:, size:] = -2.0 * omega * standard_j(size // 2)
     spectra = np.linalg.eigvals(lin).astype(complex)
-    return [PolyFactor(label=label, degree=lin.shape[-1],
-                       spectrum=r[np.lexsort((r.imag, r.real))])
-            for label, r in zip(labels, spectra)]
+    order = np.lexsort((spectra.imag, spectra.real))
+    spectra = np.take_along_axis(spectra, order, axis=-1)
+    coeffs = _expand(spectra)
+    coeffs.flags.writeable = False
+    return [PolyFactor(label=label, degree=lin.shape[-1], spectrum=r, coefficients=c)
+            for label, r, c in zip(labels, spectra, coeffs)]
 
 
 # ---------------------------------------------------------------------------
@@ -240,12 +249,24 @@ class OracleReport:
 
 def dense_oracle(op: StabilityOperator, nsamples: int = 20) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sign and log magnitude of the dense determinant at Chebyshev points
-    spanning [-2s, 2s], s = max(1, |omega|)."""
+    spanning [-2s, 2s], s = max(1, |omega|), in descending order.
+
+    The points are exact pairs (t, -t), and only the pencils at t >= 0 are
+    factored, one 2N x 2N LU per pair; a node at 0 (odd nsamples) is its
+    own partner.  The pencil is Hamiltonian: H = M A is symmetric and M,
+    per-point diagonal, commutes with J, so P(-t)^T = M P(t) M^-1 for both
+    kinds, any masses or vorticities (mixed signs included), on or off a
+    relative equilibrium.  Hence det P(-t) = det P(t), sign included."""
     s = max(1.0, abs(op.omega))
-    i = np.arange(nsamples)
-    ts = 2.0 * s * np.cos(np.pi * (2 * i + 1) / (2 * nsamples))
-    signs, logs = _slogdets(op.matrix, op.omega, op.potential.kind, ts)
-    return ts, signs, logs
+    i = np.arange((nsamples + 1) // 2)
+    front = 2.0 * s * np.cos(np.pi * (2 * i + 1) / (2 * nsamples))
+    if nsamples % 2:
+        front[-1] = 0.0
+    signs, logs = _slogdets(op.matrix, op.omega, op.potential.kind, front)
+    pairs = nsamples // 2
+    return (np.concatenate([front, -front[:pairs][::-1]]),
+            np.concatenate([signs, signs[:pairs][::-1]]),
+            np.concatenate([logs, logs[:pairs][::-1]]))
 
 
 def _log_rel_errors(sp, lp, sd, ld) -> np.ndarray:

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 import ringstab as rs
 from ringstab.stability import (_block_factors, _factor_log_product,
-                                _off_residual, _pencils, classical_checks,
+                                _off_residual, _pencils, _slogdets, classical_checks,
                                 dense_oracle, expected_degree_profile,
                                 factorize, pencil, transform)
 from ringstab.symbasis import standard_j
@@ -387,14 +387,43 @@ def test_not_a_releq_keeps_coarse_blocks():
 
 @pytest.mark.parametrize("pot", [NEWT, VORT])
 def test_dense_oracle_pencils_equal_pencil(pot):
-    # the oracle forms its pencils in reused buffers; the determinants are
-    # those of `pencil`, bit for bit
+    # the oracle's samples are exact pairs (t, -t), and it factors the
+    # pencil at the partner |t| only, in reused buffers; each sample's
+    # determinant is that of `pencil` at |t|, bit for bit
     op, _ = operator_at(4, [rs.center(1.5), rs.regular(1.0, 1.0),
                             rs.semiregular(1.9, 0.2, 0.5)], pot, 0.8)
-    ts, signs, logs = dense_oracle(op, nsamples=9)
-    for t, s, l in zip(ts, signs, logs):
-        ref = np.linalg.slogdet(pencil(op, t))
-        assert (s, l) == (ref[0], ref[1])
+    for nsamples in (7, 9, 20):
+        ts, signs, logs = dense_oracle(op, nsamples=nsamples)
+        assert len(ts) == len(signs) == len(logs) == nsamples
+        for i, (t, s, l) in enumerate(zip(ts, signs, logs)):
+            assert t == -ts[-1 - i]
+            ref = np.linalg.slogdet(pencil(op, abs(t)))
+            assert (s, l) == (ref[0], ref[1])
+
+
+def test_pencil_determinant_is_even():
+    # the identity the oracle shares each (t, -t) pair on: H = M A is
+    # symmetric and M, per-point diagonal, commutes with J, so
+    # P(-t)^T = M P(t) M^-1 and det P(-t) = det P(t), sign included, for
+    # either kind, any masses or vorticities and any omega.  Besides the
+    # grid: a mixed-sign vortex pair, the D_2 vortex system with a -0.4
+    # center, a negative-mass Newtonian ring and gamma = -0.7
+    extra = [solved(5, [rs.regular(1.0, 1.0), rs.regular(2.0, -0.3)], VORT, free=(1,))[0],
+             solved(2, [rs.center(-0.4), rs.regular(1.0, 1.0)], VORT)[0],
+             operator_at(5, [rs.regular(1.0, -1.0)], NEWT, 1.0)[0],
+             operator_at(6, [rs.center(1.5), rs.regular(1.0, 1.0),
+                             rs.semiregular(1.9, 0.15, 0.5)], rs.homogeneous(-0.7), 1.0)[0]]
+    cases = [(op, op.omega) for op, _ in grid_operators()]
+    # off a relative equilibrium too: A does not depend on omega
+    cases += [(op, w) for op in extra for w in (op.omega, 0.37, -1.3, 2.9)]
+    for op, w in cases:
+        ts = max(1.0, abs(w)) * np.array([0.05, 0.31, 0.9, 1.7, 2.6, 3.99])
+        kind = op.potential.kind
+        sp, lp = _slogdets(op.matrix, w, kind, ts)
+        sm, lm = _slogdets(op.matrix, w, kind, -ts)
+        key = (op.system.n, op.system.type_abc, kind, w)
+        assert np.array_equal(sp, sm), key
+        assert np.all(np.abs(lp - lm) <= 1e-13 * np.maximum(1.0, np.abs(lp))), key
 
 
 def test_oracle_samples_match_factor_product():
@@ -465,6 +494,21 @@ def test_coefficients_do_not_depend_on_ring_order(n, rings):
     assert set(fwd) == set(rev)
     for label, c in fwd.items():
         assert np.max(np.abs(c - rev[label])) <= 1e-7 * np.max(np.abs(c)), label
+
+
+def test_coefficients_match_np_poly():
+    # one stack's coefficients are expanded together, one factor
+    # (lambda - r_j) at a time in np.poly's order.  The two round
+    # differently, and on the grid's degree-48 and 52 factors, which cancel
+    # heavily, they differ by up to 7e-7 of the largest coefficient, so they are
+    # compared on the expansion's error scale, the coefficients of
+    # prod (lambda + |r_j|)
+    for op, basis in list(grid_operators()) + solved_split_systems():
+        for f in factorize(op, basis, oracle=False).factors:
+            ref = np.poly(f.spectrum).real[::-1]
+            scale = np.poly(-np.abs(f.spectrum)).real[::-1]
+            assert np.all(np.abs(f.coefficients - ref) <= 1e-14 * scale), f.label
+            assert not f.coefficients.flags.writeable
 
 
 def test_roots_backward_error_at_large_n():
