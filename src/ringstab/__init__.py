@@ -8,24 +8,23 @@ factors the characteristic polynomial accordingly.
 """
 
 from .dihedral import (ALPHA, PHI, PSI, TAU, DihedralElement, IrrepLabel,
-                       full_group, identity, irrep_list, irrep_matrix,
-                       is_standard, planar_action, reflection, rho, rotation)
+                       full_group, identity, irrep_list, planar_action,
+                       reflection, rho, rotation)
 from .config import ConfigError, JobConfig, parse_config, parse_config_text
 from .dynamics import (Potential, ReleqSolution, StabilityOperator, apply_j,
                        equivariance_residual, gradient, hessian, hessian_fd,
-                       hessian_fd_residual, homogeneous, j_matrix, newtonian,
-                       potential_value, releq_residual, solve_releq,
-                       stability_operator, translation_kernel_residual, vortex)
+                       hessian_fd_residual, homogeneous, newtonian,
+                       releq_residual, solve_releq, stability_operator,
+                       translation_kernel_residual, vortex)
 from .geometry import RingSpec, RingSystem, build, center, regular, ring_positions, semiregular
 from .stability import (BlockReport, FactorizationReport, PolyFactor,
-                        classical_checks, dense_oracle, expected_degree_profile,
-                        factorize, transform)
+                        classical_checks, dense_oracle, factorize)
 from .svg import emit_svg, render_svg
 from .symbasis import (IsotypicComponent, ProjectorFamily, ResidualReport,
-                       SymBasis, assemble_global_basis, averaging_operator,
-                       gram_residual, isotypic_decomposition, j_relations_check,
-                       m_inner, multiplicities, projector,
-                       projector_algebra_check, projector_family,
-                       symplectic_residuals, translation_field)
+                       SymBasis, assemble_global_basis, gram_residual,
+                       isotypic_decomposition, j_relations_check, m_inner,
+                       multiplicities, projector_algebra_check,
+                       projector_family, symplectic_residuals,
+                       translation_field)
 
 __version__ = "0.1.0"

@@ -15,7 +15,7 @@ import sys as _sys
 
 import numpy as np
 
-from .config import ConfigError, JobConfig, parse_config, threshold
+from .config import ConfigError, JobConfig, parse_config
 from .dynamics import (Potential, ReleqSolution, StabilityOperator,
                        equivariance_residual, hessian_fd_residual,
                        solve_releq, stability_operator,
@@ -52,13 +52,6 @@ def _resolve_omega(cfg: JobConfig, sysm: RingSystem, pot: Potential):
     return sysm, float(cfg.omega), None
 
 
-def _thresholds(args, cfg: JobConfig):
-    """limit(key, default): --tol when given, else the config's tol_<key>, else default."""
-    def limit(key: str, default: float) -> float:
-        return args.tol if args.tol is not None else cfg.tolerances.get(key, default)
-    return limit
-
-
 def _item(name, residual, threshold, status=None, gated=True) -> dict:
     """One reported check; with no status given it passes at residual <= threshold."""
     if status is None:
@@ -87,7 +80,8 @@ def _reversed_residual(op: StabilityOperator) -> float:
 
 def invariant_suite(op: StabilityOperator, basis: SymBasis,
                     fac: FactorizationReport, limit) -> list[dict]:
-    """One item per invariant, at the thresholds of limit (`_thresholds`).
+    """One item per invariant, at the thresholds of limit(key, default),
+    the config's tol_<key> when set, else the default.
 
     The projector family of op's system is built once and shared by the
     projector checks; the operator checks read op, the operator that fac
@@ -122,13 +116,13 @@ def invariant_suite(op: StabilityOperator, basis: SymBasis,
     return items
 
 
-def _pipeline(cfg: JobConfig, limit):
+def _pipeline(cfg: JobConfig):
     sysm = cfg.system()
     pot = cfg.potential()
     sysm, omega, sol = _resolve_omega(cfg, sysm, pot)
     op = stability_operator(sysm, pot, omega)
     basis = assemble_global_basis(sysm)
-    fac = factorize(op, basis, tol_off=limit("off_block", OFF_BLOCK_TOL))
+    fac = factorize(op, basis, tol_off=cfg.tolerances.get("off_block", OFF_BLOCK_TOL))
     return sysm, op, basis, fac, sol
 
 
@@ -154,9 +148,8 @@ def _write_outputs(args, cfg: JobConfig, sysm, basis, fac, report: str):
 
 
 def _cmd_analyze(cfg: JobConfig, args) -> int:
-    limit = _thresholds(args, cfg)
-    sysm, op, basis, fac, sol = _pipeline(cfg, limit)
-    gates = _factor_gates(fac, limit)
+    sysm, op, basis, fac, sol = _pipeline(cfg)
+    gates = _factor_gates(fac, cfg.tolerances.get)
     doc = build_report(cfg, sysm, op=op, basis=basis, fac=fac, solution=sol,
                        reversed_residual=_reversed_residual(op),
                        oracle_passed=gates["oracle"]["status"] == "PASS")
@@ -171,9 +164,8 @@ def _cmd_analyze(cfg: JobConfig, args) -> int:
 
 
 def _cmd_verify(cfg: JobConfig, args) -> int:
-    limit = _thresholds(args, cfg)
-    sysm, op, basis, fac, sol = _pipeline(cfg, limit)
-    items = invariant_suite(op, basis, fac, limit)
+    sysm, op, basis, fac, sol = _pipeline(cfg)
+    items = invariant_suite(op, basis, fac, cfg.tolerances.get)
     code = _verdict(items)
     if args.format == "machine":
         doc = build_report(cfg, sysm, op=op, basis=basis, solution=sol, invariants=items)
@@ -218,17 +210,16 @@ def _cmd_diagram(cfg: JobConfig, args) -> int:
     for blk, cols in picks:
         for col in cols:
             paths.append(emit_svg(
-                sysm, col, os.path.join(out, "col%03d_%s.svg" % (col, blk.label)),
-                basis=basis.matrix, title="%s column %d" % (blk.label, col - blk.start)))
+                sysm, basis.matrix[:, col], os.path.join(out, "col%03d_%s.svg" % (col, blk.label)),
+                title="%s column %d" % (blk.label, col - blk.start)))
     for p in paths:
         print(p)
     return EXIT_OK
 
 
 def _cmd_oracle(cfg: JobConfig, args) -> int:
-    limit = _thresholds(args, cfg)
-    sysm, op, basis, fac, sol = _pipeline(cfg, limit)
-    orc, gate = fac.oracle, _factor_gates(fac, limit)["oracle"]
+    sysm, op, basis, fac, sol = _pipeline(cfg)
+    orc, gate = fac.oracle, _factor_gates(fac, cfg.tolerances.get)["oracle"]
     code = _verdict([gate])
     if args.format == "machine":
         print(to_machine(build_report(cfg, sysm, op=op, basis=basis, fac=fac, solution=sol,
@@ -244,17 +235,15 @@ def _cmd_oracle(cfg: JobConfig, args) -> int:
 #: each verb's handler, help and the flags it reads besides --config
 _VERBS = {
     "analyze": (_cmd_analyze, "full pipeline: solve, decompose, factor, report",
-                ("out", "tol", "format", "block")),
-    "verify": (_cmd_verify, "run every invariant suite, one line each", ("tol", "format")),
+                ("out", "format", "block")),
+    "verify": (_cmd_verify, "run every invariant suite, one line each", ("format",)),
     "releq": (_cmd_releq, "solve or check the relative equilibrium only", ("format",)),
     "diagram": (_cmd_diagram, "emit SVG diagrams of basis columns", ("out", "block")),
     "oracle": (_cmd_oracle, "compare factor product against the dense determinant",
-               ("tol", "format")),
+               ("format",)),
 }
 _FLAGS = {
     "out": dict(default=None, help="directory for output files"),
-    "tol": dict(type=threshold, default=None,
-                help="override every gate threshold with this positive finite value"),
     "format": dict(choices=("text", "machine"), default="text"),
     "block": dict(default=None, help="restrict diagrams/factors to one block label"),
 }

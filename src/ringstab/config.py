@@ -22,7 +22,7 @@ Angle values accept plain floats plus the forms "pi/n" (the config's n) and
 problem, so a bad config fails with the complete list, not just the first.
 The rules on the values belong to the library: `check_ring` judges a ring,
 `build` the system, `Potential` the kind and gamma, `free_radius_errors` the
-free radii.  The threshold rule of `tol_<key>` and `--tol` is `threshold`'s.
+free radii.  The threshold rule of `tol_<key>` is `threshold`'s.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ class JobConfig:
 
 
 def threshold(text: str) -> float:
-    """A gate threshold, from `tol_<key>` or `--tol`: a positive finite number."""
+    """A gate threshold, from `tol_<key>`: a positive finite number."""
     value = float(text)
     if not (value > 0 and math.isfinite(value)):
         raise ValueError("threshold must be positive and finite, got %g" % value)

@@ -1,12 +1,13 @@
-"""Dihedral group D_n: elements, composition, and its real irreducible representations.
+"""Dihedral group D_n: elements, composition, the planar action, and the
+labels of its real irreducible representations.
 
 Elements are written r^j s^k with r the rotation by 2*pi/n, s a reflection,
 j in {0..n-1}, k in {0,1}.  The composition law is
 
     (r^j s^k) (r^j' s^k') = r^(j + (-1)^k j') s^(k xor k').
 
-Every real irreducible representation of D_n is carried here in a fixed
-orthogonal realization:
+Every real irreducible representation of D_n has a label here; the
+projectors of `symbasis` take each in this fixed orthogonal realization:
 
     tau   : trivial, degree 1
     alpha : sign of the reflection part, degree 1
@@ -83,8 +84,8 @@ def full_group(n: int) -> list[DihedralElement]:
 def planar_action(g: DihedralElement) -> np.ndarray:
     """2x2 matrix of g acting on the plane with s = reflection across the x-axis.
 
-    Coincides with irrep_matrix(rho_1, g) for every n; this is the
-    realization under which the admissible ring systems are invariant.
+    For n > 2 this is the standard representation rho_1; the admissible
+    ring systems are invariant under it.
     """
     theta = 2.0 * np.pi * g.rot / g.n
     c, s = np.cos(theta), np.sin(theta)
@@ -150,30 +151,3 @@ def irrep_list(n: int) -> list[IrrepLabel]:
         labels += [PHI, PSI]
     labels += [rho(k) for k in rho_range(n)]
     return labels
-
-
-def is_standard(label: IrrepLabel, n: int) -> bool:
-    """True when label realizes the planar action (rho_1, n > 2)."""
-    return label.kind == "rho" and label.k == 1 and n > 2
-
-
-def irrep_matrix(label: IrrepLabel, g: DihedralElement) -> np.ndarray:
-    """Matrix (1x1 or 2x2) of g in the fixed orthogonal realization of the irrep."""
-    n, j = g.n, g.rot
-    if label.kind in ("phi", "psi") and n % 2:
-        raise ValueError("irrep %r requires even group order, got n=%d" % (label, n))
-    if label.kind == "rho" and label.k not in rho_range(n):
-        raise ValueError("irrep %r not defined for D_%d" % (label, n))
-    if label.kind == "tau":
-        return np.array([[1.0]])
-    if label.kind == "alpha":
-        return np.array([[-1.0 if g.ref else 1.0]])
-    if label.kind == "phi":
-        return np.array([[(-1.0) ** j]])
-    if label.kind == "psi":
-        return np.array([[(-1.0) ** (j + g.ref)]])
-    theta = 2.0 * np.pi * label.k * j / n
-    c, s = np.cos(theta), np.sin(theta)
-    if g.ref:
-        return np.array([[c, s], [s, -c]])
-    return np.array([[c, -s], [s, c]])

@@ -63,15 +63,6 @@ def vortex() -> Potential:
     return Potential("vortex")
 
 
-def j_matrix(npoints: int) -> np.ndarray:
-    """Block diagonal J, one [[0, -1], [1, 0]] block per point."""
-    out = np.zeros((2 * npoints, 2 * npoints))
-    i = 2 * np.arange(npoints)
-    out[i, i + 1] = -1.0
-    out[i + 1, i] = 1.0
-    return out
-
-
 def apply_j(w: np.ndarray) -> np.ndarray:
     """J @ w without forming J: (x, y) -> (-y, x) per point."""
     v = w.reshape(-1, 2)
@@ -83,16 +74,6 @@ def _pair_geometry(positions: np.ndarray):
     dist = np.linalg.norm(diff, axis=2)
     np.fill_diagonal(dist, 1.0)                               # avoid 0/0; diagonal unused
     return diff, dist
-
-
-def potential_value(sys: RingSystem, pot: Potential) -> float:
-    diff, dist = _pair_geometry(sys.positions)
-    mm = np.outer(sys.masses, sys.masses)
-    iu = np.triu_indices(sys.npoints, k=1)
-    if pot.kind == "vortex":
-        return float(-np.sum(mm[iu] * np.log(dist[iu])))
-    p = 2.0 * pot.gamma + 2.0
-    return float(np.sum(mm[iu] * dist[iu] ** p) / p)
 
 
 def _pair_weights(mm: np.ndarray, dist: np.ndarray, pot: Potential) -> np.ndarray:

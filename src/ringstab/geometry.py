@@ -101,7 +101,6 @@ class RingSystem:
     rings: list[RingSpec]
     positions: np.ndarray          # (N, 2)
     masses: np.ndarray             # (N,)
-    orbit_of: np.ndarray           # (N,) ring index per point
     orbit_slices: list[slice] = field(default_factory=list)
 
     @property
@@ -124,12 +123,6 @@ class RingSystem:
     def mass_diag(self) -> np.ndarray:
         """Diagonal of M = diag(m_1, m_1, ..., m_N, m_N), length 2N."""
         return np.repeat(self.masses, 2)
-
-    def orbit_points(self, i: int) -> np.ndarray:
-        return self.positions[self.orbit_slices[i]]
-
-    def group(self) -> list[DihedralElement]:
-        return full_group(self.n)
 
     def group_action(self) -> "GroupAction":
         """The action of every element of D_n as index arrays.
@@ -161,22 +154,6 @@ class RingSystem:
         np.put_along_axis(inverse, perm, np.arange(npts)[None, :], axis=1)
         blocks = np.array([planar_action(g) for g in full_group(n)])
         return GroupAction(n=n, perm=perm, inverse=inverse, blocks=blocks)
-
-    def sigma_matrix(self, g: DihedralElement) -> np.ndarray:
-        """2N x 2N matrix of g acting on displacement fields.
-
-        (sigma(g) w)_i = g . w_{g^{-1}(i)}: block (pi[i], i) is the planar
-        action of g, where pi is the point permutation of g, with
-        positions[pi[i]] = planar_action(g) @ positions[i].
-        """
-        k = _element_index(g, self.n)
-        perm = self.group_action().perm[k]
-        act = planar_action(g)
-        out = np.zeros((2 * self.npoints, 2 * self.npoints))
-        for i in range(self.npoints):
-            j = perm[i]
-            out[2 * j:2 * j + 2, 2 * i:2 * i + 2] = act
-        return out
 
 
 def check_ring(n: int, spec: RingSpec) -> None:
@@ -253,7 +230,7 @@ def build(n: int, rings: list[RingSpec]) -> RingSystem:
         raise ValueError("at most one center ring allowed")
     if all(r.kind == "center" for r in rings):
         raise ValueError("need at least one non-center ring")
-    chunks, masses, orbit_of, slices = [], [], [], []
+    chunks, masses, slices = [], [], []
     start = 0
     for idx, spec in enumerate(rings):
         try:
@@ -262,12 +239,10 @@ def build(n: int, rings: list[RingSpec]) -> RingSystem:
             raise ValueError("ring %d: %s" % (idx, exc)) from None
         chunks.append(pts)
         masses.extend([spec.mass] * len(pts))
-        orbit_of.extend([idx] * len(pts))
         slices.append(slice(start, start + len(pts)))
         start += len(pts)
     positions = np.vstack(chunks)
     _check_collisions(positions)
     return RingSystem(n=n, rings=list(rings), positions=positions,
                       masses=np.asarray(masses, dtype=float),
-                      orbit_of=np.asarray(orbit_of, dtype=int),
                       orbit_slices=slices)

@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import StabilityOperator, apply_j, j_matrix
-from .symbasis import SymBasis, multiplicities, standard_j, translation_field
+from .dynamics import StabilityOperator, apply_j
+from .symbasis import SymBasis, standard_j, translation_field
 
 #: default off-block threshold; `factorize` splits lead pairs against it, `cli` gates on it
 OFF_BLOCK_TOL = 1e-9
@@ -41,12 +41,6 @@ ORACLE_TOL = 1e-8
 # pencils and block factors
 
 
-def pencil(op: StabilityOperator, lam: float) -> np.ndarray:
-    """The stability pencil of the full system at one lambda value."""
-    return _pencils(op.matrix, j_matrix(op.system.npoints), op.omega,
-                    op.potential.kind, [lam])[0]
-
-
 def _shifts(omega: float, kind: str, ts) -> tuple[np.ndarray, np.ndarray]:
     """(c, d) at each lambda in ts, for the pencil (A + c I) + d J."""
     ts = np.asarray(ts, dtype=float)
@@ -55,24 +49,18 @@ def _shifts(omega: float, kind: str, ts) -> tuple[np.ndarray, np.ndarray]:
     return ts * ts - omega * omega, 2.0 * ts * omega
 
 
-def _pencils(A: np.ndarray, J: np.ndarray, omega: float, kind: str, ts) -> np.ndarray:
-    """The pencils at every lambda in ts as one (..., len(ts), s, s) stack;
-    leading axes of A and J (a stack of blocks) come first."""
-    c, d = _shifts(omega, kind, ts)
-    A, J = A[..., None, :, :], J[..., None, :, :]
-    return (A + c[:, None, None] * np.eye(A.shape[-1])) + d[:, None, None] * J
-
-
 def _slogdets(A, omega, kind, ts) -> tuple[np.ndarray, np.ndarray]:
-    """Sign and log |det| of the pencil at each lambda in ts, one pencil at
-    a time, so the dense oracle holds one 2N x 2N pencil, not a stack.
+    """Sign and log |det| of the pencil (A + c I) + d J at each lambda in
+    ts, one pencil at a time, so the dense oracle holds one 2N x 2N pencil,
+    not a stack.
 
     Each pencil is written into one buffer reused across the samples: A,
     plus c on the diagonal, minus and plus d at the nonzero entries of J.
-    Every entry takes the one rounded addition it takes in `_pencils`, so
-    the determinants are `pencil`'s bit for bit.  No 2N x 2N temporary is
-    formed per sample (nor I or J), so the allocator has no large blocks
-    to hand back to the system and fault in again."""
+    Every entry takes the one rounded addition it takes when the pencil is
+    formed as that sum of dense matrices, so the determinants are the dense
+    pencil's bit for bit.  No 2N x 2N temporary is formed per sample (nor
+    I or J), so the allocator has no large blocks to hand back to the
+    system and fault in again."""
     n = A.shape[0]
     pen = np.empty((n, n))
     flat = pen.reshape(-1)        # diagonal: step n + 1; J: step 2n + 2
@@ -150,40 +138,7 @@ def _block_factors(labels: list[str], Ab: np.ndarray, omega: float,
 
 
 # ---------------------------------------------------------------------------
-# blocks by projection, and the dense reference transform
-
-
-@dataclass
-class TransformResult:
-    a_tilde: np.ndarray
-    j_tilde: np.ndarray
-    off_residuals: dict[str, float]
-    max_off: float
-
-
-def _off_residual(M: np.ndarray, cols: np.ndarray, total: float) -> float:
-    """Frobenius mass of M[outside, cols] relative to total = ||M||_F."""
-    if total == 0.0:
-        return 0.0
-    mask = np.ones(M.shape[0], dtype=bool)
-    mask[cols] = False
-    return float(np.linalg.norm(M[np.ix_(mask, cols)]) / total)
-
-
-def transform(op: StabilityOperator, basis: SymBasis) -> TransformResult:
-    """Conjugate A and J into the adapted basis and measure block leakage.
-
-    The dense reference for `factorize`'s projected blocks: two 2N x 2N
-    solves, used by the tests and never by `factorize`."""
-    C = basis.matrix
-    a_t = np.linalg.solve(C, op.matrix @ C)
-    j_t = np.linalg.solve(C, apply_j(C.T).T)      # J C, J never formed
-    norms = (np.linalg.norm(a_t), np.linalg.norm(j_t))
-    offs = {blk.label: max(_off_residual(a_t, np.array(blk.cols), norms[0]),
-                           _off_residual(j_t, np.array(blk.cols), norms[1]))
-            for blk in basis.blocks}
-    return TransformResult(a_tilde=a_t, j_tilde=j_t, off_residuals=offs,
-                           max_off=max(offs.values()))
+# blocks by projection
 
 
 class _Products:
@@ -247,26 +202,22 @@ class OracleReport:
     max_rel_error: float
 
 
-def dense_oracle(op: StabilityOperator, nsamples: int = 20) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sign and log magnitude of the dense determinant at Chebyshev points
-    spanning [-2s, 2s], s = max(1, |omega|), in descending order.
+def dense_oracle(op: StabilityOperator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sign and log magnitude of the dense determinant at 20 Chebyshev
+    points spanning [-2s, 2s], s = max(1, |omega|), in descending order.
 
-    The points are exact pairs (t, -t), and only the pencils at t >= 0 are
-    factored, one 2N x 2N LU per pair; a node at 0 (odd nsamples) is its
-    own partner.  The pencil is Hamiltonian: H = M A is symmetric and M,
-    per-point diagonal, commutes with J, so P(-t)^T = M P(t) M^-1 for both
-    kinds, any masses or vorticities (mixed signs included), on or off a
-    relative equilibrium.  Hence det P(-t) = det P(t), sign included."""
-    s = max(1.0, abs(op.omega))
-    i = np.arange((nsamples + 1) // 2)
-    front = 2.0 * s * np.cos(np.pi * (2 * i + 1) / (2 * nsamples))
-    if nsamples % 2:
-        front[-1] = 0.0
+    The points are 10 exact pairs (t, -t), and only the pencils at t > 0
+    are factored, one 2N x 2N LU per pair.  The pencil is Hamiltonian:
+    H = M A is symmetric and M, per-point diagonal, commutes with J, so
+    P(-t)^T = M P(t) M^-1 for both kinds, any masses or vorticities (mixed
+    signs included), on or off a relative equilibrium.  Hence
+    det P(-t) = det P(t), sign included."""
+    i = np.arange(10)
+    front = 2.0 * max(1.0, abs(op.omega)) * np.cos(np.pi * (2 * i + 1) / 40)
     signs, logs = _slogdets(op.matrix, op.omega, op.potential.kind, front)
-    pairs = nsamples // 2
-    return (np.concatenate([front, -front[:pairs][::-1]]),
-            np.concatenate([signs, signs[:pairs][::-1]]),
-            np.concatenate([logs, logs[:pairs][::-1]]))
+    return (np.concatenate([front, -front[::-1]]),
+            np.concatenate([signs, signs[::-1]]),
+            np.concatenate([logs, logs[::-1]]))
 
 
 def _log_rel_errors(sp, lp, sd, ld) -> np.ndarray:
@@ -342,22 +293,6 @@ def classical_checks(op: StabilityOperator) -> dict[str, float]:
 # main entry
 
 
-def expected_degree_profile(n: int, a: int, b: int, c: int) -> list[int]:
-    """Coarse block sizes in assembly order (tau/alpha, phi/psi, rho_2..,
-    sigma); each homogeneous factor has twice this degree, each vortex
-    factor exactly this degree."""
-    m = multiplicities(n, a, b, c)
-    if n == 2:
-        return [2 * m["tau"], 2 * m["phi"]]
-    out = [2 * m["tau"]]
-    if n % 2 == 0:
-        out.append(2 * m["phi"])
-    ks = sorted(int(k.split("_")[1]) for k in m if k.startswith("rho_"))
-    out += [2 * m["rho_%d" % k] for k in ks if k != 1]
-    out.append(2 * m["rho_1"])
-    return out
-
-
 @dataclass
 class FactorizationReport:
     kind: str
@@ -389,7 +324,7 @@ def factorize(op: StabilityOperator, basis: SymBasis,
     Each coarse block is projected out of one product A C (`_Products`):
     A~_b = G_b^-1 C_b^T M (A C_b), with G_b = C_b^T M C_b.  Distinct
     isotypic blocks are M-orthogonal (M is D_n-invariant), so these are the
-    diagonal blocks of C^-1 A C, which `transform` forms densely.  J needs
+    diagonal blocks of C^-1 A C, with no 2N x 2N solve.  J needs
     no projection: the basis layout gives J C_b = C_b J_b exactly, so
     J~_b = J_b (`symbasis.standard_j`) and J leaks nothing.  The off-block
     residual of a block is the weighted invariance residual
@@ -447,9 +382,6 @@ def factorize(op: StabilityOperator, basis: SymBasis,
         for blk, f in zip(same, stack):
             blk.factor = f
 
-    a, b, c = op.system.type_abc
-    profile = expected_degree_profile(op.system.n, a, b, c)
-
     orep = None
     if oracle:
         ts, sd, ld = dense_oracle(op)
@@ -460,6 +392,7 @@ def factorize(op: StabilityOperator, basis: SymBasis,
     classical = classical_checks(op) if op.is_releq else None
     gamma = op.potential.gamma if kind == "homogeneous" else None
     return FactorizationReport(kind=kind, omega=op.omega, gamma=gamma,
-                               is_releq=op.is_releq, blocks=blocks, degree_profile=profile,
+                               is_releq=op.is_releq, blocks=blocks,
+                               degree_profile=[blk.size for blk in basis.blocks],
                                max_off_residual=max(off for _, off in coarse.values()),
                                oracle=orep, classical=classical, notes=notes)

@@ -105,17 +105,10 @@ def render_svg(sys: RingSystem, displacement: np.ndarray | None = None,
     return "\n".join(lines) + "\n"
 
 
-def emit_svg(sys: RingSystem, displacement, path: str,
-             basis: np.ndarray | None = None, title: str | None = None) -> str:
-    """Write one diagram; `displacement` is a 2N vector or a column index
-    into `basis`.  Returns the path written."""
-    if isinstance(displacement, (int, np.integer)):
-        if basis is None:
-            raise ValueError("column index given without a basis")
-        if not (0 <= int(displacement) < basis.shape[1]):
-            raise ValueError("column index %d out of range (basis has %d columns)"
-                             % (int(displacement), basis.shape[1]))
-        displacement = basis[:, int(displacement)]
+def emit_svg(sys: RingSystem, displacement: np.ndarray | None, path: str,
+             title: str | None = None) -> str:
+    """Write the diagram of one 2N displacement vector (None: the bare
+    system) to path; returns the path written."""
     text = render_svg(sys, displacement, title=title)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)

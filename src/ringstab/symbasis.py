@@ -42,8 +42,9 @@ MNORM_RTOL = 1e-10
 
 
 def _averaging(act: GroupAction, kind: str, k: int) -> np.ndarray:
-    if kind not in ("c", "s"):
-        raise ValueError("averaging kind must be 'c' or 's'")
+    """(1/2n) sum_{j=1..n} w_j sigma(r^j) with w_j = cos (kind "c") or sin
+    (kind "s") of 2*pi*k*j/n, scattered from the n nonzero 2x2 blocks of
+    each point's column: O(nN) entries, no dense sigma matrix."""
     n, npts = act.n, act.perm.shape[1]
     j = np.arange(1, n + 1)
     ang = 2.0 * np.pi * k * j / n
@@ -60,44 +61,14 @@ def _averaging(act: GroupAction, kind: str, k: int) -> np.ndarray:
     return out.reshape(2 * npts, 2 * npts)
 
 
-def averaging_operator(sys: RingSystem, kind: str, k: int) -> np.ndarray:
-    """(1/2n) sum_{j=1..n} w_j sigma(r^j) with w_j = cos (kind "c") or sin (kind "s")
-    of 2*pi*k*j/n.  k is taken modulo n (cosine/sine periodicity).
-
-    Assembled by scattering the n nonzero 2x2 blocks of each point's column:
-    O(nN) entries, no dense sigma matrix."""
-    return _averaging(sys.group_action(), kind, k)
-
-
-def projector(sys: RingSystem, label: IrrepLabel, part: tuple[int, int] | None = None) -> np.ndarray:
-    """Projector onto an isotypic component, or one p_ij block of a rho component.
-
-    For one-dimensional labels `part` must be None.  For rho labels, part
-    (i, j) gives p_ij (p_ii project onto the i-th copy V_i, p_ij transfer
-    V_j -> V_i); part None gives p_11 + p_22.  Each is an averaging operator
-    times E + S or E - S, with S = sigma(s) applied as a column gather.
-    """
-    return _projector(sys.group_action(), label, part)
-
-
-def _projector(act: GroupAction, label: IrrepLabel,
-               part: tuple[int, int] | None = None) -> np.ndarray:
+def _projector(act: GroupAction, label: IrrepLabel) -> np.ndarray:
+    """Projector onto a one-dimensional isotypic component: the cosine
+    average at k = 0 (tau, alpha) or n/2 (phi, psi) times E + S or E - S,
+    with S = sigma(s) applied as a column gather."""
     n = act.n
-    if label.kind != "rho":
-        if part is not None:
-            raise ValueError("part applies to rho labels only")
-        if label.kind in ("phi", "psi") and n % 2:
-            raise ValueError("irrep %r requires even n" % (label,))
-        avg = _averaging(act, "c", 0 if label.kind in ("tau", "alpha") else n // 2)
-        sign = 1.0 if label.kind in ("tau", "phi") else -1.0
-        return avg + sign * act.right(avg, reflection(n))
-    if label.k not in rho_range(n):
-        raise ValueError("irrep %r not defined for D_%d" % (label, n))
-    if part is None:
-        return 4.0 * _averaging(act, "c", label.k)
-    if part not in ((1, 1), (1, 2), (2, 1), (2, 2)):
-        raise ValueError("part must be one of (1,1), (1,2), (2,1), (2,2)")
-    return _rho_parts(act, label.k)[part]
+    avg = _averaging(act, "c", 0 if label.kind in ("tau", "alpha") else n // 2)
+    sign = 1.0 if label.kind in ("tau", "phi") else -1.0
+    return avg + sign * act.right(avg, reflection(n))
 
 
 def _rho_parts(act: GroupAction, k: int) -> dict[tuple[int, int], np.ndarray]:
@@ -544,60 +515,40 @@ def assemble_global_basis(sys: RingSystem) -> SymBasis:
     (J u_1 ... J u_m, u_1 ... u_m); the J-pairing is exact by construction.
     """
     contribs = [_orbit_contribution(sys, i) for i in range(len(sys.rings))]
-
-    def per_orbit(label: str) -> list[list[np.ndarray]]:
-        return [ct[label] for ct in contribs if ct.get(label)]
+    n = sys.n
     a, b, c = sys.type_abc
-    expect = multiplicities(sys.n, a, b, c)
+    expect = multiplicities(n, a, b, c)
+    # (block label, the component its mismatch message names, its column
+    # count, whether it has a lead pair); a block with a lead pair combines
+    # the orbits' leading columns (`_lead_combo`)
+    plan = [("tau_alpha", "tau", expect["tau"], True)]
+    if n % 2 == 0:
+        plan.append(("phi_psi", "phi", expect["phi"], n == 2))
+    if n > 2:
+        plan += [("rho_%d" % k, "rho_%d" % k, expect["rho_%d" % k], False)
+                 for k in rho_range(n)[1:]]
+        plan.append(("sigma", "sigma", expect["rho_1"], True))
     # M-normalization only makes sense for a definite mass form; with
     # mixed-sign vorticities columns are left unnormalized
     normalize = bool(np.all(sys.masses > 0))
     cols: list[np.ndarray] = []
     blocks: list[BlockPlan] = []
     m_full = True
-
-    def add_block(label: str, u_side: list[np.ndarray], lead: bool):
-        nonlocal m_full
-        u_side, ok1 = _m_gram_schmidt(sys, u_side, normalize)
-        m_full = m_full and ok1
-        start = len(cols)
-        cols.extend(apply_j(u) for u in u_side)
-        cols.extend(u_side)
-        blocks.append(BlockPlan(label=label, start=start, pairs=len(u_side), lead_pair=lead))
-
-    u, ok = _lead_combo(sys, per_orbit("tau_alpha"))
-    m_full = m_full and ok
-    if len(u) != expect["tau"]:
-        raise ValueError("decomposition mismatch: tau has %d columns, expected %d"
-                         % (len(u), expect["tau"]))
-    add_block("tau_alpha", u, lead=True)
-
-    if sys.n % 2 == 0:
-        if sys.n == 2:
-            u, ok = _lead_combo(sys, per_orbit("phi_psi"))
+    for label, name, count, lead in plan:
+        per_orbit = [ct[label] for ct in contribs if ct.get(label)]
+        if lead:
+            u, ok = _lead_combo(sys, per_orbit)
             m_full = m_full and ok
         else:
-            u = [v for lst in per_orbit("phi_psi") for v in lst]
-        if len(u) != expect["phi"]:
-            raise ValueError("decomposition mismatch: phi has %d columns, expected %d"
-                             % (len(u), expect["phi"]))
-        add_block("phi_psi", u, lead=(sys.n == 2))
-
-    if sys.n > 2:
-        for k in rho_range(sys.n):
-            if k == 1:
-                continue
-            u = [v for lst in per_orbit("rho_%d" % k) for v in lst]
-            if len(u) != expect["rho_%d" % k]:
-                raise ValueError("decomposition mismatch: rho_%d has %d columns, expected %d"
-                                 % (k, len(u), expect["rho_%d" % k]))
-            add_block("rho_%d" % k, u, lead=False)
-        u, ok = _lead_combo(sys, per_orbit("sigma"))
+            u = [v for lst in per_orbit for v in lst]
+        if len(u) != count:
+            raise ValueError("decomposition mismatch: %s has %d columns, expected %d"
+                             % (name, len(u), count))
+        u, ok = _m_gram_schmidt(sys, u, normalize)
         m_full = m_full and ok
-        if len(u) != expect["rho_1"]:
-            raise ValueError("decomposition mismatch: sigma has %d columns, expected %d"
-                             % (len(u), expect["rho_1"]))
-        add_block("sigma", u, lead=True)
+        blocks.append(BlockPlan(label=label, start=len(cols), pairs=len(u), lead_pair=lead))
+        cols.extend(apply_j(v) for v in u)
+        cols.extend(u)
 
     C = np.column_stack(cols)
     if C.shape[0] != C.shape[1]:

@@ -1,0 +1,152 @@
+"""Dense references the tests compare the library against.
+
+No verb runs these: the library works matrix-free in the group action and
+reads the block structure off the adapted basis.  Here the same objects are
+formed directly, as the 2N x 2N matrices or closed forms of their
+definitions, so that the tests can check the library against them.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from ringstab.dihedral import DihedralElement, IrrepLabel, planar_action, rho_range
+from ringstab.dynamics import Potential, StabilityOperator, _pair_geometry, apply_j
+from ringstab.geometry import RingSystem, _element_index
+from ringstab.stability import _shifts
+from ringstab.symbasis import SymBasis, multiplicities
+
+
+# ---------------------------------------------------------------------------
+# the group and its action
+
+
+def irrep_matrix(label: IrrepLabel, g: DihedralElement) -> np.ndarray:
+    """Matrix (1x1 or 2x2) of g in the fixed orthogonal realization of the irrep."""
+    n, j = g.n, g.rot
+    if label.kind in ("phi", "psi") and n % 2:
+        raise ValueError("irrep %r requires even group order, got n=%d" % (label, n))
+    if label.kind == "rho" and label.k not in rho_range(n):
+        raise ValueError("irrep %r not defined for D_%d" % (label, n))
+    if label.kind == "tau":
+        return np.array([[1.0]])
+    if label.kind == "alpha":
+        return np.array([[-1.0 if g.ref else 1.0]])
+    if label.kind == "phi":
+        return np.array([[(-1.0) ** j]])
+    if label.kind == "psi":
+        return np.array([[(-1.0) ** (j + g.ref)]])
+    theta = 2.0 * np.pi * label.k * j / n
+    c, s = np.cos(theta), np.sin(theta)
+    if g.ref:
+        return np.array([[c, s], [s, -c]])
+    return np.array([[c, -s], [s, c]])
+
+
+def sigma_matrix(sys: RingSystem, g: DihedralElement) -> np.ndarray:
+    """2N x 2N matrix of g acting on displacement fields.
+
+    (sigma(g) w)_i = g . w_{g^{-1}(i)}: block (pi[i], i) is the planar
+    action of g, where pi is the point permutation of g, with
+    positions[pi[i]] = planar_action(g) @ positions[i].
+    """
+    k = _element_index(g, sys.n)
+    perm = sys.group_action().perm[k]
+    act = planar_action(g)
+    out = np.zeros((2 * sys.npoints, 2 * sys.npoints))
+    for i in range(sys.npoints):
+        j = perm[i]
+        out[2 * j:2 * j + 2, 2 * i:2 * i + 2] = act
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the potential and J
+
+
+def j_matrix(npoints: int) -> np.ndarray:
+    """Block diagonal J, one [[0, -1], [1, 0]] block per point."""
+    out = np.zeros((2 * npoints, 2 * npoints))
+    i = 2 * np.arange(npoints)
+    out[i, i + 1] = -1.0
+    out[i + 1, i] = 1.0
+    return out
+
+
+def potential_value(sys: RingSystem, pot: Potential) -> float:
+    diff, dist = _pair_geometry(sys.positions)
+    mm = np.outer(sys.masses, sys.masses)
+    iu = np.triu_indices(sys.npoints, k=1)
+    if pot.kind == "vortex":
+        return float(-np.sum(mm[iu] * np.log(dist[iu])))
+    p = 2.0 * pot.gamma + 2.0
+    return float(np.sum(mm[iu] * dist[iu] ** p) / p)
+
+
+# ---------------------------------------------------------------------------
+# pencils, the dense transform and the degree profile
+
+
+def pencil(op: StabilityOperator, lam: float) -> np.ndarray:
+    """The stability pencil of the full system at one lambda value."""
+    return _pencils(op.matrix, j_matrix(op.system.npoints), op.omega,
+                    op.potential.kind, [lam])[0]
+
+
+def _pencils(A: np.ndarray, J: np.ndarray, omega: float, kind: str, ts) -> np.ndarray:
+    """The pencils at every lambda in ts as one (..., len(ts), s, s) stack;
+    leading axes of A and J (a stack of blocks) come first."""
+    c, d = _shifts(omega, kind, ts)
+    A, J = A[..., None, :, :], J[..., None, :, :]
+    return (A + c[:, None, None] * np.eye(A.shape[-1])) + d[:, None, None] * J
+
+
+@dataclass
+class TransformResult:
+    a_tilde: np.ndarray
+    j_tilde: np.ndarray
+    off_residuals: dict[str, float]
+    max_off: float
+
+
+def _off_residual(M: np.ndarray, cols: np.ndarray, total: float) -> float:
+    """Frobenius mass of M[outside, cols] relative to total = ||M||_F."""
+    if total == 0.0:
+        return 0.0
+    mask = np.ones(M.shape[0], dtype=bool)
+    mask[cols] = False
+    return float(np.linalg.norm(M[np.ix_(mask, cols)]) / total)
+
+
+def transform(op: StabilityOperator, basis: SymBasis) -> TransformResult:
+    """Conjugate A and J into the adapted basis and measure block leakage.
+
+    The dense reference for `factorize`'s projected blocks: two 2N x 2N
+    solves."""
+    C = basis.matrix
+    a_t = np.linalg.solve(C, op.matrix @ C)
+    j_t = np.linalg.solve(C, apply_j(C.T).T)      # J C, J never formed
+    norms = (np.linalg.norm(a_t), np.linalg.norm(j_t))
+    offs = {blk.label: max(_off_residual(a_t, np.array(blk.cols), norms[0]),
+                           _off_residual(j_t, np.array(blk.cols), norms[1]))
+            for blk in basis.blocks}
+    return TransformResult(a_tilde=a_t, j_tilde=j_t, off_residuals=offs,
+                           max_off=max(offs.values()))
+
+
+def expected_degree_profile(n: int, a: int, b: int, c: int) -> list[int]:
+    """Coarse block sizes in assembly order (tau/alpha, phi/psi, rho_2..,
+    sigma); each homogeneous factor has twice this degree, each vortex
+    factor exactly this degree."""
+    m = multiplicities(n, a, b, c)
+    if n == 2:
+        return [2 * m["tau"], 2 * m["phi"]]
+    out = [2 * m["tau"]]
+    if n % 2 == 0:
+        out.append(2 * m["phi"])
+    ks = sorted(int(k.split("_")[1]) for k in m if k.startswith("rho_"))
+    out += [2 * m["rho_%d" % k] for k in ks if k != 1]
+    out.append(2 * m["rho_1"])
+    return out

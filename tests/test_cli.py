@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,8 @@ import pytest
 
 import ringstab as rs
 from ringstab import cli
-from ringstab.config import ConfigError, parse_config_text
+from ringstab.config import ConfigError, parse_config, parse_config_text
+from ringstab.geometry import RingSystem
 from ringstab.report import factors_csv, to_machine
 from ringstab.svg import emit_svg, render_svg
 
@@ -174,11 +176,16 @@ def test_system_rules_are_not_judged_on_a_subset_of_rings():
 
 @pytest.mark.parametrize("verb", ["analyze", "verify", "oracle"])
 @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
-def test_tol_must_be_positive_and_finite(verb, tol, pentagon_cfg, capsys):
-    with pytest.raises(SystemExit) as ei:
-        cli.main([verb, "--config", str(pentagon_cfg), "--tol", tol])
-    assert ei.value.code == 2
-    assert "argument --tol: invalid threshold value" in capsys.readouterr().err
+def test_tol_must_be_positive_and_finite(verb, tol, tmp_path, capsys):
+    for key in ("tol_off_block", "tol_oracle", "tol_invariants"):
+        text = PENTAGON.replace("omega = solve\n", "omega = solve\n%s = %s\n" % (key, tol))
+        with pytest.raises(ConfigError) as ei:
+            parse_config_text(text, path="inline")
+        assert ei.value.errors == ["invalid %s '%s' (must be positive and finite)" % (key, tol)]
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        assert cli.main([verb, "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == "config error: %s\n" % ei.value.errors[0]
 
 
 def test_parse_duplicate_and_unknown_section():
@@ -215,15 +222,18 @@ def test_render_svg_masks_zero_arrows():
     assert doc.count("<line") == 4
 
 
-def test_emit_svg_column_selection(tmp_path):
-    sys_ = rs.build(5, [rs.regular(1.0, 1.0)])
+def test_emit_svg_column_selection(tmp_path, pentagon_cfg):
+    # diagram draws basis column c as the displacement of colccc_LABEL.svg
+    assert cli.main(["diagram", "--config", str(pentagon_cfg), "--out", str(tmp_path),
+                     "--block", "rho"]) == 0
+    sys_ = parse_config(str(pentagon_cfg)).system()
     basis = rs.assemble_global_basis(sys_)
-    out = emit_svg(sys_, 0, tmp_path / "c0.svg", basis=basis.matrix)
-    assert os.path.exists(out)
-    with pytest.raises(ValueError, match="out of range"):
-        emit_svg(sys_, 99, tmp_path / "c99.svg", basis=basis.matrix)
-    with pytest.raises(ValueError, match="without a basis"):
-        emit_svg(sys_, 0, tmp_path / "c.svg")
+    for col in range(2, 6):
+        assert (tmp_path / ("col%03d_rho_2.svg" % col)).read_text() == \
+            render_svg(sys_, basis.matrix[:, col], title="rho_2 column %d" % (col - 2))
+    path = str(tmp_path / "c0.svg")
+    assert emit_svg(sys_, basis.matrix[:, 0], path) == path
+    assert (tmp_path / "c0.svg").read_text() == render_svg(sys_, basis.matrix[:, 0])
 
 
 # --- report ----------------------------------------------------------------
@@ -344,10 +354,36 @@ def test_verify_negative_control(pentagon_cfg, broken_symmetry, capsys):
     assert "equivariance" in out.out.lower(), out.out + out.err
 
 
-def test_verify_tol_override_loosens_gates(pentagon_cfg, broken_symmetry, capsys):
-    code = cli.main(["verify", "--config", str(pentagon_cfg), "--tol", "1.0"])
+def test_verify_tol_override_loosens_gates(tmp_path, broken_symmetry, capsys):
+    # the config's tol_<key> values replace the default of every gate
+    cfg = tmp_path / "loose.cfg"
+    cfg.write_text(PENTAGON.replace("omega = solve\n", "omega = solve\ntol_off_block = 1.0\n"
+                                    "tol_oracle = 1.0\ntol_invariants = 1.0\n"))
+    code = cli.main(["verify", "--config", str(cfg)])
     out = capsys.readouterr()
     assert code == 0, out.out + out.err
+
+
+def test_verify_j_relations_gate_fails_on_a_broken_reflection(pentagon_cfg, monkeypatch,
+                                                             capsys):
+    """Fault injection for the J-relations gate, whose residual reads 0 on
+    working code: the (0, 0) entry of sigma(s)'s planar block flips sign,
+    so s acts on the plane as -I, a rotation by pi, which commutes with J
+    where a reflection anticommutes with it."""
+    group_action = RingSystem.group_action
+
+    def broken(sys_):
+        act = group_action(sys_)
+        blocks = act.blocks.copy()
+        blocks[act.n, 0, 0] *= -1.0
+        return replace(act, blocks=blocks)
+
+    monkeypatch.setattr(RingSystem, "group_action", broken)
+    code = cli.main(["verify", "--config", str(pentagon_cfg)])
+    out = capsys.readouterr().out
+    assert code == 3, out
+    assert [l.split()[0] for l in out.splitlines() if "J relations" in l] == ["FAIL"], out
+    assert out.splitlines()[-1] == "verdict: FAIL"
 
 
 def test_verify_mixed_signs_partial(tmp_path):
@@ -544,33 +580,35 @@ def test_back_to_back_main_calls_share_no_state(tmp_path, capsys, pentagon_cfg):
     assert vars(args) == {"command": "releq", "config": "x", "format": "text"}
 
 
-@pytest.mark.parametrize("override", [[], ["--tol", "1.0"]])
+@pytest.mark.parametrize("override", [{}, {"tol_oracle": "1.0"}])
 def test_one_verdict_sets_exit_code_and_pass_marks(tmp_path, capsys, override):
     """tol_oracle = 1e-30 fails the pentagon's oracle (error ~5e-15) in
     analyze and oracle alike, on the exit code and on every pass mark;
-    --tol overrides the config and passes both."""
+    tol_oracle = 1.0 passes both."""
     cfg = tmp_path / "strict.cfg"
-    cfg.write_text(PENTAGON.replace("omega = solve\n", "omega = solve\ntol_oracle = 1e-30\n"))
+    cfg.write_text(PENTAGON.replace("omega = solve\n", "omega = solve\ntol_oracle = %s\n"
+                                    % override.get("tol_oracle", "1e-30")))
     passed = bool(override)
     code = 0 if passed else 3
-    assert cli.main(["analyze", "--config", str(cfg)] + override) == code
+    assert cli.main(["analyze", "--config", str(cfg)]) == code
     oracle_line = [l for l in capsys.readouterr().out.splitlines() if l.startswith("oracle:")]
     assert len(oracle_line) == 1
     assert oracle_line[0].endswith("(pass)" if passed else "(FAIL)")
-    assert cli.main(["analyze", "--config", str(cfg), "--format", "machine"] + override) == code
+    assert cli.main(["analyze", "--config", str(cfg), "--format", "machine"]) == code
     doc = json.loads(capsys.readouterr().out)
     assert doc["factorization"]["oracle"]["passed"] is passed
-    assert cli.main(["oracle", "--config", str(cfg), "--format", "machine"] + override) == code
+    assert cli.main(["oracle", "--config", str(cfg), "--format", "machine"]) == code
     text = capsys.readouterr().out
     assert text.count('"passed"') == 1 and "oracle_passed" not in text
     assert json.loads(text)["factorization"]["oracle"]["passed"] is passed
-    assert cli.main(["oracle", "--config", str(cfg)] + override) == code
+    assert cli.main(["oracle", "--config", str(cfg)]) == code
     assert capsys.readouterr().out.splitlines()[-1].endswith("pass" if passed else "FAIL")
 
 
-#: the optional flags each verb reads
-VERB_FLAGS = {"analyze": {"out", "tol", "format", "block"}, "verify": {"tol", "format"},
-              "releq": {"format"}, "diagram": {"out", "block"}, "oracle": {"tol", "format"}}
+#: the optional flags each verb reads; --tol is retired, so every verb
+#: refuses it (thresholds come from the config's tol_<key>)
+VERB_FLAGS = {"analyze": {"out", "format", "block"}, "verify": {"format"},
+              "releq": {"format"}, "diagram": {"out", "block"}, "oracle": {"format"}}
 FLAG_VALUES = {"out": "d", "tol": "1.0", "format": "machine", "block": "sigma"}
 
 
@@ -580,7 +618,7 @@ def test_each_verb_takes_only_the_flags_it_reads(verb, flag, capsys):
     argv = [verb, "--config", "x", "--" + flag, FLAG_VALUES[flag]]
     if flag in VERB_FLAGS[verb]:
         args = cli._parser().parse_args(argv)
-        assert vars(args)[flag] == (1.0 if flag == "tol" else FLAG_VALUES[flag])
+        assert vars(args)[flag] == FLAG_VALUES[flag]
     else:
         with pytest.raises(SystemExit) as exc:
             cli._parser().parse_args(argv)

