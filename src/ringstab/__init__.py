@@ -8,8 +8,8 @@ factors the characteristic polynomial accordingly.
 """
 
 from .dihedral import (ALPHA, PHI, PSI, TAU, DihedralElement, IrrepLabel,
-                       full_group, identity, irrep_list, planar_action,
-                       reflection, rho, rotation)
+                       full_group, irrep_list, planar_action, reflection,
+                       rho, rotation)
 from .config import ConfigError, JobConfig, parse_config, parse_config_text
 from .dynamics import (Potential, ReleqSolution, StabilityOperator, apply_j,
                        equivariance_residual, gradient, hessian, hessian_fd,

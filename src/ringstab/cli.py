@@ -16,9 +16,8 @@ import sys as _sys
 import numpy as np
 
 from .config import ConfigError, JobConfig, parse_config
-from .dynamics import (Potential, ReleqSolution, StabilityOperator,
-                       equivariance_residual, hessian_fd_residual,
-                       solve_releq, stability_operator,
+from .dynamics import (Potential, StabilityOperator, equivariance_residual,
+                       hessian_fd_residual, solve_releq, stability_operator,
                        translation_kernel_residual)
 from .geometry import RingSystem
 from .report import (block_matches, build_report, factors_csv,
@@ -98,7 +97,7 @@ def invariant_suite(op: StabilityOperator, basis: SymBasis,
     except ValueError:
         items.append(_item("multiplicity ranks", 1.0, "exact", status="FAIL"))
     items += [_item("equivariance of A", equivariance_residual(op, fam.action), inv(1e-9)),
-              _item("hessian vs finite differences", hessian_fd_residual(op), inv(1e-5)),
+              _item("hessian vs finite differences", hessian_fd_residual(op), inv(1e-12)),
               _item("translation kernel of A", translation_kernel_residual(op), inv(1e-9))]
     # mixed signs leave the mass form indefinite: orthogonality is then not gated
     partial = basis.m_orthogonal == "partial" or not basis.normalized

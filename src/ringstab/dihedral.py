@@ -45,12 +45,6 @@ class DihedralElement:
         sign = -1 if self.ref else 1
         return DihedralElement(self.n, self.rot + sign * other.rot, self.ref ^ other.ref)
 
-    def inverse(self) -> "DihedralElement":
-        if self.ref:
-            # reflections are involutions
-            return self
-        return DihedralElement(self.n, -self.rot, 0)
-
     @property
     def is_identity(self) -> bool:
         return self.rot == 0 and self.ref == 0
@@ -61,10 +55,6 @@ class DihedralElement:
         head = "r^%d" % self.rot if self.rot else ""
         tail = "s" if self.ref else ""
         return "%s%s(D_%d)" % (head, tail, self.n)
-
-
-def identity(n: int) -> DihedralElement:
-    return DihedralElement(n, 0, 0)
 
 
 def rotation(n: int, j: int = 1) -> DihedralElement:
@@ -111,10 +101,6 @@ class IrrepLabel:
             raise ValueError("unknown irrep kind %r" % (self.kind,))
         if self.kind == "rho" and self.k < 1:
             raise ValueError("rho label needs k >= 1")
-
-    @property
-    def degree(self) -> int:
-        return 2 if self.kind == "rho" else 1
 
     def __repr__(self):
         if self.kind == "rho":

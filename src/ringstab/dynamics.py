@@ -115,44 +115,41 @@ def hessian(sys: RingSystem, pot: Potential) -> np.ndarray:
     return B.transpose(0, 2, 1, 3).reshape(2 * N, 2 * N)
 
 
-#: relative step of the central-difference Hessian
-FD_STEP = 1e-6
-
-
 def hessian_fd(sys: RingSystem, pot: Potential) -> np.ndarray:
-    """Central-difference Hessian from the analytic pair forces.
+    """Complex-step Hessian from the analytic pair forces (Squire & Trapp,
+    SIAM Rev. 1998).
 
-    Moving coordinate d of point p by h = FD_STEP * max(1, |x_pd|) changes
-    only the pair forces between p and the other points, so each column is
-    differenced from those N - 1 terms: O(N^2) in all.  Column (p, d) holds
-    D_pq = (f_pq(+h) - f_pq(-h)) / 2h: -D_pq in row block q != p (the force
-    on q from p is -f_pq) and sum_q D_pq in row block p.
+    Moving coordinate d of point p by i h changes only the pair forces
+    between p and the other points, so each column is taken from those
+    N - 1 terms: O(N^2) in all.  Column (p, d) holds D_pq = Im f_pq(i h) / h:
+    -D_pq in row block q != p (the force on q from p is -f_pq) and
+    sum_q D_pq in row block p.  Nothing is subtracted, so nothing cancels:
+    any h this small gives each entry to rounding, with no step to tune.
+    Distances are square roots of summed squares, which stay analytic in
+    the step where |.| would not.
     """
     npts = sys.npoints
-    x = sys.positions
-    h = FD_STEP * np.maximum(1.0, np.abs(x))                  # (N, 2)
-    diff = x[:, None, :] - x[None, :, :]                      # (N, N, 2)
+    h = 1e-30
+    diff = sys.positions[:, None, :] - sys.positions[None, :, :]   # (N, N, 2)
     mm = np.outer(sys.masses, sys.masses)
-    D = np.zeros((npts, 2, npts, 2))                          # (p, d, q, c)
-    for d in (0, 1):
-        for sgn in (1.0, -1.0):
-            moved = diff.copy()
-            moved[:, :, d] += sgn * h[:, d, None]
-            dist = np.linalg.norm(moved, axis=2)
-            np.fill_diagonal(dist, 1.0)
-            w = _pair_weights(mm, dist, pot)
-            np.fill_diagonal(w, 0.0)
-            D[:, d] += sgn * w[:, :, None] * moved
-        D[:, d] /= 2.0 * h[:, d, None, None]
-    out = -D
     idx = np.arange(npts)
+    D = np.empty((npts, 2, npts, 2))                          # (p, d, q, c)
+    for d in (0, 1):
+        moved = diff.astype(complex)
+        moved[:, :, d] += 1j * h
+        dist = np.sqrt((moved * moved).sum(axis=2))
+        dist[idx, idx] = 1.0                                  # self pairs unused
+        w = _pair_weights(mm, dist, pot)
+        w[idx, idx] = 0.0
+        D[:, d] = (w[:, :, None] * moved).imag / h
+    out = -D
     out[idx, :, idx, :] = D.sum(axis=2)
     return out.transpose(2, 3, 0, 1).reshape(2 * npts, 2 * npts)
 
 
 def hessian_fd_residual(op: StabilityOperator) -> float:
-    """Relative error of the operator's Hessian H = M A against central
-    differences."""
+    """Relative error of the operator's Hessian H = M A against the
+    complex-step Hessian `hessian_fd`."""
     H = op.system.mass_diag[:, None] * op.matrix
     F = hessian_fd(op.system, op.potential)
     return float(np.linalg.norm(H - F) / max(np.linalg.norm(F), 1e-300))

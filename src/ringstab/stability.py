@@ -87,9 +87,6 @@ class PolyFactor:
     spectrum: np.ndarray
     coefficients: np.ndarray
 
-    def __call__(self, lam: float) -> float:
-        return float(np.prod(lam - self.spectrum).real)
-
     def roots(self) -> np.ndarray:
         """The roots, sorted by real part, then imaginary part."""
         return self.spectrum

@@ -16,8 +16,9 @@ The production pipeline never forms them.  They are matrix-free in the
 group action: sigma(g) is a point permutation times one 2x2 planar block
 (`geometry.GroupAction`), so each averaging operator is scattered from its
 n nonzero 2x2 blocks per point, S = sigma(s) is a column gather, J is
-`apply_j`, and since the action keeps every point on its ring, products and
-SVDs are taken ring by ring.  No dense sigma matrix is formed.
+`apply_j`, and since the action keeps every point on its ring, products are
+taken ring by ring.  Each isotypic rank is a projector's trace.  No dense
+sigma matrix is formed.
 
 All inner products are taken with respect to M = diag(masses), which may be
 indefinite when masses (vorticities) change sign; orthogonalization then
@@ -35,8 +36,6 @@ from .dihedral import (TAU, IrrepLabel, irrep_list, reflection, rho,
 from .dynamics import apply_j
 from .geometry import GroupAction, RingSystem
 
-#: singular values below this (relative) count as zero in rank computations
-RANK_RTOL = 1e-8
 #: M-norms below this relative to the Euclidean norm trigger the fallback
 MNORM_RTOL = 1e-10
 
@@ -152,9 +151,11 @@ def _j_right(X: np.ndarray) -> np.ndarray:
 
 
 def isotypic_decomposition(fam: ProjectorFamily) -> list[IsotypicComponent]:
-    """Ranks of every isotypic piece from projector singular values, taken
-    ring by ring (the projectors are block diagonal by ring); ranks count
-    singular values against the largest one of the whole projector.
+    """Rank of every isotypic piece, as the nearest integer to its
+    projector's trace: the trace of an idempotent is its rank, and counts
+    the piece's dimension by characters (Serre 1977, 2.6).  Idempotency
+    itself is gated by `projector_algebra_check`, so a trace off by 0.5 or
+    more fails that gate too.
 
     Raises ValueError("decomposition mismatch") when computed ranks disagree
     with the multiplicity count or do not sum to 2N.
@@ -162,16 +163,13 @@ def isotypic_decomposition(fam: ProjectorFamily) -> list[IsotypicComponent]:
     sys = fam.system
     a, b, c = sys.type_abc
     expect = multiplicities(sys.n, a, b, c)
-    rows = _ring_rows(sys)
     dim = 2 * sys.npoints
     pieces = [(label, 0, P) for label, P in fam.one_dim.items()]
     pieces += [(rho(k), i, rp[(i, i)]) for k, rp in fam.rho.items() for i in (1, 2)]
     out = []
     total = 0
     for label, part, P in pieces:
-        svs = np.concatenate([np.linalg.svd(P[r, r], compute_uv=False) for r in rows])
-        top = svs.max()
-        rank = int(np.sum(svs > RANK_RTOL * top)) if top > 0 else 0
+        rank = round(float(np.trace(P)))
         if rank != expect[repr(label)]:
             raise ValueError("decomposition mismatch: rank %d for %r part %d, expected %d"
                              % (rank, label, part, expect[repr(label)]))

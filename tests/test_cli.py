@@ -364,12 +364,11 @@ def test_verify_tol_override_loosens_gates(tmp_path, broken_symmetry, capsys):
     assert code == 0, out.out + out.err
 
 
-def test_verify_j_relations_gate_fails_on_a_broken_reflection(pentagon_cfg, monkeypatch,
-                                                             capsys):
-    """Fault injection for the J-relations gate, whose residual reads 0 on
-    working code: the (0, 0) entry of sigma(s)'s planar block flips sign,
-    so s acts on the plane as -I, a rotation by pi, which commutes with J
-    where a reflection anticommutes with it."""
+@pytest.fixture
+def broken_reflection(monkeypatch):
+    """The (0, 0) entry of sigma(s)'s planar block flips sign, so s acts on
+    the plane as -I, a rotation by pi, which commutes with J where a
+    reflection anticommutes with it."""
     group_action = RingSystem.group_action
 
     def broken(sys_):
@@ -379,11 +378,46 @@ def test_verify_j_relations_gate_fails_on_a_broken_reflection(pentagon_cfg, monk
         return replace(act, blocks=blocks)
 
     monkeypatch.setattr(RingSystem, "group_action", broken)
-    code = cli.main(["verify", "--config", str(pentagon_cfg)])
+
+
+def verify_fails_on(item, cfg, capsys):
+    """Run verify on cfg; it must exit 3 with the named item failing."""
+    code = cli.main(["verify", "--config", str(cfg)])
     out = capsys.readouterr().out
     assert code == 3, out
-    assert [l.split()[0] for l in out.splitlines() if "J relations" in l] == ["FAIL"], out
+    assert [l.split()[0] for l in out.splitlines() if item in l] == ["FAIL"], out
     assert out.splitlines()[-1] == "verdict: FAIL"
+
+
+def test_verify_j_relations_gate_fails_on_a_broken_reflection(pentagon_cfg, broken_reflection,
+                                                             capsys):
+    """Fault injection for the J-relations gate, whose residual reads 0 on
+    working code."""
+    verify_fails_on("J relations", pentagon_cfg, capsys)
+
+
+def test_verify_rank_gate_fails_on_a_broken_reflection(pentagon_cfg, broken_reflection, capsys):
+    """Fault injection for the multiplicity ranks: with s acting as a
+    rotation, the traces of the two rho_1 parts on the pentagon move by one
+    whole unit each (2 and 2 become 1 and 3)."""
+    verify_fails_on("multiplicity ranks", pentagon_cfg, capsys)
+
+
+def test_verify_hessian_gate_fails_on_a_perturbed_pair_block(pentagon_cfg, monkeypatch,
+                                                             capsys):
+    """Fault injection for the Hessian gate: one symmetric pair block of the
+    analytic Hessian is off by 1e-8 relative, which reads ~4e-9 against the
+    complex step."""
+    hessian = rs.dynamics.hessian
+
+    def perturbed(sys_, pot):
+        H = hessian(sys_, pot)
+        H[0:2, 2:4] *= 1.0 + 1e-8
+        H[2:4, 0:2] *= 1.0 + 1e-8
+        return H
+
+    monkeypatch.setattr(rs.dynamics, "hessian", perturbed)
+    verify_fails_on("hessian vs finite differences", pentagon_cfg, capsys)
 
 
 def test_verify_mixed_signs_partial(tmp_path):

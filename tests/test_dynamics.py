@@ -90,8 +90,12 @@ def acceptance_system(n, a, b, c):
     return rs.build(n, rings)
 
 
-@pytest.mark.parametrize("pick", [(3, 0, 2, 0), (4, 1, 1, 1), (5, 0, 1, 2), (6, 1, 2, 0),
-                                  (7, 0, 0, 1), (8, 1, 2, 2)])
+#: the picks of tests/test_acceptance.py::test_criterion_04_equivariance_and_hessian
+ACCEPTANCE_PICKS = [(3, 0, 2, 0), (4, 1, 1, 1), (5, 0, 1, 2), (6, 1, 2, 0), (7, 0, 0, 1),
+                    (8, 1, 2, 2)]
+
+
+@pytest.mark.parametrize("pick", ACCEPTANCE_PICKS)
 def test_pair_local_hessian_fd_matches_full_gradient_fd(pick):
     sys = acceptance_system(*pick)
     for pot in (rs.newtonian(), rs.vortex(), rs.homogeneous(0.5)):
@@ -100,17 +104,28 @@ def test_pair_local_hessian_fd_matches_full_gradient_fd(pick):
         assert np.linalg.norm(fd - ref) <= 1e-8 * np.linalg.norm(ref), (pick, pot.kind)
 
 
+@pytest.mark.parametrize("pick", ACCEPTANCE_PICKS)
+def test_complex_step_hessian_matches_analytic_hessian(pick):
+    # the complex step takes no difference, so it meets the analytic
+    # Hessian at rounding level, where central differences stop at ~1e-10
+    sys = acceptance_system(*pick)
+    for pot in (rs.newtonian(), rs.vortex(), rs.homogeneous(0.5)):
+        H = hessian(sys, pot)
+        cs = rs.hessian_fd(sys, pot)
+        assert np.linalg.norm(cs - H) <= 1e-14 * np.linalg.norm(H), (pick, pot.kind)
+
+
 @pytest.mark.parametrize("pot", [rs.vortex(), rs.homogeneous(-1.5)])
 def test_hessian_symmetric_and_fd(pot):
     sys = mixed_system(4)
     H = hessian(sys, pot)
     assert_allclose(H, H.T, atol=1e-12)
-    assert rs.hessian_fd_residual(rs.stability_operator(sys, pot, 1.0)) < 1e-6
+    assert rs.hessian_fd_residual(rs.stability_operator(sys, pot, 1.0)) < 1e-12
 
 
 def test_hessian_fd_residual_default_tolerance():
     sys = rs.build(6, [rs.regular(1.0, 1.0), rs.regular(2.2, 3.0, phase=np.pi / 6)])
-    assert rs.hessian_fd_residual(rs.stability_operator(sys, rs.newtonian(), 1.0)) < 1e-5
+    assert rs.hessian_fd_residual(rs.stability_operator(sys, rs.newtonian(), 1.0)) < 1e-12
 
 
 @pytest.mark.parametrize("pot", [rs.vortex(), rs.homogeneous(-1.5)])

@@ -76,7 +76,9 @@ def test_sigma_is_representation():
         for h in (rotation(4, 1), reflection(4, 2)):
             assert_allclose(sigma_matrix(sys, g) @ sigma_matrix(sys, h),
                             sigma_matrix(sys, g * h), atol=1e-12)
-        assert_allclose(sigma_matrix(sys, g) @ sigma_matrix(sys, g.inverse()),
+        # reflections are involutions; r^j is undone by r^-j
+        g_inv = g if g.ref else rotation(4, -g.rot)
+        assert_allclose(sigma_matrix(sys, g) @ sigma_matrix(sys, g_inv),
                         np.eye(2 * sys.npoints), atol=1e-12)
         perm = sys.group_action().perm[full_group(4).index(g)]
         S = sigma_matrix(sys, g)

@@ -15,6 +15,7 @@ from ringstab.symbasis import (_averaging, gram_residual,
                                standard_j, symplectic_residuals,
                                translation_field)
 from reference import sigma_matrix
+from test_acceptance import grid_system, type_grid
 
 RNG = np.random.default_rng(77121)
 
@@ -89,6 +90,18 @@ def test_isotypic_example_dimensions():
     dims = [(str(c.label), c.part, c.dimension) for c in isotypic_decomposition(projector_family(sys))]
     assert dims == [("tau", 0, 4), ("alpha", 0, 4), ("phi", 0, 4), ("psi", 0, 4),
                     ("rho_1", 1, 9), ("rho_1", 2, 9)]
+
+
+def test_trace_ranks_match_svd_ranks_on_the_grid():
+    """The SVD rank of every isotypic piece is the reference for the trace
+    that `isotypic_decomposition` rounds."""
+    for n, a, b, c in type_grid():
+        fam = projector_family(grid_system(n, a, b, c))
+        pieces = list(fam.one_dim.values())
+        pieces += [rp[(i, i)] for rp in fam.rho.values() for i in (1, 2)]
+        comps = isotypic_decomposition(fam)
+        assert [np.linalg.matrix_rank(P) for P in pieces] == [comp.dimension for comp in comps], \
+            (n, a, b, c)
 
 
 def test_standard_part_rank():

@@ -1,8 +1,8 @@
 """The benchmark's opt-in tracer (perfbench/tracing.py) reads names of the
 program from outside: the public functions it wraps, `BlockReport.a_block`/
 `.j_block` and `PolyFactor.roots`.  Run it, loaded unedited from its file,
-on one small analyze job, so a change to those names cannot break
-`--trace 1` unnoticed.
+on one small analyze job and one small verify job, so a change to those
+names cannot break `--trace 1` unnoticed.
 
 The tracer counts only calls of a public `stability.block_factor`, which
 no longer exists (`factorize` factors equal-size blocks as one stack), so
@@ -55,7 +55,8 @@ def load_tracing():
     return mod
 
 
-def test_tracer_runs_one_analyze_job(tmp_path, capsys):
+def traced_metrics(verb, tmp_path, capsys) -> dict[str, float]:
+    """The tracer's metrics of one job of the verb on CONFIG."""
     cfg = tmp_path / "job.cfg"
     cfg.write_text(CONFIG)
     tracer = load_tracing().Tracer()
@@ -63,13 +64,17 @@ def test_tracer_runs_one_analyze_job(tmp_path, capsys):
     tracer.install()
     tracer.begin(0)
     try:
-        code = cli.main(["analyze", "--config", str(cfg), "--format", "machine"])
+        code = cli.main([verb, "--config", str(cfg), "--format", "machine"])
     finally:
         tracer.uninstall()
     tracer.end()
     assert code == 0, capsys.readouterr().err
     assert cli.factorize is original
-    metrics = tracer.metrics()
+    return tracer.metrics()
+
+
+def test_tracer_runs_one_analyze_job(tmp_path, capsys):
+    metrics = traced_metrics("analyze", tmp_path, capsys)
     bad = {k: v for k, v in metrics.items() if not math.isfinite(v)}
     assert not bad
     assert {k: metrics[k] for k in BLOCK_FACTOR_ZEROS} == dict.fromkeys(BLOCK_FACTOR_ZEROS, 0.0)
@@ -78,3 +83,10 @@ def test_tracer_runs_one_analyze_job(tmp_path, capsys):
     assert metrics["stability.eig_backward_err"] <= 1e-12
     assert metrics["dynamics.gradient_calls"] == 1
     assert metrics["geometry.build_calls"] == 2
+
+
+def test_tracer_times_the_verify_checks(tmp_path, capsys):
+    metrics = traced_metrics("verify", tmp_path, capsys)
+    for key in ("cli.invariants_s", "dynamics.hessian_fd_s", "symbasis.isotypic_s",
+                "symbasis.projector_algebra_s"):
+        assert metrics[key] > 0.0, key
