@@ -7,9 +7,8 @@ linearizations along the isotypic decomposition of displacement space and
 factors the characteristic polynomial accordingly.
 """
 
-from .dihedral import (ALPHA, PHI, PSI, TAU, DihedralElement, IrrepLabel,
-                       full_group, irrep_list, planar_action, reflection,
-                       rho, rotation)
+from .dihedral import (DihedralElement, full_group, planar_action, reflection,
+                       rotation)
 from .config import ConfigError, JobConfig, parse_config, parse_config_text
 from .dynamics import (Potential, ReleqSolution, StabilityOperator, apply_j,
                        equivariance_residual, gradient, hessian, hessian_fd,
@@ -20,11 +19,9 @@ from .geometry import RingSpec, RingSystem, build, center, regular, ring_positio
 from .stability import (BlockReport, FactorizationReport, PolyFactor,
                         classical_checks, dense_oracle, factorize)
 from .svg import emit_svg, render_svg
-from .symbasis import (IsotypicComponent, ProjectorFamily, ResidualReport,
-                       SymBasis, assemble_global_basis, gram_residual,
-                       isotypic_decomposition, j_relations_check, m_inner,
-                       multiplicities, projector_algebra_check,
-                       projector_family, symplectic_residuals,
-                       translation_field)
+from .symbasis import (ProjectorFamily, SymBasis, assemble_global_basis,
+                       gram_residual, isotypic_decomposition, j_relations_check,
+                       m_inner, multiplicities, projector_algebra_check,
+                       projector_family, symplectic_residuals, translation_field)
 
 __version__ = "0.1.0"

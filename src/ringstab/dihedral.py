@@ -1,20 +1,21 @@
 """Dihedral group D_n: elements, composition, the planar action, and the
-labels of its real irreducible representations.
+range of its two-dimensional irreps.
 
 Elements are written r^j s^k with r the rotation by 2*pi/n, s a reflection,
 j in {0..n-1}, k in {0,1}.  The composition law is
 
     (r^j s^k) (r^j' s^k') = r^(j + (-1)^k j') s^(k xor k').
 
-Every real irreducible representation of D_n has a label here; the
-projectors of `symbasis` take each in this fixed orthogonal realization:
+The real irreps are named by the keys of the multiplicity law
+(`symbasis.multiplicities`), which the projectors of `symbasis` and the
+reports share, each in this fixed orthogonal realization:
 
     tau   : trivial, degree 1
     alpha : sign of the reflection part, degree 1
     phi   : (-1)^j on r^j and on r^j s            (n even only)
     psi   : (-1)^j on r^j, (-1)^(j+1) on r^j s    (n even only)
     rho_k : degree 2, rotation/reflection form, k = 1 .. (n-1)//2,
-            and for even n only up to n/2 - 1.
+            and for even n only up to n/2 - 1 (`rho_range`).
 """
 
 from __future__ import annotations
@@ -85,55 +86,6 @@ def planar_action(g: DihedralElement) -> np.ndarray:
     return rot
 
 
-@dataclass(frozen=True)
-class IrrepLabel:
-    """Label of a real irreducible representation of D_n.
-
-    kind is one of "tau", "alpha", "phi", "psi", "rho"; k is meaningful for
-    kind == "rho" only.
-    """
-
-    kind: str
-    k: int = 0
-
-    def __post_init__(self):
-        if self.kind not in ("tau", "alpha", "phi", "psi", "rho"):
-            raise ValueError("unknown irrep kind %r" % (self.kind,))
-        if self.kind == "rho" and self.k < 1:
-            raise ValueError("rho label needs k >= 1")
-
-    def __repr__(self):
-        if self.kind == "rho":
-            return "rho_%d" % self.k
-        return self.kind
-
-
-TAU = IrrepLabel("tau")
-ALPHA = IrrepLabel("alpha")
-PHI = IrrepLabel("phi")
-PSI = IrrepLabel("psi")
-
-
-def rho(k: int) -> IrrepLabel:
-    return IrrepLabel("rho", k)
-
-
 def rho_range(n: int) -> range:
     """k of every rho_k of D_n: up to n/2 - 1 (even n) or (n - 1)/2 (odd n)."""
     return range(1, (n // 2 - 1 if n % 2 == 0 else (n - 1) // 2) + 1)
-
-
-def irrep_list(n: int) -> list[IrrepLabel]:
-    """All real irreps of D_n: sum of squared degrees equals 2n.
-
-    For n > 2 the standard representation is rho_1; for n = 2 there are no
-    two-dimensional irreps and the standard representation splits as
-    phi + psi.
-    """
-    if n < 2:
-        raise ValueError("group order mismatch: need n >= 2")
-    labels = [TAU, ALPHA]
-    if n % 2 == 0:
-        labels += [PHI, PSI]
-    labels += [rho(k) for k in rho_range(n)]
-    return labels

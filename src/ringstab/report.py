@@ -207,10 +207,12 @@ def to_text(doc: dict) -> str:
 
 
 def format_invariant_line(item: dict) -> str:
+    """One verify line; an item built from named residuals names its worst."""
     thr = item["threshold"]
     thr_s = _fmt_num(thr) if isinstance(thr, (int, float)) else str(thr)
-    return "%-7s %-34s residual=%-12s threshold=%s" % (
+    line = "%-7s %-34s residual=%-12s threshold=%s" % (
         item["status"], item["name"], _fmt_num(item["residual"]), thr_s)
+    return line + (" worst=%s" % item["worst"] if "worst" in item else "")
 
 
 def block_matches(label: str, wanted: str) -> bool:

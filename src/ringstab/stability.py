@@ -92,10 +92,30 @@ class PolyFactor:
         return self.spectrum
 
 
+def _leja(roots: np.ndarray) -> np.ndarray:
+    """Each row of a (k, d) stack of roots in Leja order: the largest root
+    first, then each next the one whose product of distances to those taken
+    is largest (the first of equals).  Taken roots are masked at -inf; a
+    distance of 0 (an exact double root) counts -1e300 in the log, so the
+    partner is still taken once."""
+    rows = np.arange(len(roots))
+    with np.errstate(divide="ignore"):
+        logd = np.maximum(np.log(np.abs(roots[:, :, None] - roots[:, None, :])), -1e300)
+        score = np.log(np.abs(roots))
+    order = np.empty(roots.shape, dtype=int)
+    for j in range(roots.shape[1]):
+        order[:, j] = pick = np.argmax(score, axis=1)
+        score = logd[rows, pick] if j == 0 else score + logd[rows, pick]
+        score[rows, pick] = -np.inf
+    return np.take_along_axis(roots, order, axis=1)
+
+
 def _expand(roots: np.ndarray) -> np.ndarray:
     """Monomial coefficients, ascending, of prod_j (lambda - r_j) for each
-    row of a (k, d) stack of roots: `np.poly`'s product, one factor
-    (lambda - r_j) at a time, taken across the whole stack at once."""
+    row of a (k, d) stack of roots: one factor (lambda - r_j) at a time, in
+    Leja order so that neighbouring roots do not enter together and
+    cancel, taken across the whole stack at once."""
+    roots = _leja(roots)
     c = np.zeros((roots.shape[0], roots.shape[1] + 1), dtype=complex)
     c[:, 0] = 1.0
     for j in range(roots.shape[1]):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ringstab.dihedral import DihedralElement, IrrepLabel, planar_action, rho_range
+from ringstab.dihedral import DihedralElement, planar_action, rho_range
 from ringstab.dynamics import Potential, StabilityOperator, _pair_geometry, apply_j
 from ringstab.geometry import RingSystem, _element_index
 from ringstab.stability import _shifts
@@ -21,6 +21,55 @@ from ringstab.symbasis import SymBasis, multiplicities
 
 # ---------------------------------------------------------------------------
 # the group and its action
+
+
+@dataclass(frozen=True)
+class IrrepLabel:
+    """Label of a real irreducible representation of D_n.
+
+    kind is one of "tau", "alpha", "phi", "psi", "rho"; k is meaningful for
+    kind == "rho" only.
+    """
+
+    kind: str
+    k: int = 0
+
+    def __post_init__(self):
+        if self.kind not in ("tau", "alpha", "phi", "psi", "rho"):
+            raise ValueError("unknown irrep kind %r" % (self.kind,))
+        if self.kind == "rho" and self.k < 1:
+            raise ValueError("rho label needs k >= 1")
+
+    def __repr__(self):
+        if self.kind == "rho":
+            return "rho_%d" % self.k
+        return self.kind
+
+
+TAU = IrrepLabel("tau")
+ALPHA = IrrepLabel("alpha")
+PHI = IrrepLabel("phi")
+PSI = IrrepLabel("psi")
+
+
+def rho(k: int) -> IrrepLabel:
+    return IrrepLabel("rho", k)
+
+
+def irrep_list(n: int) -> list[IrrepLabel]:
+    """All real irreps of D_n: sum of squared degrees equals 2n.
+
+    For n > 2 the standard representation is rho_1; for n = 2 there are no
+    two-dimensional irreps and the standard representation splits as
+    phi + psi.
+    """
+    if n < 2:
+        raise ValueError("group order mismatch: need n >= 2")
+    labels = [TAU, ALPHA]
+    if n % 2 == 0:
+        labels += [PHI, PSI]
+    labels += [rho(k) for k in rho_range(n)]
+    return labels
 
 
 def irrep_matrix(label: IrrepLabel, g: DihedralElement) -> np.ndarray:

@@ -54,7 +54,7 @@ def test_criterion_01_multiplicity_law():
     with criterion(1, "multiplicity law on the type grid"):
         for n, a, b, c in type_grid():
             sys = grid_system(n, a, b, c)
-            comps = isotypic_decomposition(projector_family(sys))  # raises on any rank mismatch
+            res = isotypic_decomposition(projector_family(sys))
             mult = multiplicities(n, a, b, c)
             w = b + 2 * c
             assert mult["tau"] == mult["alpha"] == w
@@ -64,26 +64,26 @@ def test_criterion_01_multiplicity_law():
                 assert mult["rho_1"] == a + 2 * w
                 for k in range(2, (n - 1) // 2 + 1):
                     assert mult["rho_%d" % k] == 2 * w
-            got = {}
-            for comp in comps:
-                got[str(comp.label)] = got.get(str(comp.label), 0) + comp.dimension
-            for lab, mu in mult.items():
-                factor = 2 if lab.startswith("rho") else 1
-                assert got[lab] == factor * mu, (n, a, b, c, lab)
+            # every piece's trace rounds to its count, and the traces sum to 2N
+            parts = [lab for lab in mult if not lab.startswith("rho")]
+            parts += ["%s part %d" % (lab, i) for lab in mult if lab.startswith("rho")
+                      for i in (1, 2)]
+            assert list(res) == parts + ["dimension sum"], (n, a, b, c)
+            assert max(res.values()) < 0.5, (n, a, b, c, res)
 
 
 def test_criterion_02_projector_algebra():
     with criterion(2, "projector composition table <= 1e-11"):
         for n, a, b, c in type_grid():
             rep = projector_algebra_check(projector_family(grid_system(n, a, b, c)))
-            assert rep.max_residual <= 1e-11, ((n, a, b, c), rep.max_residual)
+            assert max(rep.values()) <= 1e-11, ((n, a, b, c), max(rep.values()))
 
 
 def test_criterion_03_j_relations():
     with criterion(3, "J relations <= 1e-11"):
         for n, a, b, c in type_grid():
             rep = j_relations_check(projector_family(grid_system(n, a, b, c)))
-            assert rep.max_residual <= 1e-11, ((n, a, b, c), rep.max_residual)
+            assert max(rep.values()) <= 1e-11, ((n, a, b, c), max(rep.values()))
 
 
 def test_criterion_04_equivariance_and_hessian():

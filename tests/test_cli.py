@@ -347,11 +347,8 @@ def broken_symmetry(monkeypatch):
 
 
 def test_verify_negative_control(pentagon_cfg, broken_symmetry, capsys):
-    code = cli.main(["verify", "--config", str(pentagon_cfg)])
-    out = capsys.readouterr()
-    assert code == 3, out.out + out.err
-    assert "FAIL" in out.out, out.out + out.err
-    assert "equivariance" in out.out.lower(), out.out + out.err
+    # the broken masses read ~1e-3 against 1e-9
+    verify_fails_on("equivariance of A", pentagon_cfg, capsys)
 
 
 def test_verify_tol_override_loosens_gates(tmp_path, broken_symmetry, capsys):
@@ -380,13 +377,15 @@ def broken_reflection(monkeypatch):
     monkeypatch.setattr(RingSystem, "group_action", broken)
 
 
-def verify_fails_on(item, cfg, capsys):
-    """Run verify on cfg; it must exit 3 with the named item failing."""
+def verify_fails_on(item, cfg, capsys) -> list[str]:
+    """Run verify on cfg; it must exit 3 with the named item failing.
+    Returns the FAIL lines."""
     code = cli.main(["verify", "--config", str(cfg)])
     out = capsys.readouterr().out
     assert code == 3, out
     assert [l.split()[0] for l in out.splitlines() if item in l] == ["FAIL"], out
     assert out.splitlines()[-1] == "verdict: FAIL"
+    return [l for l in out.splitlines() if l.startswith("FAIL ")]
 
 
 def test_verify_j_relations_gate_fails_on_a_broken_reflection(pentagon_cfg, broken_reflection,
@@ -399,8 +398,52 @@ def test_verify_j_relations_gate_fails_on_a_broken_reflection(pentagon_cfg, brok
 def test_verify_rank_gate_fails_on_a_broken_reflection(pentagon_cfg, broken_reflection, capsys):
     """Fault injection for the multiplicity ranks: with s acting as a
     rotation, the traces of the two rho_1 parts on the pentagon move by one
-    whole unit each (2 and 2 become 1 and 3)."""
-    verify_fails_on("multiplicity ranks", pentagon_cfg, capsys)
+    whole unit each (2 and 2 become 1 and 3); the item names the piece."""
+    line, = [l for l in verify_fails_on("multiplicity ranks", pentagon_cfg, capsys)
+             if "multiplicity ranks" in l]
+    assert "residual=1 " in line and " worst=rho_1 part " in line, line
+
+
+@pytest.fixture(params=["pentagon", "double_square"])
+def solved_cfg(request, tmp_path):
+    p = tmp_path / "job.cfg"
+    p.write_text(PENTAGON if request.param == "pentagon" else DOUBLE_SQUARE)
+    return p
+
+
+def test_verify_m_orthogonality_gate_fails_on_a_mixed_column(solved_cfg, monkeypatch, capsys):
+    """Fault injection for the M-orthogonality gate: 1e-6 of the last
+    block's last column added to its first u column keeps the block's span,
+    so only this gate trips (4.5e-7 on the pentagon, 3.3e-7 on the double
+    square, against 1e-10)."""
+    assemble = cli.assemble_global_basis
+
+    def mixed(sys_):
+        basis = assemble(sys_)
+        last = basis.blocks[-1]
+        C = basis.matrix.copy()
+        C[:, last.start + last.pairs] += 1e-6 * C[:, last.start + last.size - 1]
+        return replace(basis, matrix=C)
+
+    monkeypatch.setattr(cli, "assemble_global_basis", mixed)
+    fails = verify_fails_on("basis M-orthogonality", solved_cfg, capsys)
+    assert len(fails) == 1, fails
+
+
+def test_verify_classical_gate_fails_on_a_wrong_omega(solved_cfg, monkeypatch, capsys):
+    """Fault injection for the classical eigenvector identities: the
+    operator's omega off by 1e-6 relative, with is_releq kept, reads
+    5.8e-7 on the pentagon and 1.8e-7 on the double square, against 1e-8;
+    factors and oracle share that omega, so only this gate trips."""
+    operator = cli.stability_operator
+
+    def wrong_omega(sys_, pot, omega):
+        op = operator(sys_, pot, omega)
+        return replace(op, omega=op.omega * (1.0 + 1e-6))
+
+    monkeypatch.setattr(cli, "stability_operator", wrong_omega)
+    fails = verify_fails_on("classical eigenvector identities", solved_cfg, capsys)
+    assert len(fails) == 1, fails
 
 
 def test_verify_hessian_gate_fails_on_a_perturbed_pair_block(pentagon_cfg, monkeypatch,

@@ -2,7 +2,9 @@
 program from outside: the public functions it wraps, `BlockReport.a_block`/
 `.j_block` and `PolyFactor.roots`.  Run it, loaded unedited from its file,
 on one small analyze job and one small verify job, so a change to those
-names cannot break `--trace 1` unnoticed.
+names cannot break `--trace 1` unnoticed.  The benchmark's output checks
+(perfbench/checks.py) read `verify`'s machine report, whose item layout is
+pinned here too.
 
 The tracer counts only calls of a public `stability.block_factor`, which
 no longer exists (`factorize` factors equal-size blocks as one stack), so
@@ -11,6 +13,7 @@ here by name, so a zero elsewhere still fails and a tracer that reads the
 block sizes from the report shows up as a change to this list."""
 
 import importlib.util
+import json
 import math
 import pathlib
 
@@ -90,3 +93,26 @@ def test_tracer_times_the_verify_checks(tmp_path, capsys):
     for key in ("cli.invariants_s", "dynamics.hessian_fd_s", "symbasis.isotypic_s",
                 "symbasis.projector_algebra_s"):
         assert metrics[key] > 0.0, key
+
+
+def test_verify_machine_items_keep_what_the_benchmark_reads(tmp_path, capsys):
+    """checks.py finds the oracle and off-block items by name and reads each
+    item's status; the items built from named residuals add "worst"."""
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text(CONFIG)
+    outs = []
+    for _ in range(2):
+        assert cli.main(["verify", "--config", str(cfg), "--format", "machine"]) == 0
+        outs.append(capsys.readouterr().out)
+    items = json.loads(outs[0])["invariants"]
+    names = [item["name"] for item in items]
+    assert sum("oracle" in name for name in names) == 1, names
+    assert sum("off-block" in name for name in names) == 1, names
+    for item in items:
+        assert {"name", "residual", "threshold", "status", "gated"} <= set(item), item
+    assert [item["name"] for item in items if "worst" in item] == [
+        "projector algebra + completeness", "J relations", "multiplicity ranks",
+        "classical eigenvector identities", "symplectic pairing diagnostics"]
+    # byte-identical apart from the timestamp
+    stamp = [[l for l in out.splitlines() if '"timestamp"' not in l] for out in outs]
+    assert stamp[0] == stamp[1]
