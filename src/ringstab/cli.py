@@ -99,8 +99,8 @@ def invariant_suite(op: StabilityOperator, basis: SymBasis,
              _item("J relations", j_relations_check(fam), inv(1e-11)),
              _item("multiplicity ranks", isotypic_decomposition(fam), 0.5),
              _item("equivariance of A", equivariance_residual(op, fam.action), inv(1e-9)),
-              _item("hessian vs finite differences", hessian_fd_residual(op), inv(1e-12)),
-              _item("translation kernel of A", translation_kernel_residual(op), inv(1e-9))]
+             _item("hessian vs complex step", hessian_fd_residual(op), inv(1e-12)),
+             _item("translation kernel of A", translation_kernel_residual(op), inv(1e-9))]
     # mixed signs leave the mass form indefinite: orthogonality is then not gated
     partial = basis.m_orthogonal == "partial" or not basis.normalized
     items.append(_item("basis M-orthogonality", gram_residual(basis), inv(1e-10),

@@ -446,6 +446,60 @@ def test_verify_classical_gate_fails_on_a_wrong_omega(solved_cfg, monkeypatch, c
     assert len(fails) == 1, fails
 
 
+def test_verify_projector_algebra_gate_fails_on_a_scaled_projector(solved_cfg, monkeypatch,
+                                                                   capsys):
+    """Fault injection for the projector algebra: the last rho_k's p11
+    scaled by 1 + 1e-6 is no longer idempotent, and reads 1.4e-6 on the
+    pentagon and 2.2e-6 on the double square, against 1e-11 (J relations
+    trips too)."""
+    family = cli.projector_family
+
+    def scaled(sys_):
+        fam = family(sys_)
+        k = max(fam.rho)
+        rho = {**fam.rho, k: {**fam.rho[k], (1, 1): fam.rho[k][(1, 1)] * (1.0 + 1e-6)}}
+        return replace(fam, rho=rho)
+
+    monkeypatch.setattr(cli, "projector_family", scaled)
+    verify_fails_on("projector algebra + completeness", solved_cfg, capsys)
+
+
+def test_verify_translation_kernel_gate_fails_on_a_shifted_operator(solved_cfg, monkeypatch,
+                                                                    capsys):
+    """Fault injection for the translation kernel: A + 1e-6 (||A||_F / sqrt(2N)) I
+    no longer kills the translations, and reads 3.2e-7 on the pentagon and
+    2.4e-7 on the double square, against 1e-9 (the Hessian and classical
+    items trip too)."""
+    operator = cli.stability_operator
+
+    def shifted(sys_, pot, omega):
+        op = operator(sys_, pot, omega)
+        A = op.matrix
+        shift = 1e-6 * np.linalg.norm(A) / np.sqrt(A.shape[0])
+        return replace(op, matrix=A + shift * np.eye(A.shape[0]))
+
+    monkeypatch.setattr(cli, "stability_operator", shifted)
+    verify_fails_on("translation kernel of A", solved_cfg, capsys)
+
+
+def test_verify_off_block_gate_fails_on_a_leaking_column(solved_cfg, monkeypatch, capsys):
+    """Fault injection for the off-block gate: 1e-6 of the first block's last
+    column added to the last block's last column leaks the last block into
+    the first, and reads 5.8e-7 on the pentagon and 4.3e-7 on the double
+    square, against 1e-9 (M-orthogonality trips too)."""
+    assemble = cli.assemble_global_basis
+
+    def leaking(sys_):
+        basis = assemble(sys_)
+        first, last = basis.blocks[0], basis.blocks[-1]
+        C = basis.matrix.copy()
+        C[:, last.start + last.size - 1] += 1e-6 * C[:, first.start + first.size - 1]
+        return replace(basis, matrix=C)
+
+    monkeypatch.setattr(cli, "assemble_global_basis", leaking)
+    verify_fails_on("off-block residual", solved_cfg, capsys)
+
+
 def test_verify_hessian_gate_fails_on_a_perturbed_pair_block(pentagon_cfg, monkeypatch,
                                                              capsys):
     """Fault injection for the Hessian gate: one symmetric pair block of the
@@ -460,7 +514,7 @@ def test_verify_hessian_gate_fails_on_a_perturbed_pair_block(pentagon_cfg, monke
         return H
 
     monkeypatch.setattr(rs.dynamics, "hessian", perturbed)
-    verify_fails_on("hessian vs finite differences", pentagon_cfg, capsys)
+    verify_fails_on("hessian vs complex step", pentagon_cfg, capsys)
 
 
 def test_verify_mixed_signs_partial(tmp_path):
