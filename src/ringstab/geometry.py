@@ -127,18 +127,26 @@ class RingSystem:
     def group_action(self) -> "GroupAction":
         """The action of every element of D_n as index arrays.
 
-        The point permutations of the generators r and s come from one
-        vectorized nearest-point match; those of r^j and r^j s follow by
-        composing them.
+        The point permutations of the generators r and s come from a
+        vectorized nearest-point match within each ring, so the action
+        keeps every point on its ring by construction; those of r^j and
+        r^j s follow by composing them.
         """
         n, npts = self.n, self.npoints
         gens = (rotation(n), reflection(n))
-        moved = np.stack([self.positions @ planar_action(g).T for g in gens])   # (2, N, 2)
-        d = np.hypot(moved[:, :, None, 0] - self.positions[:, 0],
-                     moved[:, :, None, 1] - self.positions[:, 1])             # (2, N, N)
-        match = np.argmin(d, axis=2)                               # (2, N)
+        # a point outside every ring matches nothing
+        match = np.zeros((2, npts), dtype=int)
+        gap = np.full((2, npts), np.inf)
+        for sl in self.orbit_slices:
+            pts = self.positions[sl]
+            moved = np.stack([pts @ planar_action(g).T for g in gens])   # (2, m, 2)
+            d = np.hypot(moved[:, :, None, 0] - pts[:, 0],
+                         moved[:, :, None, 1] - pts[:, 1])             # (2, m, m)
+            local = np.argmin(d, axis=2)
+            match[:, sl] = local + sl.start
+            gap[:, sl] = np.take_along_axis(d, local[:, :, None], axis=2)[:, :, 0]
         scale = max(np.max(np.abs(self.positions)), 1.0)
-        off = np.take_along_axis(d, match[:, :, None], axis=2)[:, :, 0] > MATCH_RTOL * scale
+        off = gap > MATCH_RTOL * scale
         for g, miss, m in zip(gens, off, match):
             if miss.any():
                 raise ValueError("system not D_n-symmetric: point %d leaves the set under %r"

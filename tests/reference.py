@@ -16,7 +16,7 @@ from ringstab.dihedral import DihedralElement, planar_action, rho_range
 from ringstab.dynamics import Potential, StabilityOperator, _pair_geometry, apply_j
 from ringstab.geometry import RingSystem, _element_index
 from ringstab.stability import _shifts
-from ringstab.symbasis import SymBasis, multiplicities
+from ringstab.symbasis import ProjectorFamily, SymBasis, multiplicities
 
 
 # ---------------------------------------------------------------------------
@@ -108,6 +108,19 @@ def sigma_matrix(sys: RingSystem, g: DihedralElement) -> np.ndarray:
     for i in range(sys.npoints):
         j = perm[i]
         out[2 * j:2 * j + 2, 2 * i:2 * i + 2] = act
+    return out
+
+
+def dense_projector(fam: ProjectorFamily, irrep: str, i: int = 1, j: int = 1) -> np.ndarray:
+    """Projector (irrep, i, j) of fam as a 2N x 2N matrix: its per-ring
+    blocks on the diagonal, zero elsewhere.  A one-dimensional irrep's
+    projector is its part (1, 1)."""
+    idx = fam.labels.index((irrep, i, j))
+    dim = 2 * fam.system.npoints
+    out = np.zeros((dim, dim))
+    for sl, stack in zip(fam.system.orbit_slices, fam.stacks):
+        rows = slice(2 * sl.start, 2 * sl.stop)
+        out[rows, rows] = stack[idx]
     return out
 
 

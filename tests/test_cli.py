@@ -11,6 +11,7 @@ import pytest
 import ringstab as rs
 from ringstab import cli
 from ringstab.config import ConfigError, parse_config, parse_config_text
+from ringstab.dihedral import rho_range
 from ringstab.geometry import RingSystem
 from ringstab.report import factors_csv, to_machine
 from ringstab.svg import emit_svg, render_svg
@@ -456,9 +457,11 @@ def test_verify_projector_algebra_gate_fails_on_a_scaled_projector(solved_cfg, m
 
     def scaled(sys_):
         fam = family(sys_)
-        k = max(fam.rho)
-        rho = {**fam.rho, k: {**fam.rho[k], (1, 1): fam.rho[k][(1, 1)] * (1.0 + 1e-6)}}
-        return replace(fam, rho=rho)
+        last = fam.labels.index(("rho_%d" % rho_range(sys_.n)[-1], 1, 1))
+        stacks = [stack.copy() for stack in fam.stacks]
+        for stack in stacks:
+            stack[last] *= 1.0 + 1e-6
+        return replace(fam, stacks=stacks)
 
     monkeypatch.setattr(cli, "projector_family", scaled)
     verify_fails_on("projector algebra + completeness", solved_cfg, capsys)

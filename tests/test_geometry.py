@@ -144,3 +144,10 @@ def test_asymmetric_point_set_names_the_point():
                          masses=np.ones(6), orbit_slices=[slice(0, 6)])
     with pytest.raises(ValueError, match="action is not a permutation"):
         doubled.group_action()
+    # points are matched within their ring: a pentagon split into two
+    # "rings" is not invariant ring by ring, since r moves point 1 into the
+    # other one
+    split = RingSystem(n=5, rings=sys.rings, positions=ring_positions(5, rs.regular(1.0, 1.0)),
+                       masses=np.ones(5), orbit_slices=[slice(0, 2), slice(2, 5)])
+    with pytest.raises(ValueError, match=r"point 1 leaves the set under r\^1\(D_5\)"):
+        split.group_action()

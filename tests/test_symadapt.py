@@ -8,13 +8,12 @@ from ringstab.dihedral import rho_range
 from ringstab.dynamics import apply_j
 from ringstab.geometry import RingSystem
 from ringstab.stability import factorize
-from ringstab.symbasis import (_averaging, gram_residual,
-                               isotypic_decomposition, j_relations_check,
-                               m_inner, multiplicities,
+from ringstab.symbasis import (gram_residual, isotypic_decomposition,
+                               j_relations_check, m_inner, multiplicities,
                                projector_algebra_check, projector_family,
                                standard_j, symplectic_residuals,
                                translation_field)
-from reference import sigma_matrix
+from reference import dense_projector, sigma_matrix
 from test_acceptance import grid_system, type_grid
 
 RNG = np.random.default_rng(77121)
@@ -101,8 +100,8 @@ def test_trace_ranks_match_svd_ranks_on_the_grid():
     for n, a, b, c in type_grid():
         fam = projector_family(grid_system(n, a, b, c))
         mult = multiplicities(n, a, b, c)
-        pieces = [(mult[name], P) for name, P in fam.one_dim.items()]
-        pieces += [(mult["rho_%d" % k], rp[(i, i)]) for k, rp in fam.rho.items() for i in (1, 2)]
+        pieces = [(mult[key], dense_projector(fam, key, i, i))
+                  for key, i, j in fam.labels if i == j]
         assert [np.linalg.matrix_rank(P) for _, P in pieces] == [m for m, _ in pieces], \
             (n, a, b, c)
         assert max(isotypic_decomposition(fam).values()) < 0.5, (n, a, b, c)
@@ -110,7 +109,7 @@ def test_trace_ranks_match_svd_ranks_on_the_grid():
 
 def test_standard_part_rank():
     sys = rs.build(4, [rs.center(4.0), rs.regular(1.0, 0.5), rs.regular(1.8, 1.0)])
-    p11 = projector_family(sys).rho[1][(1, 1)]
+    p11 = dense_projector(projector_family(sys), "rho_1", 1, 1)
     assert np.linalg.matrix_rank(p11, tol=1e-9) == 5
 
 
@@ -118,23 +117,13 @@ def test_transfer_isometry_and_nilpotency():
     sys = rs.build(5, [rs.regular(1.0, 1.0), rs.semiregular(1.8, 0.25, 2.0)])
     fam = projector_family(sys)
     for k in (1, 2):
-        p12, p21, p11 = fam.rho[k][(1, 2)], fam.rho[k][(2, 1)], fam.rho[k][(1, 1)]
+        p11, p22, p12, p21 = (dense_projector(fam, "rho_%d" % k, i, j)
+                              for i, j in ((1, 1), (2, 2), (1, 2), (2, 1)))
         assert np.linalg.norm(p12 @ p21 - p11) < 1e-12
         assert np.linalg.norm(p21 @ p21) < 1e-12
-        v = fam.rho[k][(2, 2)] @ RNG.standard_normal(2 * sys.npoints)
+        v = p22 @ RNG.standard_normal(2 * sys.npoints)
         moved = p12 @ v
         assert_allclose(m_inner(sys, moved, moved), m_inner(sys, v, v), rtol=1e-10)
-
-
-def test_averaging_operators():
-    sys = rs.build(6, [rs.regular(2.0, 1.5)])
-    act = sys.group_action()
-    s0 = _averaging(act, "s", 0)
-    assert np.linalg.norm(s0) == 0.0
-    assert_allclose(_averaging(act, "c", 6), _averaging(act, "c", 0), atol=1e-15)
-    # the zeroth cosine average halves any rotation-invariant field
-    kappa = (sys.positions / np.linalg.norm(sys.positions, axis=1)[:, None]).ravel()
-    assert_allclose(_averaging(act, "c", 0) @ kappa, kappa / 2.0, atol=1e-14)
 
 
 def radial_field(sys):
@@ -145,7 +134,8 @@ def test_tau_projector_fixes_radial_field():
     for spec, size in ((rs.regular(1.7, 2.0), 5), (rs.semiregular(1.7, 0.3, 2.0), 10)):
         sys = rs.build(5, [spec])
         kappa = radial_field(sys)
-        assert_allclose(projector_family(sys).one_dim["tau"] @ kappa, kappa, atol=1e-13)
+        assert_allclose(dense_projector(projector_family(sys), "tau") @ kappa, kappa,
+                        atol=1e-13)
         # <kappa, kappa>_M = m R^2 ... with unit radial vectors just m |orbit|
         assert_allclose(m_inner(sys, kappa, kappa), 2.0 * size, rtol=1e-13)
         assert abs(m_inner(sys, kappa, apply_j(kappa))) < 1e-13
@@ -258,13 +248,13 @@ def grid_systems(n):
 def block_projectors(fam, label):
     """(projector onto the block's isotypic component, projector whose
     image holds the block's u side)."""
-    p = fam.one_dim
-    if label == "tau_alpha":
-        return p["tau"] + p["alpha"], p["tau"]
-    if label == "phi_psi":
-        return p["phi"] + p["psi"], p["phi"]
-    rp = fam.rho[1 if label == "sigma" else int(label.split("_")[1])]
-    return rp[(1, 1)] + rp[(2, 2)], rp[(1, 1)]
+    if label in ("tau_alpha", "phi_psi"):
+        first, second = label.split("_")
+        u = dense_projector(fam, first)
+        return u + dense_projector(fam, second), u
+    irrep = "rho_1" if label == "sigma" else label
+    u = dense_projector(fam, irrep, 1, 1)
+    return u + dense_projector(fam, irrep, 2, 2), u
 
 
 @pytest.mark.parametrize("n", range(2, 13))
@@ -304,28 +294,44 @@ def dense_averaging(sys, kind, k):
 def test_gather_action_matches_sigma_matrix(n):
     for key, sys in grid_systems(n):
         act = sys.group_action()
-        fam = projector_family(sys)
-        dim = 2 * sys.npoints
-        X = RNG.standard_normal((dim, 3))
+        X = RNG.standard_normal((2 * sys.npoints, 3))
         for g in rs.full_group(n):
             S = sigma_matrix(sys, g)
             assert np.abs(act.left(g, X) - S @ X).max() <= 1e-14, (key, g)
             assert np.abs(act.right(X.T, g) - X.T @ S).max() <= 1e-14, (key, g)
-        S = sigma_matrix(sys, rs.reflection(n))
-        E = np.eye(dim)
-        for kind, k in (("c", 0), ("c", 1), ("s", 1), ("c", n // 2)):
-            avg = dense_averaging(sys, kind, k)
-            assert np.abs(_averaging(act, kind, k) - avg).max() <= 1e-14, (key, kind, k)
-        for label in ("tau", "alpha"):
-            sign = 1.0 if label == "tau" else -1.0
-            P = dense_averaging(sys, "c", 0) @ (E + sign * S)
-            assert np.abs(fam.one_dim[label] - P).max() <= 1e-14, (key, label)
-        if n > 2:
-            ck, sk = dense_averaging(sys, "c", 1), dense_averaging(sys, "s", 1)
-            dense = {(1, 1): 2.0 * ck @ (E + S), (2, 2): 2.0 * ck @ (E - S),
-                     (1, 2): 2.0 * sk @ (S - E), (2, 1): 2.0 * sk @ (E + S)}
-            for part, P in dense.items():
-                assert np.abs(fam.rho[1][part] - P).max() <= 1e-14, (key, part)
+
+
+def dense_projectors(sys):
+    """Every isotypic projector by its definition, keyed (irrep, i, j):
+    with the averages c_k, s_k and S = sigma(s), p_tau, p_alpha =
+    c_0 (E +- S), p_phi, p_psi = c_{n/2} (E +- S), p11, p22 = 2 c_k (E +- S),
+    p12 = 2 s_k (S - E) and p21 = 2 s_k (E + S)."""
+    n = sys.n
+    S = sigma_matrix(sys, rs.reflection(n))
+    E = np.eye(2 * sys.npoints)
+    out = {}
+    for irrep, k, sign in (("tau", 0, 1.0), ("alpha", 0, -1.0),
+                           ("phi", n // 2, 1.0), ("psi", n // 2, -1.0))[:4 if n % 2 == 0 else 2]:
+        out[irrep, 1, 1] = dense_averaging(sys, "c", k) @ (E + sign * S)
+    for k in rho_range(n):
+        ck, sk = dense_averaging(sys, "c", k), dense_averaging(sys, "s", k)
+        irrep = "rho_%d" % k
+        out.update({(irrep, 1, 1): 2.0 * ck @ (E + S), (irrep, 2, 2): 2.0 * ck @ (E - S),
+                    (irrep, 1, 2): 2.0 * sk @ (S - E), (irrep, 2, 1): 2.0 * sk @ (E + S)})
+    return out
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_projector_stacks_match_sigma_matrix_definition(n):
+    """Every ring stack, placed on the block diagonal, is its projector's
+    definition from dense sigma matrices: the ring blocks agree, and the
+    definition vanishes off them."""
+    for key, sys in grid_systems(n):
+        fam = projector_family(sys)
+        dense = dense_projectors(sys)
+        assert list(dense) == list(fam.labels), key
+        for label, P in dense.items():
+            assert np.abs(dense_projector(fam, *label) - P).max() <= 1e-14, (key, label)
 
 
 GUARD_CONFIG = """
@@ -353,9 +359,9 @@ mass = 0.6
 
 @pytest.mark.parametrize("n", [2, 6])
 def test_analyze_never_forms_dense_projectors(n, tmp_path, monkeypatch, capsys):
-    # every projector is built from an averaging operator over the group
-    # action; analyze reaches none of the three
-    dense = (symbasis.projector_family, symbasis._averaging)
+    # every projector stack is built from the group action; analyze reaches
+    # neither the family, nor a ring's stack, nor the action
+    dense = (symbasis.projector_family, symbasis._ring_stack)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("analyze reached the projectors or the group action")
@@ -448,7 +454,7 @@ def test_analyze_builds_twice_and_takes_one_gradient(n, kind, r2, tmp_path, monk
 
 @pytest.mark.parametrize("n", [2, 6])
 def test_verify_builds_each_oracle_once(n, tmp_path, monkeypatch, capsys):
-    calls = {"group_action": 0, "hessian": 0, "_rho_parts": 0}
+    calls = {"group_action": 0, "hessian": 0, "projector_family": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -459,10 +465,11 @@ def test_verify_builds_each_oracle_once(n, tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(RingSystem, "group_action",
                         counted("group_action", RingSystem.group_action))
     monkeypatch.setattr(rs.dynamics, "hessian", counted("hessian", rs.dynamics.hessian))
-    monkeypatch.setattr(symbasis, "_rho_parts", counted("_rho_parts", symbasis._rho_parts))
+    monkeypatch.setattr(cli, "projector_family",
+                        counted("projector_family", cli.projector_family))
     cfg = tmp_path / "job.cfg"
     cfg.write_text(GUARD_CONFIG.format(n=n))
     code = cli.main(["verify", "--config", str(cfg)])
     out = capsys.readouterr()
     assert code == 0, out.out + out.err
-    assert calls == {"group_action": 1, "hessian": 1, "_rho_parts": len(rho_range(n))}
+    assert calls == {"group_action": 1, "hessian": 1, "projector_family": 1}
