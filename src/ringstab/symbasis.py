@@ -49,9 +49,10 @@ _CHUNK_ENTRIES = 1 << 17
 
 def _ring_tables(rows: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     """Dense (len(rows), 2m, 2m) matrices on one ring's rows and columns,
-    each with the 2x2 block blocks[t] at points (rows[t, i], i): with rows
-    the ring's local point permutations of some elements g and blocks their
-    planar actions, the ring's diagonal blocks of the sigma(g)."""
+    matrix t holding the 2x2 block blocks[t] at points (rows[t, i], i).
+    With rows[t] an element's point permutation on the ring and blocks[t]
+    its planar action, matrix t is the ring's diagonal block of that
+    element's sigma."""
     count, m = rows.shape
     out = np.zeros((count, m, 2, m, 2))
     out[np.arange(count)[:, None], rows, :, np.arange(m), :] = blocks[:, None]
@@ -79,7 +80,7 @@ def _character_weights(n: int, labels: list[tuple[str, int, int]]) -> np.ndarray
     for key, i, jj in labels:
         if key.startswith("rho_"):
             ang = 2.0 * np.pi * int(key[4:]) * j / n
-            c, s = 2.0 * (np.cos(ang) / (2.0 * n)), 2.0 * (np.sin(ang) / (2.0 * n))
+            c, s = np.cos(ang) / n, np.sin(ang) / n
             row = {(1, 1): (c, c), (2, 2): (c, -c), (1, 2): (-s, s), (2, 1): (s, s)}[i, jj]
         else:
             c = np.cos(2.0 * np.pi * (0 if key in ("tau", "alpha") else n // 2) * j / n) / (2.0 * n)
