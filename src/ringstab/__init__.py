@@ -19,9 +19,7 @@ from .geometry import RingSpec, RingSystem, build, center, regular, ring_positio
 from .stability import (BlockReport, FactorizationReport, PolyFactor,
                         classical_checks, dense_oracle, factorize)
 from .svg import emit_svg, render_svg
-from .symbasis import (ProjectorFamily, SymBasis, assemble_global_basis,
-                       gram_residual, isotypic_decomposition, j_relations_check,
-                       m_inner, multiplicities, projector_algebra_check,
-                       projector_family, symplectic_residuals, translation_field)
+from .symbasis import (SymBasis, assemble_global_basis, gram_residual,
+                       multiplicities, symmetry_certificate, translation_field)
 
 __version__ = "0.1.0"

@@ -26,9 +26,7 @@ from .stability import (OFF_BLOCK_TOL, ORACLE_TOL, FactorizationReport,
                         factorize)
 from .svg import emit_svg
 from .symbasis import (SymBasis, assemble_global_basis, gram_residual,
-                       isotypic_decomposition, j_relations_check,
-                       projector_algebra_check, projector_family,
-                       symplectic_residuals)
+                       symmetry_certificate)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -88,17 +86,14 @@ def invariant_suite(op: StabilityOperator, basis: SymBasis,
     """One item per invariant, at the thresholds of limit(key, default),
     the config's tol_<key> when set, else the default.
 
-    The projector family of op's system is built once and shared by the
-    projector checks; the operator checks read op, the operator that fac
-    factored.  A count is right iff its trace rounds to it, so the ranks
-    pass at 0.5, which no tol_<key> moves.
+    The group action of op's system is built once and shared by the
+    equivariance check and the symmetry certificate of the basis that fac
+    factored; the operator checks read op, the operator that fac factored.
     """
     inv = functools.partial(limit, "invariants")
-    fam = projector_family(op.system)
-    items = [_item("projector algebra + completeness", projector_algebra_check(fam), inv(1e-11)),
-             _item("J relations", j_relations_check(fam), inv(1e-11)),
-             _item("multiplicity ranks", isotypic_decomposition(fam), 0.5),
-             _item("equivariance of A", equivariance_residual(op, fam.action), inv(1e-9)),
+    act = op.system.group_action()
+    items = [_item("basis symmetry certificate", symmetry_certificate(basis, act), inv(1e-11)),
+             _item("equivariance of A", equivariance_residual(op, act), inv(1e-9)),
              _item("hessian vs complex step", hessian_fd_residual(op), inv(1e-12)),
              _item("translation kernel of A", translation_kernel_residual(op), inv(1e-9))]
     # mixed signs leave the mass form indefinite: orthogonality is then not gated
@@ -111,8 +106,6 @@ def invariant_suite(op: StabilityOperator, basis: SymBasis,
     else:
         items.append(_item("classical eigenvector identities", 0.0, "-",
                            status="SKIP (not a relative equilibrium)", gated=False))
-    items.append(_item("symplectic pairing diagnostics", symplectic_residuals(fam), "-",
-                       status="INFO", gated=False))
     return items
 
 

@@ -7,8 +7,9 @@ j in {0..n-1}, k in {0,1}.  The composition law is
     (r^j s^k) (r^j' s^k') = r^(j + (-1)^k j') s^(k xor k').
 
 The real irreps are named by the keys of the multiplicity law
-(`symbasis.multiplicities`), which the projectors of `symbasis` and the
-reports share, each in this fixed orthogonal realization:
+(`symbasis.multiplicities`), which the blocks of the adapted basis, their
+symmetry certificate and the reports share, each in this fixed orthogonal
+realization:
 
     tau   : trivial, degree 1
     alpha : sign of the reflection part, degree 1

@@ -7,22 +7,12 @@ takes a standard symplectic form, directly from closed-form Fourier fields:
 on each orbit the columns are radial and tangential unit fields modulated by
 cos/sin of k*theta, O(N) per column (`assemble_global_basis`).
 
-The projectors onto the isotypic components (for each two-dimensional
-irrep the four blocks p11, p12, p21, p22) are verification oracles:
-`projector_family` builds them once per system, and the four checks that
-`verify` runs on them (`projector_algebra_check`, `j_relations_check`,
-`isotypic_decomposition`, `symplectic_residuals`) share that one family.
-The production pipeline never forms them.  The action keeps every point on
-its ring, so every sigma(g), and with it every projector, is block
-diagonal, one block per ring.  The family holds those blocks and nothing
-else: one (K, 2m, 2m) stack per ring, every projector of the ring in one
-product of the (K x 2n) table of character weights with the ring's
-sigma(r^j) and sigma(r^j) sigma(s) tables.  Each check runs ring by ring
-on the stacks and sums its squared norms over the rings; each isotypic
-rank is a projector's trace.  No 2N x 2N projector and no dense sigma
-matrix is formed.  Irreps are named by the keys of `multiplicities`
-("tau", "alpha", "phi", "psi", "rho_k"), and each check returns a dict of
-named residuals.
+Each block of that basis spans a D_n-invariant subspace of one type: the
+pair tau/alpha or phi/psi, which J exchanges, or one rho_k (irreps are
+named by the keys of `multiplicities`).  `symmetry_certificate` checks
+this for the basis itself, from the two generators r and s alone: the
+block is invariant under both, and their matrices on it satisfy the
+type's relations.  No projector and no dense sigma matrix is formed.
 
 All inner products are taken with respect to M = diag(masses), which may be
 indefinite when masses (vorticities) change sign; orthogonalization then
@@ -35,102 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dihedral import rho_range
+from .dihedral import reflection, rho_range, rotation
 from .dynamics import apply_j
 from .geometry import GroupAction, RingSystem
 
 #: M-norms below this relative to the Euclidean norm trigger the fallback
 MNORM_RTOL = 1e-10
-#: float entries (1 MiB) of each temporary the projector checks take of one
-#: chunk of a ring stack (8 projectors of 64 x 64 in the algebra's products
-#: on 4 probes), so that the chunk's temporaries stay in cache
-_CHUNK_ENTRIES = 1 << 17
-
-
-def _ring_tables(rows: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-    """Dense (len(rows), 2m, 2m) matrices on one ring's rows and columns,
-    matrix t holding the 2x2 block blocks[t] at points (rows[t, i], i).
-    With rows[t] an element's point permutation on the ring and blocks[t]
-    its planar action, matrix t is the ring's diagonal block of that
-    element's sigma."""
-    count, m = rows.shape
-    out = np.zeros((count, m, 2, m, 2))
-    out[np.arange(count)[:, None], rows, :, np.arange(m), :] = blocks[:, None]
-    return out.reshape(count, 2 * m, 2 * m)
-
-
-def _labels(n: int) -> list[tuple[str, int, int]]:
-    """Every isotypic projector of D_n in family order, as (irrep, i, j):
-    tau, alpha[, phi, psi] as (name, 1, 1), then p11, p22, p12, p21 of each
-    rho_k (none for n = 2)."""
-    ones = ("tau", "alpha", "phi", "psi")[:4 if n % 2 == 0 else 2]
-    return [(name, 1, 1) for name in ones] + [
-        ("rho_%d" % k, i, j) for k in rho_range(n) for i, j in ((1, 1), (2, 2), (1, 2), (2, 1))]
-
-
-def _character_weights(n: int, labels: list[tuple[str, int, int]]) -> np.ndarray:
-    """(K, 2n) weights w with projector K = sum_j w[K, j-1] sigma(r^j) +
-    w[K, n+j-1] sigma(r^j) sigma(s), j = 1..n.  With the averages
-    c_k = (1/2n) sum_j cos(2 pi k j/n) sigma(r^j) and s_k likewise with sin,
-    and S = sigma(s): p_tau, p_alpha = c_0 (E +- S), p_phi, p_psi =
-    c_{n/2} (E +- S); p11, p22 = 2 c_k (E +- S), p12 = 2 s_k (S - E) and
-    p21 = 2 s_k (E + S)."""
-    j = np.arange(1, n + 1)
-    rows = []
-    for key, i, jj in labels:
-        if key.startswith("rho_"):
-            ang = 2.0 * np.pi * int(key[4:]) * j / n
-            c, s = np.cos(ang) / n, np.sin(ang) / n
-            row = {(1, 1): (c, c), (2, 2): (c, -c), (1, 2): (-s, s), (2, 1): (s, s)}[i, jj]
-        else:
-            c = np.cos(2.0 * np.pi * (0 if key in ("tau", "alpha") else n // 2) * j / n) / (2.0 * n)
-            row = (c, c if key in ("tau", "phi") else -c)
-        rows.append(np.concatenate(row))
-    return np.array(rows)
-
-
-def _ring_stack(act: GroupAction, sl: slice, weights: np.ndarray) -> np.ndarray:
-    """Every projector of the family on one ring, (K, 2m, 2m): one product
-    of the character weights with the ring's sigma(r^j) tables and their
-    sigma(r^j) sigma(s), j = 1..n.  sigma(r^j) sigma(s) is taken as a
-    column gather by sigma(s) and then its 2x2 block, not read from the
-    action's entry for r^j s, so the checks still test that the action is
-    a homomorphism."""
-    n = act.n
-    j = np.arange(1, n + 1) % n                  # r^j in `full_group` order
-    rows = act.perm[j, sl] - sl.start
-    rows = np.concatenate([rows, rows[:, act.perm[n, sl] - sl.start]])
-    blocks = np.concatenate([act.blocks[j], act.blocks[j] @ act.blocks[n]])
-    tables = _ring_tables(rows, blocks)
-    return (weights @ tables.reshape(2 * n, -1)).reshape(-1, *tables.shape[1:])
-
-
-@dataclass(frozen=True)
-class ProjectorFamily:
-    """Every isotypic projector of one system, built once and shared by the
-    verification checks.  Each projector is block diagonal, one block per
-    ring, and is held as those blocks: stacks[r][K] is projector labels[K]
-    on ring r's rows and columns."""
-
-    system: RingSystem
-    action: GroupAction
-    labels: tuple[tuple[str, int, int], ...]     # (irrep, i, j), `_labels` order
-    stacks: list[np.ndarray]                     # per orbit, (K, 2m, 2m)
-
-
-def projector_family(sys: RingSystem) -> ProjectorFamily:
-    """The group action and, ring by ring, the one-dimensional projectors
-    and the four p_ij blocks of every rho_k."""
-    act = sys.group_action()
-    labels = _labels(sys.n)
-    weights = _character_weights(sys.n, labels)
-    return ProjectorFamily(system=sys, action=act, labels=tuple(labels),
-                           stacks=[_ring_stack(act, sl, weights) for sl in sys.orbit_slices])
-
-
-def m_inner(sys: RingSystem, u: np.ndarray, v: np.ndarray) -> float:
-    """<u, v>_M = u^T M v; indefinite when masses change sign."""
-    return float(u @ (sys.mass_diag * v))
 
 
 def multiplicities(n: int, a: int, b: int, c: int) -> dict[str, int]:
@@ -150,190 +50,6 @@ def multiplicities(n: int, a: int, b: int, c: int) -> dict[str, int]:
         out["psi"] = w
     for k in rho_range(n):
         out["rho_%d" % k] = (a + 2 * w) if k == 1 else 2 * w
-    return out
-
-
-def _ring_rows(sys: RingSystem) -> list[slice]:
-    """Coordinate rows of each ring.  The action keeps every point on its
-    ring, so every sigma(g), and with it every projector, is block diagonal
-    in these rows."""
-    return [slice(2 * sl.start, 2 * sl.stop) for sl in sys.orbit_slices]
-
-
-def _j_left(X: np.ndarray) -> np.ndarray:
-    """J @ X for X or a stack of them: (x, y) -> (-y, x) on each point's
-    pair of rows."""
-    v = X.reshape(X.shape[:-2] + (-1, 2, X.shape[-1]))
-    return np.stack([-v[..., 1, :], v[..., 0, :]], axis=-2).reshape(X.shape)
-
-
-def _j_right(X: np.ndarray) -> np.ndarray:
-    """X @ J for X or a stack of them: (x, y) -> (y, -x) on each point's
-    pair of columns."""
-    v = X.reshape(X.shape[:-1] + (-1, 2))
-    return np.stack([v[..., 1], -v[..., 0]], axis=-1).reshape(X.shape)
-
-
-def _sq_norms(X: np.ndarray) -> np.ndarray:
-    """Squared Frobenius norm of each matrix of a stack."""
-    flat = X.reshape(len(X), -1)
-    return np.einsum("kx,kx->k", flat, flat)
-
-
-def _chunks(count: int, entries: int) -> list[slice]:
-    """Consecutive slices of range(count), each of about _CHUNK_ENTRIES /
-    entries items of `entries` floats."""
-    step = max(1, _CHUNK_ENTRIES // entries)
-    return [slice(a, min(a + step, count)) for a in range(0, count, step)]
-
-
-def isotypic_decomposition(fam: ProjectorFamily) -> dict[str, float]:
-    """|trace - multiplicity| of every isotypic piece, keyed "tau", "alpha",
-    "phi", "psi" and "rho_k part i", and |sum of traces - 2N| as
-    "dimension sum".  The trace of an idempotent is its rank, and counts
-    the piece's dimension by characters (Serre 1977, 2.6), so a count is
-    right iff its residual is below 0.5.  Idempotency itself is gated by
-    `projector_algebra_check`.  Traces are summed over the ring blocks.
-    """
-    sys = fam.system
-    expect = multiplicities(sys.n, *sys.type_abc)
-    traces = sum(np.trace(stack, axis1=1, axis2=2) for stack in fam.stacks)
-    diag = [(key, i, float(t)) for (key, i, j), t in zip(fam.labels, traces) if i == j]
-    out = {("%s part %d" % (key, i) if key.startswith("rho_") else key): abs(t - expect[key])
-           for key, i, t in diag}
-    out["dimension sum"] = abs(sum(t for _, _, t in diag) - 2 * sys.npoints)
-    return out
-
-
-def projector_algebra_check(fam: ProjectorFamily, probe_dim: int = 96) -> dict[str, float]:
-    """Residuals of the full composition table of the projector family.
-
-    p_a p_b = delta_ab p_a for one-dimensional labels a, b; within each
-    two-dimensional family p_ij p_kl = delta_jk p_il; everything across
-    distinct irreps composes to zero; and the diagonal members sum to the
-    identity.  All residuals are Frobenius norms; above probe_dim the table
-    is evaluated on a fixed block of unit probe vectors instead of forming
-    the dense products (same scale, deterministic, O(dim^2) per pair).
-    Products are taken ring by ring, on the family's stacks, and each
-    squared norm is summed over the rings.
-    """
-    labels = fam.labels
-    count = len(labels)
-    where = {label: i for i, label in enumerate(labels)}
-    # the nonzero products p_a p_b = p_e as index arrays (a, b, e), sorted
-    # by a: p_ij p_kl = p_il when j = k, where a one-dimensional label is
-    # its irrep's only part (1, 1)
-    pa, pb, pe = np.array([(a, b, where[(key, i, l)])
-                           for a, (key, i, j) in enumerate(labels)
-                           for b, (key_b, k, l) in enumerate(labels)
-                           if key_b == key and k == j]).T
-    dim = 2 * fam.system.npoints
-    probe = None
-    if dim > probe_dim:
-        rng = np.random.default_rng(20240817)
-        probe = rng.standard_normal((dim, 4))
-        probe /= np.linalg.norm(probe, axis=0)
-    diag = [i for i, (_, a, b) in enumerate(labels) if a == b]
-    sq = np.zeros((count, count))
-    comp = 0.0
-    for r, stack in zip(_ring_rows(fam.system), fam.stacks):
-        d = stack.shape[1]
-        x = probe[r] if probe is not None else np.eye(d)
-        bx = stack @ x                                             # B x for every B
-        # row block b of flat is (p_b x)^T, so flat p_a^T stacks every
-        # (p_a p_b x)^T
-        flat = bx.transpose(0, 2, 1).reshape(-1, d)
-        chunks = _chunks(count, flat.size)
-        buf = np.empty((chunks[0].stop,) + flat.shape)
-        for c in chunks:
-            rows = c.stop - c.start
-            prod = np.matmul(flat, stack[c].swapaxes(1, 2), out=buf[:rows])
-            part = _sq_norms(prod.reshape(rows * count, -1)).reshape(rows, count)
-            # the nonzero products: recompute p_a p_b x - p_e x and replace
-            sel = slice(*np.searchsorted(pa, [c.start, c.stop]))
-            diff = stack[pa[sel]] @ bx[pb[sel]] - bx[pe[sel]]
-            part[pa[sel] - c.start, pb[sel]] = _sq_norms(diff)
-            sq[c] += part
-        total = stack[diag].sum(axis=0) - np.eye(d)
-        comp += np.vdot(total, total)
-    names = ["p%d%d(k=%s)" % (i, j, key[4:]) if key.startswith("rho_") else "p_" + key
-             for key, i, j in labels]
-    res = {"%s %s" % (na, nb): v for na, row in zip(names, np.sqrt(sq).tolist())
-           for nb, v in zip(names, row)}
-    res["completeness"] = float(np.sqrt(comp))
-    return res
-
-
-#: the label whose projector J carries each one-dimensional projector to
-_J_PARTNER = {"tau": "alpha", "alpha": "tau", "phi": "psi", "psi": "phi"}
-
-
-def j_relations_check(fam: ProjectorFamily) -> dict[str, float]:
-    """Residuals of the commutation identities between J and the group machinery.
-
-    J commutes with rotations and anticommutes with reflections; consequently
-    J intertwines p_tau with p_alpha, p_phi with p_psi, and maps the rho
-    blocks as J p11 = p22 J, J p12 = -p21 J (and symmetrically).  Each
-    identity is taken ring by ring and its squared norm summed over the
-    rings.
-    """
-    n, npts = fam.system.n, fam.system.npoints
-    where = {label: i for i, label in enumerate(fam.labels)}
-    names = ["J r - r J", "J s + s J"]
-    partner, sign = [], []
-    for key, i, j in fam.labels:
-        if key.startswith("rho_"):
-            # J p_ii = p_i'i' J and J p_ij = -p_i'j' J, with 1' = 2 and 2' = 1
-            partner.append(where[(key, 3 - i, 3 - j)])
-            sign.append(-1.0 if i == j else 1.0)
-            names.append("J p%d%d %s p%d%d J (k=%s)"
-                         % (i, j, "-" if i == j else "+", 3 - i, 3 - j, key[4:]))
-        else:
-            partner.append(where[(_J_PARTNER[key], 1, 1)])
-            sign.append(-1.0)
-            names.append("J p_%s - p_%s J" % (key, _J_PARTNER[key]))
-    partner, sign = np.array(partner), np.array(sign)[:, None, None]
-    gens, gen_sign = [1, n], np.array([-1.0, 1.0])[:, None, None]   # J r - r J, J s + s J
-    act = fam.action
-    sq = np.zeros(len(names))
-    for sl, stack in zip(fam.system.orbit_slices, fam.stacks):
-        sigma = _ring_tables(act.perm[gens, sl] - sl.start, act.blocks[gens])
-        sq[:2] += _sq_norms(_j_left(sigma) + gen_sign * _j_right(sigma))
-        for c in _chunks(len(stack), stack[0].size):
-            rel = _j_left(stack[c])
-            rel += sign[c] * _j_right(stack[partner[c]])
-            sq[2 + c.start:2 + c.stop] += _sq_norms(rel)
-    nrm = np.sqrt(2.0 * npts)                   # ||J||_F
-    return {name: float(np.sqrt(v) / nrm) for name, v in zip(names, sq)}
-
-
-def symplectic_residuals(fam: ProjectorFamily) -> dict[str, float]:
-    """Diagnostics of the pairing Omega_M(u, v) = u^T M J v (never gated).
-
-    Reports the isotropy of the tau component (Omega_M vanishes there) and,
-    per two-dimensional irrep, how far M J p12 is from symmetric, i.e. how
-    far the transfer p12 is from being a Hamiltonian vector field for
-    Omega_M.  Norms are taken ring by ring and summed in square.
-    """
-    md = fam.system.mass_diag
-    tau = fam.labels.index(("tau", 1, 1))
-    transfers = np.array([ia for ia, (key, i, j) in enumerate(fam.labels) if i != j], dtype=int)
-    iso = 0.0
-    asym = np.zeros(len(transfers))
-    size = np.zeros(len(transfers))
-    for r, stack in zip(_ring_rows(fam.system), fam.stacks):
-        y = stack[tau].T @ (md[r, None] * _j_left(stack[tau]))
-        iso += np.vdot(y, y)
-        for c in _chunks(len(transfers), stack[0].size):
-            mj = md[r, None] * _j_left(stack[transfers[c]])          # M J p12, M J p21
-            asym[c] += _sq_norms(mj - mj.swapaxes(1, 2))
-            size[c] += _sq_norms(mj)
-    # ||M J||_F = ||mass_diag||
-    out = {"Omega_M on tau component": float(np.sqrt(iso) / max(np.linalg.norm(md), 1e-300))}
-    for ia, a, b in zip(transfers, asym, size):
-        key, i, j = fam.labels[ia]
-        out["M J p%d%d symmetry (k=%s)" % (i, j, key[4:])] = float(
-            np.sqrt(a) / max(np.sqrt(b), 1e-300))
     return out
 
 
@@ -483,6 +199,52 @@ def gram_residual(basis: SymBasis) -> float:
     G = C.T @ (basis.system.mass_diag[:, None] * C)
     off = G - np.diag(np.diag(G))
     return float(np.linalg.norm(off) / max(np.linalg.norm(G), 1e-300))
+
+
+def symmetry_certificate(basis: SymBasis, act: GroupAction) -> dict[str, float]:
+    """Residuals that each block of the basis carries its irreps, keyed
+    "<block> <relation>".
+
+    For g = r and g = s, rho_b(g) = G_b^-1 C_b^T M (g C_b), with
+    G_b = C_b^T M C_b, the projection `factorize` takes of A; "r invariance"
+    and "s invariance" are ||g C_b - C_b rho_b(g)||_F / ||C_b||_F.  With
+    R = rho_b(r), S = rho_b(s) and J_b = `standard_j`, the other residuals
+    are Frobenius norms of D_n's presentation (Serre 1977, 2.6) on the
+    block: the minimal polynomial of r on its irreps (R - I on tau/alpha,
+    R + I on phi/psi, R^2 - 2 cos(2 pi k/n) R + I on rho_k, k = 1 for
+    sigma), S^2 - I and (S R)^2 - I; and J's commutation with rotations and
+    anticommutation with reflections, R J_b - J_b R and S J_b + J_b S.
+    rho_b(g) is similar to an orthogonal matrix, so these need no scale.
+    """
+    n = act.n
+    C = basis.matrix
+    MC = basis.system.mass_diag[:, None] * C
+    moved = {"r": act.left(rotation(n), C), "s": act.left(reflection(n), C)}
+    out = {}
+    for blk in basis.blocks:
+        cb, mcb = C[:, blk.cols], MC[:, blk.cols]
+        gram = mcb.T @ cb
+        rho = {}
+        for g, X in moved.items():
+            xb = X[:, blk.cols]
+            rho[g] = np.linalg.solve(gram, mcb.T @ xb)
+            out["%s %s invariance" % (blk.label, g)] = float(
+                np.linalg.norm(xb - cb @ rho[g]) / np.linalg.norm(cb))
+        R, S = rho["r"], rho["s"]
+        eye, J = np.eye(blk.size), standard_j(blk.pairs)
+        if blk.label == "tau_alpha":
+            minimal = R - eye
+        elif blk.label == "phi_psi":
+            minimal = R + eye
+        else:
+            k = 1 if blk.label == "sigma" else int(blk.label[4:])
+            minimal = R @ R - 2.0 * np.cos(2.0 * np.pi * k / n) * R + eye
+        SR = S @ R
+        for key, rel in (("minimal polynomial", minimal), ("s^2", S @ S - eye),
+                         ("(s r)^2", SR @ SR - eye), ("J r", R @ J - J @ R),
+                         ("J s", S @ J + J @ S)):
+            out["%s %s" % (blk.label, key)] = float(np.linalg.norm(rel))
+    return out
 
 
 def _m_gram_schmidt(sys: RingSystem, cols: list[np.ndarray],

@@ -12,11 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ringstab.dihedral import DihedralElement, planar_action, rho_range
+from ringstab.dihedral import (DihedralElement, planar_action, reflection,
+                               rho_range, rotation)
 from ringstab.dynamics import Potential, StabilityOperator, _pair_geometry, apply_j
 from ringstab.geometry import RingSystem, _element_index
 from ringstab.stability import _shifts
-from ringstab.symbasis import ProjectorFamily, SymBasis, multiplicities
+from ringstab.symbasis import SymBasis, multiplicities
 
 
 # ---------------------------------------------------------------------------
@@ -111,17 +112,37 @@ def sigma_matrix(sys: RingSystem, g: DihedralElement) -> np.ndarray:
     return out
 
 
-def dense_projector(fam: ProjectorFamily, irrep: str, i: int = 1, j: int = 1) -> np.ndarray:
-    """Projector (irrep, i, j) of fam as a 2N x 2N matrix: its per-ring
-    blocks on the diagonal, zero elsewhere.  A one-dimensional irrep's
-    projector is its part (1, 1)."""
-    idx = fam.labels.index((irrep, i, j))
-    dim = 2 * fam.system.npoints
-    out = np.zeros((dim, dim))
-    for sl, stack in zip(fam.system.orbit_slices, fam.stacks):
-        rows = slice(2 * sl.start, 2 * sl.stop)
-        out[rows, rows] = stack[idx]
+def dense_projectors(sys: RingSystem) -> dict[tuple[str, int, int], np.ndarray]:
+    """Every isotypic projector by its definition, keyed (irrep, i, j), a
+    one-dimensional irrep's as its part (1, 1).  With the averages
+    c_k = (1/2n) sum_j cos(2 pi k j/n) sigma(r^j), s_k likewise with sin
+    (j = 1..n), and S = sigma(s): p_tau, p_alpha = c_0 (E +- S), p_phi,
+    p_psi = c_{n/2} (E +- S), p11, p22 = 2 c_k (E +- S), p12 = 2 s_k (S - E)
+    and p21 = 2 s_k (E + S)."""
+    n = sys.n
+    j = np.arange(1, n + 1)
+    rotations = np.array([sigma_matrix(sys, rotation(n, i)) for i in j])
+
+    def average(w, k):
+        return np.tensordot(w(2.0 * np.pi * k * j / n), rotations, axes=1) / (2.0 * n)
+
+    S = sigma_matrix(sys, reflection(n))
+    E = np.eye(2 * sys.npoints)
+    out = {}
+    for irrep, k, sign in (("tau", 0, 1.0), ("alpha", 0, -1.0),
+                           ("phi", n // 2, 1.0), ("psi", n // 2, -1.0))[:4 if n % 2 == 0 else 2]:
+        out[irrep, 1, 1] = average(np.cos, k) @ (E + sign * S)
+    for k in rho_range(n):
+        ck, sk = average(np.cos, k), average(np.sin, k)
+        irrep = "rho_%d" % k
+        out.update({(irrep, 1, 1): 2.0 * ck @ (E + S), (irrep, 2, 2): 2.0 * ck @ (E - S),
+                    (irrep, 1, 2): 2.0 * sk @ (S - E), (irrep, 2, 1): 2.0 * sk @ (E + S)})
     return out
+
+
+def m_inner(sys: RingSystem, u: np.ndarray, v: np.ndarray) -> float:
+    """<u, v>_M = u^T M v; indefinite when masses change sign."""
+    return float(u @ (sys.mass_diag * v))
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,9 @@ from numpy.testing import assert_allclose
 
 import ringstab as rs
 from ringstab.stability import classical_checks, factorize
-from ringstab.symbasis import (isotypic_decomposition, j_relations_check,
-                               m_inner, multiplicities,
-                               projector_algebra_check, projector_family,
+from ringstab.symbasis import (multiplicities, symmetry_certificate,
                                translation_field)
-from reference import expected_degree_profile, j_matrix, transform
+from reference import expected_degree_profile, j_matrix, m_inner, transform
 
 NEWT = rs.newtonian()
 VORT = rs.vortex()
@@ -50,11 +48,21 @@ def grid_system(n, a, b, c):
     return rs.build(n, rings)
 
 
+def grid_certificates():
+    """((n, a, b, c), basis, symmetry certificate) on the type grid."""
+    for n, a, b, c in type_grid():
+        sys = grid_system(n, a, b, c)
+        basis = rs.assemble_global_basis(sys)
+        yield (n, a, b, c), basis, symmetry_certificate(basis, sys.group_action())
+
+
+#: the certificate's invariance keys end with this; the rest are relations
+INVARIANCE = " invariance"
+
+
 def test_criterion_01_multiplicity_law():
     with criterion(1, "multiplicity law on the type grid"):
-        for n, a, b, c in type_grid():
-            sys = grid_system(n, a, b, c)
-            res = isotypic_decomposition(projector_family(sys))
+        for (n, a, b, c), basis, cert in grid_certificates():
             mult = multiplicities(n, a, b, c)
             w = b + 2 * c
             assert mult["tau"] == mult["alpha"] == w
@@ -64,26 +72,30 @@ def test_criterion_01_multiplicity_law():
                 assert mult["rho_1"] == a + 2 * w
                 for k in range(2, (n - 1) // 2 + 1):
                     assert mult["rho_%d" % k] == 2 * w
-            # every piece's trace rounds to its count, and the traces sum to 2N
-            parts = [lab for lab in mult if not lab.startswith("rho")]
-            parts += ["%s part %d" % (lab, i) for lab in mult if lab.startswith("rho")
-                      for i in (1, 2)]
-            assert list(res) == parts + ["dimension sum"], (n, a, b, c)
-            assert max(res.values()) < 0.5, (n, a, b, c, res)
+            # each certified block is the law's count of its irrep's copies
+            # (twice it: a block pairs each u column with J u), and they
+            # fill the space
+            count = {"tau_alpha": "tau", "phi_psi": "phi", "sigma": "rho_1"}
+            sizes = {blk.label: blk.size for blk in basis.blocks}
+            assert sizes == {label: 2 * mult[count.get(label, label)] for label in sizes}, \
+                (n, a, b, c)
+            assert sum(sizes.values()) == basis.matrix.shape[0]
+            assert {key.rsplit(" ", 2)[0] for key in cert if key.endswith(INVARIANCE)} \
+                == set(sizes), (n, a, b, c)
 
 
-def test_criterion_02_projector_algebra():
-    with criterion(2, "projector composition table <= 1e-11"):
-        for n, a, b, c in type_grid():
-            rep = projector_algebra_check(projector_family(grid_system(n, a, b, c)))
-            assert max(rep.values()) <= 1e-11, ((n, a, b, c), max(rep.values()))
+def test_criterion_02_basis_invariance():
+    with criterion(2, "blocks invariant under r, s <= 1e-11"):
+        for key, _, cert in grid_certificates():
+            inv = {k: v for k, v in cert.items() if k.endswith(INVARIANCE)}
+            assert max(inv.values()) <= 1e-11, (key, max(inv, key=inv.get))
 
 
 def test_criterion_03_j_relations():
-    with criterion(3, "J relations <= 1e-11"):
-        for n, a, b, c in type_grid():
-            rep = j_relations_check(projector_family(grid_system(n, a, b, c)))
-            assert max(rep.values()) <= 1e-11, ((n, a, b, c), max(rep.values()))
+    with criterion(3, "D_n and J relations <= 1e-11"):
+        for key, _, cert in grid_certificates():
+            rel = {k: v for k, v in cert.items() if not k.endswith(INVARIANCE)}
+            assert max(rel.values()) <= 1e-11, (key, max(rel, key=rel.get))
 
 
 def test_criterion_04_equivariance_and_hessian():

@@ -11,7 +11,6 @@ import pytest
 import ringstab as rs
 from ringstab import cli
 from ringstab.config import ConfigError, parse_config, parse_config_text
-from ringstab.dihedral import rho_range
 from ringstab.geometry import RingSystem
 from ringstab.report import factors_csv, to_machine
 from ringstab.svg import emit_svg, render_svg
@@ -325,7 +324,7 @@ def test_verify_passes_and_lists_invariants(tmp_path, pentagon_cfg):
     r = run_cli(["verify", "--config", str(pentagon_cfg)], tmp_path)
     assert r.returncode == 0, r.stdout + r.stderr
     assert "verdict: pass" in r.stdout, r.stdout + r.stderr
-    for name in ("projector algebra", "J relations", "equivariance",
+    for name in ("basis symmetry certificate", "equivariance",
                  "off-block residual", "dense oracle"):
         assert name in r.stdout, r.stdout + r.stderr
     assert "FAIL" not in r.stdout, r.stdout + r.stderr
@@ -389,20 +388,23 @@ def verify_fails_on(item, cfg, capsys) -> list[str]:
     return [l for l in out.splitlines() if l.startswith("FAIL ")]
 
 
-def test_verify_j_relations_gate_fails_on_a_broken_reflection(pentagon_cfg, broken_reflection,
-                                                             capsys):
-    """Fault injection for the J-relations gate, whose residual reads 0 on
-    working code."""
-    verify_fails_on("J relations", pentagon_cfg, capsys)
+def certificate_fails(cfg, capsys, blocks) -> str:
+    """Run verify on cfg; the symmetry certificate must fail, naming a
+    relation of one of the given blocks as worst.  Returns its line."""
+    line, = [l for l in verify_fails_on("basis symmetry certificate", cfg, capsys)
+             if "basis symmetry certificate" in l]
+    worst = line.split(" worst=")[1]
+    assert worst.split(" ")[0] in blocks, line
+    return line
 
 
-def test_verify_rank_gate_fails_on_a_broken_reflection(pentagon_cfg, broken_reflection, capsys):
-    """Fault injection for the multiplicity ranks: with s acting as a
-    rotation, the traces of the two rho_1 parts on the pentagon move by one
-    whole unit each (2 and 2 become 1 and 3); the item names the piece."""
-    line, = [l for l in verify_fails_on("multiplicity ranks", pentagon_cfg, capsys)
-             if "multiplicity ranks" in l]
-    assert "residual=1 " in line and " worst=rho_1 part " in line, line
+def test_verify_symmetry_certificate_fails_on_a_broken_reflection(pentagon_cfg,
+                                                                  broken_reflection, capsys):
+    """Fault injection for the symmetry certificate, whose residual reads
+    ~1e-15 on working code: with s acting as a rotation by pi, (s r)^2 is no
+    longer the identity on the pentagon's sigma block (3.0 against 1e-11)."""
+    line = certificate_fails(pentagon_cfg, capsys, ("tau_alpha", "rho_2", "sigma"))
+    assert " worst=sigma (s r)^2" in line, line
 
 
 @pytest.fixture(params=["pentagon", "double_square"])
@@ -447,24 +449,68 @@ def test_verify_classical_gate_fails_on_a_wrong_omega(solved_cfg, monkeypatch, c
     assert len(fails) == 1, fails
 
 
-def test_verify_projector_algebra_gate_fails_on_a_scaled_projector(solved_cfg, monkeypatch,
-                                                                   capsys):
-    """Fault injection for the projector algebra: the last rho_k's p11
-    scaled by 1 + 1e-6 is no longer idempotent, and reads 1.4e-6 on the
-    pentagon and 2.2e-6 on the double square, against 1e-11 (J relations
-    trips too)."""
-    family = cli.projector_family
+def test_verify_symmetry_certificate_fails_on_swapped_columns(solved_cfg, monkeypatch,
+                                                               capsys):
+    """Fault injection for the symmetry certificate: the last column pair
+    (J u, u) of the second block traded with the last pair of the sigma
+    block keeps the J layout and the block sizes, but neither block carries
+    one irrep any more: 3.2 on the pentagon and 2.8 on the double square,
+    against 1e-11.  On the pentagon each pair spans a subspace that A
+    leaves invariant, so the off-block and oracle gates pass, and only this
+    gate sees the defect."""
+    assemble = cli.assemble_global_basis
 
-    def scaled(sys_):
-        fam = family(sys_)
-        last = fam.labels.index(("rho_%d" % rho_range(sys_.n)[-1], 1, 1))
-        stacks = [stack.copy() for stack in fam.stacks]
-        for stack in stacks:
-            stack[last] *= 1.0 + 1e-6
-        return replace(fam, stacks=stacks)
+    def swapped(sys_):
+        basis = assemble(sys_)
+        second, last = basis.blocks[1], basis.blocks[-1]
+        pairs = [[blk.start + blk.pairs - 1, blk.start + blk.size - 1] for blk in (second, last)]
+        C = basis.matrix.copy()
+        C[:, pairs[0] + pairs[1]] = C[:, pairs[1] + pairs[0]]
+        return replace(basis, matrix=C)
 
-    monkeypatch.setattr(cli, "projector_family", scaled)
-    verify_fails_on("projector algebra + completeness", solved_cfg, capsys)
+    monkeypatch.setattr(cli, "assemble_global_basis", swapped)
+    certificate_fails(solved_cfg, capsys, ("rho_2", "phi_psi", "sigma"))
+
+
+def test_verify_symmetry_certificate_fails_on_a_leaking_column(solved_cfg, monkeypatch,
+                                                               capsys):
+    """Fault injection for the symmetry certificate: 1e-6 of the sigma
+    block's last column added to the second block's last column leaves that
+    block no longer invariant under r: 7.9e-7 on the pentagon and 5.8e-7
+    on the double square, against 1e-11 (M-orthogonality and off-block
+    trip too)."""
+    assemble = cli.assemble_global_basis
+
+    def leaking(sys_):
+        basis = assemble(sys_)
+        second, last = basis.blocks[1], basis.blocks[-1]
+        C = basis.matrix.copy()
+        C[:, second.start + second.size - 1] += 1e-6 * C[:, last.start + last.size - 1]
+        return replace(basis, matrix=C)
+
+    monkeypatch.setattr(cli, "assemble_global_basis", leaking)
+    certificate_fails(solved_cfg, capsys, ("rho_2", "phi_psi"))
+
+
+def test_verify_oracle_gate_fails_on_a_scaled_factor(solved_cfg, monkeypatch, capsys):
+    """Fault injection for the dense-oracle gate: the last factor of the
+    first stack of equal-size blocks has its spectrum scaled by 1 + 1e-6,
+    which reads 2.0e-6 on the pentagon and 3.9e-6 on the double square,
+    against 1e-8; no other item reads the factors, so only this gate
+    trips."""
+    block_factors = rs.stability._block_factors
+    calls = []
+
+    def scaled(*args, **kwargs):
+        stack = block_factors(*args, **kwargs)
+        calls.append(None)
+        if len(calls) == 1:
+            stack[-1] = replace(stack[-1], spectrum=stack[-1].spectrum * (1.0 + 1e-6))
+        return stack
+
+    monkeypatch.setattr(rs.stability, "_block_factors", scaled)
+    fails = verify_fails_on("factor product vs dense oracle", solved_cfg, capsys)
+    assert len(fails) == 1, fails
 
 
 def test_verify_translation_kernel_gate_fails_on_a_shifted_operator(solved_cfg, monkeypatch,

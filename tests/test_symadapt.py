@@ -4,16 +4,12 @@ from numpy.testing import assert_allclose
 
 import ringstab as rs
 from ringstab import cli, symbasis
-from ringstab.dihedral import rho_range
 from ringstab.dynamics import apply_j
 from ringstab.geometry import RingSystem
 from ringstab.stability import factorize
-from ringstab.symbasis import (gram_residual, isotypic_decomposition,
-                               j_relations_check, m_inner, multiplicities,
-                               projector_algebra_check, projector_family,
-                               standard_j, symplectic_residuals,
-                               translation_field)
-from reference import dense_projector, sigma_matrix
+from ringstab.symbasis import (gram_residual, multiplicities, standard_j,
+                               symmetry_certificate, translation_field)
+from reference import dense_projectors, j_matrix, m_inner, sigma_matrix
 from test_acceptance import grid_system, type_grid
 
 RNG = np.random.default_rng(77121)
@@ -30,29 +26,56 @@ def sample_systems():
     ]
 
 
+def composition_residuals(dense):
+    """Frobenius residuals of the composition table of the dense projector
+    definitions: p_ij p_kl = delta_jk p_il within an irrep (a
+    one-dimensional irrep's projector is its part (1, 1)), every product
+    across distinct irreps zero, and the diagonal parts summing to E."""
+    out = {}
+    for (ka, i, j), pa in dense.items():
+        for (kb, k, l), pb in dense.items():
+            expect = dense[ka, i, l] if ka == kb and j == k else 0.0
+            out[ka, i, j, kb, k, l] = np.linalg.norm(pa @ pb - expect)
+    E = np.eye(len(next(iter(dense.values()))))
+    out["completeness"] = np.linalg.norm(sum(P for (_, i, j), P in dense.items() if i == j) - E)
+    return out
+
+
 @pytest.mark.parametrize("idx", range(6))
 def test_projector_algebra(idx):
-    rep = projector_algebra_check(projector_family(sample_systems()[idx]))
-    assert max(rep.values()) <= 1e-11
+    rep = composition_residuals(dense_projectors(sample_systems()[idx]))
     assert max(rep.values()) < 1e-12
-    assert "completeness" in rep
 
 
-def test_projector_algebra_probe_path_agrees():
-    sys = rs.build(6, [rs.center(1.0), rs.regular(1.0, 1.0), rs.semiregular(1.8, 0.21, 0.5)])
-    full = projector_algebra_check(projector_family(sys))
-    probed = projector_algebra_check(projector_family(sys), probe_dim=0)
-    assert max(full.values()) <= 1e-11 and max(probed.values()) <= 1e-11
-    # probing evaluates the same contractions on four fixed vectors
-    assert max(probed.values()) <= max(full.values()) + 1e-13
-    assert set(probed) == set(full)
+#: the projector that J carries each one-dimensional projector to
+J_PARTNER = {"tau": "alpha", "alpha": "tau", "phi": "psi", "psi": "phi"}
 
 
 @pytest.mark.parametrize("idx", range(6))
 def test_j_relations(idx):
-    rep = j_relations_check(projector_family(sample_systems()[idx]))
-    assert max(rep.values()) <= 1e-11
-    assert max(rep.values()) < 1e-12
+    """J commutes with sigma(r) and anticommutes with sigma(s); so J p_tau =
+    p_alpha J, J p_phi = p_psi J, and on each rho_k J p_ii = p_i'i' J and
+    J p_ij = -p_i'j' J, with 1' = 2 and 2' = 1."""
+    sys = sample_systems()[idx]
+    J, n = j_matrix(sys.npoints), sys.n
+    R, S = sigma_matrix(sys, rs.rotation(n)), sigma_matrix(sys, rs.reflection(n))
+    rep = {"J r - r J": J @ R - R @ J, "J s + s J": J @ S + S @ J}
+    dense = dense_projectors(sys)
+    for (key, i, j), P in dense.items():
+        if key.startswith("rho_"):
+            sign = 1.0 if i == j else -1.0
+            rep[key, i, j] = J @ P - sign * dense[key, 3 - i, 3 - j] @ J
+        else:
+            rep[key, i, j] = J @ P - dense[J_PARTNER[key], 1, 1] @ J
+    assert max(np.linalg.norm(v) for v in rep.values()) < 1e-12
+
+
+def trace_ranks(sys):
+    """|trace - multiplicity| of each diagonal part of the dense projector
+    definitions; the trace of an idempotent is its rank."""
+    mult = multiplicities(sys.n, *sys.type_abc)
+    return {(key, i): abs(np.trace(P) - mult[key])
+            for (key, i, j), P in dense_projectors(sys).items() if i == j}
 
 
 @pytest.mark.parametrize("n,a,b,c", [(2, 0, 1, 0), (2, 1, 0, 1), (3, 0, 2, 0),
@@ -79,45 +102,45 @@ def test_multiplicity_formula(n, a, b, c):
     rings += [rs.regular(1.0 + 0.8 * i, 1.0 + 0.3 * i) for i in range(b)]
     rings += [rs.semiregular(3.0 + 0.9 * i, np.pi / (n * (3 + i)), 0.5) for i in range(c)]
     sys = rs.build(n, rings)
-    # every trace rounds to its count, and the traces sum to 2N ("dimension sum")
-    assert max(isotypic_decomposition(projector_family(sys)).values()) < 0.5
+    assert max(trace_ranks(sys).values()) < 1e-12
+    sizes = [blk.size for blk in rs.assemble_global_basis(sys).blocks]
+    assert sum(sizes) == 2 * sys.npoints
 
 
 def test_isotypic_example_dimensions():
     sys = rs.build(4, [rs.center(2.0), rs.regular(1.0, 1.0),
                        rs.regular(1.6, 0.5), rs.semiregular(2.4, 0.3, 1.0)])
-    res = isotypic_decomposition(projector_family(sys))
-    assert list(res) == ["tau", "alpha", "phi", "psi", "rho_1 part 1", "rho_1 part 2",
-                         "dimension sum"]
-    assert max(res.values()) < 0.5
+    res = trace_ranks(sys)
+    assert list(res) == [("tau", 1), ("alpha", 1), ("phi", 1), ("psi", 1),
+                         ("rho_1", 1), ("rho_1", 2)]
+    assert max(res.values()) < 1e-12
     assert multiplicities(4, *sys.type_abc) == {"tau": 4, "alpha": 4, "phi": 4, "psi": 4,
                                                 "rho_1": 9}
 
 
 def test_trace_ranks_match_svd_ranks_on_the_grid():
-    """The SVD rank of every isotypic piece is the reference for the trace
-    that `isotypic_decomposition` compares with the multiplicity law."""
+    """The SVD rank of every isotypic piece of the dense definitions is the
+    multiplicity law's count, and so is its trace."""
     for n, a, b, c in type_grid():
-        fam = projector_family(grid_system(n, a, b, c))
+        sys = grid_system(n, a, b, c)
         mult = multiplicities(n, a, b, c)
-        pieces = [(mult[key], dense_projector(fam, key, i, i))
-                  for key, i, j in fam.labels if i == j]
+        pieces = [(mult[key], P) for (key, i, j), P in dense_projectors(sys).items() if i == j]
         assert [np.linalg.matrix_rank(P) for _, P in pieces] == [m for m, _ in pieces], \
             (n, a, b, c)
-        assert max(isotypic_decomposition(fam).values()) < 0.5, (n, a, b, c)
+        assert max(abs(np.trace(P) - m) for m, P in pieces) < 1e-11, (n, a, b, c)
 
 
 def test_standard_part_rank():
     sys = rs.build(4, [rs.center(4.0), rs.regular(1.0, 0.5), rs.regular(1.8, 1.0)])
-    p11 = dense_projector(projector_family(sys), "rho_1", 1, 1)
+    p11 = dense_projectors(sys)["rho_1", 1, 1]
     assert np.linalg.matrix_rank(p11, tol=1e-9) == 5
 
 
 def test_transfer_isometry_and_nilpotency():
     sys = rs.build(5, [rs.regular(1.0, 1.0), rs.semiregular(1.8, 0.25, 2.0)])
-    fam = projector_family(sys)
+    dense = dense_projectors(sys)
     for k in (1, 2):
-        p11, p22, p12, p21 = (dense_projector(fam, "rho_%d" % k, i, j)
+        p11, p22, p12, p21 = (dense["rho_%d" % k, i, j]
                               for i, j in ((1, 1), (2, 2), (1, 2), (2, 1)))
         assert np.linalg.norm(p12 @ p21 - p11) < 1e-12
         assert np.linalg.norm(p21 @ p21) < 1e-12
@@ -134,7 +157,7 @@ def test_tau_projector_fixes_radial_field():
     for spec, size in ((rs.regular(1.7, 2.0), 5), (rs.semiregular(1.7, 0.3, 2.0), 10)):
         sys = rs.build(5, [spec])
         kappa = radial_field(sys)
-        assert_allclose(dense_projector(projector_family(sys), "tau") @ kappa, kappa,
+        assert_allclose(dense_projectors(sys)["tau", 1, 1] @ kappa, kappa,
                         atol=1e-13)
         # <kappa, kappa>_M = m R^2 ... with unit radial vectors just m |orbit|
         assert_allclose(m_inner(sys, kappa, kappa), 2.0 * size, rtol=1e-13)
@@ -222,10 +245,29 @@ def test_mixed_sign_masses_skip_normalization():
 
 
 def test_symplectic_residuals_vanish():
+    """Omega_M(u, v) = u^T M J v vanishes on the tau component, and each
+    transfer p12, p21 is Hamiltonian for it: M J p_ij is symmetric."""
     sys = rs.build(4, [rs.center(1.0), rs.regular(1.0, 1.0), rs.semiregular(2.0, 0.5, 2.0)])
-    res = symplectic_residuals(projector_family(sys))
-    assert res
-    assert max(res.values()) < 1e-10
+    MJ = sys.mass_diag[:, None] * j_matrix(sys.npoints)
+    dense = dense_projectors(sys)
+    tau = dense["tau", 1, 1]
+    assert np.linalg.norm(tau.T @ MJ @ tau) < 1e-10 * np.linalg.norm(MJ)
+    for (key, i, j), P in dense.items():
+        if i != j:
+            X = MJ @ P
+            assert np.linalg.norm(X - X.T) < 1e-10 * np.linalg.norm(X), (key, i, j)
+
+
+def test_symmetry_certificate_names_every_relation_of_every_block():
+    # mixed signs: the basis is not M-normalized, and the certificate still
+    # holds at rounding level
+    for sys in sample_systems() + [rs.build(3, [rs.regular(1.0, 1.0), rs.regular(2.0, -0.5)])]:
+        basis = rs.assemble_global_basis(sys)
+        cert = symmetry_certificate(basis, sys.group_action())
+        assert list(cert) == ["%s %s" % (blk.label, rel) for blk in basis.blocks
+                              for rel in ("r invariance", "s invariance", "minimal polynomial",
+                                          "s^2", "(s r)^2", "J r", "J s")]
+        assert max(cert.values()) < 1e-13, (sys.n, max(cert, key=cert.get))
 
 
 # --- the closed-form basis against the projector oracles -------------------
@@ -245,26 +287,26 @@ def grid_systems(n):
                 yield (n, a, b, c), rs.build(n, rings)
 
 
-def block_projectors(fam, label):
+def block_projectors(dense, label):
     """(projector onto the block's isotypic component, projector whose
-    image holds the block's u side)."""
+    image holds the block's u side), from the dense definitions."""
     if label in ("tau_alpha", "phi_psi"):
         first, second = label.split("_")
-        u = dense_projector(fam, first)
-        return u + dense_projector(fam, second), u
+        u = dense[first, 1, 1]
+        return u + dense[second, 1, 1], u
     irrep = "rho_1" if label == "sigma" else label
-    u = dense_projector(fam, irrep, 1, 1)
-    return u + dense_projector(fam, irrep, 2, 2), u
+    u = dense[irrep, 1, 1]
+    return u + dense[irrep, 2, 2], u
 
 
 @pytest.mark.parametrize("n", range(2, 13))
 def test_closed_form_basis_matches_projectors(n):
     for key, sys in grid_systems(n):
         basis = rs.assemble_global_basis(sys)
-        fam = projector_family(sys)
+        dense = dense_projectors(sys)
         for plan in basis.blocks:
             C = basis.matrix[:, plan.cols]
-            P, P_u = block_projectors(fam, plan.label)
+            P, P_u = block_projectors(dense, plan.label)
             assert np.linalg.norm(P @ C - C) <= 1e-12 * np.linalg.norm(C), (key, plan.label)
             U = C[:, plan.pairs:]
             assert np.linalg.norm(P_u @ U - U) <= 1e-12 * np.linalg.norm(U), (key, plan.label)
@@ -281,15 +323,6 @@ def test_basis_cond_closed_form(n):
 
 # --- the matrix-free group action against dense sigma matrices --------------
 
-def dense_averaging(sys, kind, k):
-    """The definition of the averaging operator, summed from dense sigma
-    matrices."""
-    n = sys.n
-    w = np.cos if kind == "c" else np.sin
-    return sum(w(2.0 * np.pi * k * j / n) * sigma_matrix(sys, rs.rotation(n, j))
-               for j in range(1, n + 1)) / (2.0 * n)
-
-
 @pytest.mark.parametrize("n", range(2, 9))
 def test_gather_action_matches_sigma_matrix(n):
     for key, sys in grid_systems(n):
@@ -299,39 +332,6 @@ def test_gather_action_matches_sigma_matrix(n):
             S = sigma_matrix(sys, g)
             assert np.abs(act.left(g, X) - S @ X).max() <= 1e-14, (key, g)
             assert np.abs(act.right(X.T, g) - X.T @ S).max() <= 1e-14, (key, g)
-
-
-def dense_projectors(sys):
-    """Every isotypic projector by its definition, keyed (irrep, i, j):
-    with the averages c_k, s_k and S = sigma(s), p_tau, p_alpha =
-    c_0 (E +- S), p_phi, p_psi = c_{n/2} (E +- S), p11, p22 = 2 c_k (E +- S),
-    p12 = 2 s_k (S - E) and p21 = 2 s_k (E + S)."""
-    n = sys.n
-    S = sigma_matrix(sys, rs.reflection(n))
-    E = np.eye(2 * sys.npoints)
-    out = {}
-    for irrep, k, sign in (("tau", 0, 1.0), ("alpha", 0, -1.0),
-                           ("phi", n // 2, 1.0), ("psi", n // 2, -1.0))[:4 if n % 2 == 0 else 2]:
-        out[irrep, 1, 1] = dense_averaging(sys, "c", k) @ (E + sign * S)
-    for k in rho_range(n):
-        ck, sk = dense_averaging(sys, "c", k), dense_averaging(sys, "s", k)
-        irrep = "rho_%d" % k
-        out.update({(irrep, 1, 1): 2.0 * ck @ (E + S), (irrep, 2, 2): 2.0 * ck @ (E - S),
-                    (irrep, 1, 2): 2.0 * sk @ (S - E), (irrep, 2, 1): 2.0 * sk @ (E + S)})
-    return out
-
-
-@pytest.mark.parametrize("n", range(2, 9))
-def test_projector_stacks_match_sigma_matrix_definition(n):
-    """Every ring stack, placed on the block diagonal, is its projector's
-    definition from dense sigma matrices: the ring blocks agree, and the
-    definition vanishes off them."""
-    for key, sys in grid_systems(n):
-        fam = projector_family(sys)
-        dense = dense_projectors(sys)
-        assert list(dense) == list(fam.labels), key
-        for label, P in dense.items():
-            assert np.abs(dense_projector(fam, *label) - P).max() <= 1e-14, (key, label)
 
 
 GUARD_CONFIG = """
@@ -359,16 +359,13 @@ mass = 0.6
 
 @pytest.mark.parametrize("n", [2, 6])
 def test_analyze_never_forms_dense_projectors(n, tmp_path, monkeypatch, capsys):
-    # every projector stack is built from the group action; analyze reaches
-    # neither the family, nor a ring's stack, nor the action
-    dense = (symbasis.projector_family, symbasis._ring_stack)
-
+    # analyze reaches neither the symmetry certificate nor the group action
     def forbidden(*args, **kwargs):
-        raise AssertionError("analyze reached the projectors or the group action")
+        raise AssertionError("analyze reached the symmetry certificate or the group action")
 
     for mod in (rs, cli, symbasis, rs.stability, rs.report):
         for name, obj in list(vars(mod).items()):
-            if any(obj is f for f in dense):
+            if obj is symbasis.symmetry_certificate:
                 monkeypatch.setattr(mod, name, forbidden)
     monkeypatch.setattr(RingSystem, "group_action", forbidden)
     cfg = tmp_path / "job.cfg"
@@ -454,7 +451,7 @@ def test_analyze_builds_twice_and_takes_one_gradient(n, kind, r2, tmp_path, monk
 
 @pytest.mark.parametrize("n", [2, 6])
 def test_verify_builds_each_oracle_once(n, tmp_path, monkeypatch, capsys):
-    calls = {"group_action": 0, "hessian": 0, "projector_family": 0}
+    calls = {"group_action": 0, "hessian": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -465,11 +462,9 @@ def test_verify_builds_each_oracle_once(n, tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(RingSystem, "group_action",
                         counted("group_action", RingSystem.group_action))
     monkeypatch.setattr(rs.dynamics, "hessian", counted("hessian", rs.dynamics.hessian))
-    monkeypatch.setattr(cli, "projector_family",
-                        counted("projector_family", cli.projector_family))
     cfg = tmp_path / "job.cfg"
     cfg.write_text(GUARD_CONFIG.format(n=n))
     code = cli.main(["verify", "--config", str(cfg)])
     out = capsys.readouterr()
     assert code == 0, out.out + out.err
-    assert calls == {"group_action": 1, "hessian": 1, "projector_family": 1}
+    assert calls == {"group_action": 1, "hessian": 1}

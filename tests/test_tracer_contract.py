@@ -8,9 +8,11 @@ pinned here too.
 
 The tracer counts only calls of a public `stability.block_factor`, which
 no longer exists (`factorize` factors equal-size blocks as one stack), so
-the metrics derived from those calls read 0 on every job.  They are listed
-here by name, so a zero elsewhere still fails and a tracer that reads the
-block sizes from the report shows up as a change to this list."""
+the metrics derived from those calls read 0 on every job.  The same holds
+for the timers of the four projector checks that `verify` ran before the
+symmetry certificate replaced them.  Both are listed here by name, so a
+zero elsewhere still fails and a tracer that reads the new names shows up
+as a change to these lists."""
 
 import importlib.util
 import json
@@ -49,6 +51,11 @@ phase = pi/n
 #: function, and not comparable with runs of code that had it
 BLOCK_FACTOR_ZEROS = ("stability.block_factor_calls", "stability.block_factor_s",
                       "stability.det_flops", "stability.max_block")
+
+
+#: per-layer metrics of the projector checks, which no longer exist
+PROJECTOR_CHECK_ZEROS = ("symbasis.projector_algebra_s", "symbasis.j_relations_s",
+                         "symbasis.isotypic_s", "symbasis.symplectic_s")
 
 
 def load_tracing():
@@ -90,9 +97,10 @@ def test_tracer_runs_one_analyze_job(tmp_path, capsys):
 
 def test_tracer_times_the_verify_checks(tmp_path, capsys):
     metrics = traced_metrics("verify", tmp_path, capsys)
-    for key in ("cli.invariants_s", "dynamics.hessian_fd_s", "symbasis.isotypic_s",
-                "symbasis.projector_algebra_s"):
+    for key in ("cli.invariants_s", "dynamics.hessian_fd_s", "dynamics.equivariance_s"):
         assert metrics[key] > 0.0, key
+    assert {k: metrics[k] for k in PROJECTOR_CHECK_ZEROS} == dict.fromkeys(PROJECTOR_CHECK_ZEROS,
+                                                                          0.0)
 
 
 def test_verify_machine_items_keep_what_the_benchmark_reads(tmp_path, capsys):
@@ -111,8 +119,7 @@ def test_verify_machine_items_keep_what_the_benchmark_reads(tmp_path, capsys):
     for item in items:
         assert {"name", "residual", "threshold", "status", "gated"} <= set(item), item
     assert [item["name"] for item in items if "worst" in item] == [
-        "projector algebra + completeness", "J relations", "multiplicity ranks",
-        "classical eigenvector identities", "symplectic pairing diagnostics"]
+        "basis symmetry certificate", "classical eigenvector identities"]
     # byte-identical apart from the timestamp
     stamp = [[l for l in out.splitlines() if '"timestamp"' not in l] for out in outs]
     assert stamp[0] == stamp[1]
