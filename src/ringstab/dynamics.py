@@ -19,21 +19,22 @@ characteristic polynomial of the linearization is
     homogeneous:  det(A + (lambda^2 - omega^2) I + 2 lambda omega J)
     vortex:       det(A + omega I + lambda J)
 
-with J = blockdiag([[0, -1], [1, 0]]).
+with J = blockdiag([[0, -1], [1, 0]]).  `gradient`, `hessian` and the
+solver's forces at one point per ring read their pair offsets and distances
+from one row kernel; the complex-step `hessian_fd` keeps its own, as the
+independent reference.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
 
 from .dihedral import full_group
-from .geometry import (GroupAction, RingSpec, RingSystem, build, collision_tolerance,
-                       ring_positions)
+from .geometry import GroupAction, RingSpec, RingSystem, _layout, build
 
 
 @dataclass(frozen=True)
@@ -69,10 +70,13 @@ def apply_j(w: np.ndarray) -> np.ndarray:
     return np.column_stack([-v[:, 1], v[:, 0]]).reshape(w.shape)
 
 
-def _pair_geometry(positions: np.ndarray):
-    diff = positions[:, None, :] - positions[None, :, :]      # (N, N, 2)
+def _pair_rows(positions: np.ndarray, rows: np.ndarray):
+    """Offsets q_p - q_j and distances |q_p - q_j| from each point p of rows
+    to every point j, (len(rows), N, 2) and (len(rows), N); the self pair
+    reads distance 1, so no 0/0 arises, and its terms are unused."""
+    diff = positions[rows, None, :] - positions[None, :, :]
     dist = np.linalg.norm(diff, axis=2)
-    np.fill_diagonal(dist, 1.0)                               # avoid 0/0; diagonal unused
+    dist[np.arange(len(rows)), rows] = 1.0
     return diff, dist
 
 
@@ -83,12 +87,18 @@ def _pair_weights(mm: np.ndarray, dist: np.ndarray, pot: Potential) -> np.ndarra
     return mm * dist ** (2.0 * pot.gamma)
 
 
+def _row_forces(positions: np.ndarray, masses: np.ndarray, rows: np.ndarray, pot: Potential):
+    """grad_p F for each point p of rows, (len(rows), 2), and the pair
+    weights w_pj it sums, the self pair's set to 0."""
+    diff, dist = _pair_rows(positions, rows)
+    w = _pair_weights(masses[rows, None] * masses[None, :], dist, pot)
+    w[np.arange(len(rows)), rows] = 0.0
+    return (w[:, :, None] * diff).sum(axis=1), w
+
+
 def gradient(sys: RingSystem, pot: Potential) -> np.ndarray:
     """grad F as a vector of length 2N."""
-    diff, dist = _pair_geometry(sys.positions)
-    w = _pair_weights(np.outer(sys.masses, sys.masses), dist, pot)
-    np.fill_diagonal(w, 0.0)
-    return (w[:, :, None] * diff).sum(axis=1).reshape(-1)
+    return _row_forces(sys.positions, sys.masses, np.arange(sys.npoints), pot)[0].reshape(-1)
 
 
 def hessian(sys: RingSystem, pot: Potential) -> np.ndarray:
@@ -101,7 +111,7 @@ def hessian(sys: RingSystem, pot: Potential) -> np.ndarray:
     annihilated to rounding.
     """
     N = sys.npoints
-    diff, dist = _pair_geometry(sys.positions)
+    diff, dist = _pair_rows(sys.positions, np.arange(N))
     u = diff / dist[:, :, None]
     uu = u[:, :, :, None] * u[:, :, None, :]                  # (N, N, 2, 2)
     if pot.kind == "vortex":
@@ -263,35 +273,21 @@ def _ring_forces(n: int, rings: list[RingSpec], pot: Potential) -> _RingForces |
     """Forces at one representative point per non-center ring: O(N * rings).
 
     D_n carries the first point of a ring onto each of its other points, so
-    the balance there decides the whole ring.  Returns None for geometry
-    `build` would reject: a radius `ring_positions` refuses, or a point
-    within `collision_tolerance` of a representative (D_n carries every
-    coincidence of two points onto one at a representative).
+    the balance there decides the whole ring.  The rings are laid out by
+    `build`'s `_layout`, which applies its ring checks and coincidence
+    rule, so this returns None exactly where `build` refuses the rings.
 
     The floor is FLOOR_UNITS * eps * max_p sum_j |w_pj| (|x_p| + |x_j|): a
     relative rounding of every coordinate moves grad_p F by about that much,
     and it bounds eps |grad_p F| and so the rounding of the balance term.
     """
     try:
-        chunks = [ring_positions(n, spec) for spec in rings]
+        pos, masses, slices = _layout(n, rings)
     except ValueError:
         return None
-    sizes = [len(c) for c in chunks]
-    starts = [0, *accumulate(sizes[:-1])]
-    rep = np.array([p for p, spec in zip(starts, rings) if spec.kind != "center"])
-    pos = np.concatenate(chunks)
-    masses = np.repeat([spec.mass for spec in rings], sizes)
+    rep = np.array([sl.start for sl, spec in zip(slices, rings) if spec.kind != "center"])
     radius = np.linalg.norm(pos, axis=1)
-    diff = pos[rep, None, :] - pos[None, :, :]                # (rings, N, 2)
-    dist = np.linalg.norm(diff, axis=2)
-    self_pair = (np.arange(len(rep)), rep)
-    dist[self_pair] = np.inf
-    if np.min(dist) < collision_tolerance(radius):
-        return None
-    dist[self_pair] = 1.0
-    w = _pair_weights(masses[rep, None] * masses[None, :], dist, pot)
-    w[self_pair] = 0.0
-    grad = (w[:, :, None] * diff).sum(axis=1)
+    grad, w = _row_forces(pos, masses, rep, pot)
     err = np.sum(np.abs(w) * (radius[rep, None] + radius[None, :]), axis=1)
     rhat = pos[rep] / radius[rep, None]
     return _RingForces(x=pos[rep], mass=masses[rep], grad=grad,

@@ -10,7 +10,8 @@ A ring system of type (a, b, c) for D_n consists of
 The group acts with r = rotation by 2*pi/n and s = reflection across the
 x-axis (`dihedral.planar_action`); every admissible ring is invariant under
 both.  Points carry masses (or vorticities), constant along each ring but
-otherwise arbitrary nonzero reals.
+otherwise arbitrary nonzero reals.  No two points may coincide; since each
+ring is one D_n orbit, that is checked at each ring's first point only.
 """
 
 from __future__ import annotations
@@ -202,42 +203,17 @@ def ring_positions(n: int, spec: RingSpec) -> np.ndarray:
     return spec.radius * np.column_stack([np.cos(ang), np.sin(ang)])
 
 
-def collision_tolerance(radii: np.ndarray) -> float:
-    """Distance below which two points coincide, from the points' distances
-    to the origin: 1e-9 * max(rmax, 1)."""
-    return 1e-9 * max(np.max(radii), 1.0)
+def _layout(n: int, rings: list[RingSpec]) -> tuple[np.ndarray, np.ndarray, list[slice]]:
+    """Positions, masses and orbit slices of the rings, in order; raises
+    ValueError for a ring `check_ring` refuses (prefixed "ring i: ") and
+    for two points that coincide.
 
-
-def _check_collisions(positions: np.ndarray) -> None:
-    """Raise on the first point i with a later point j within
-    `collision_tolerance`; j is i's nearest later point.  Rows are taken in
-    chunks of about 2^20 pair distances so memory stays bounded for large N."""
-    npts = len(positions)
-    tol = collision_tolerance(np.linalg.norm(positions, axis=1))
-    step = max(1, (1 << 20) // npts)
-    for lo in range(0, npts, step):
-        rows = np.arange(lo, min(lo + step, npts))
-        d = np.linalg.norm(positions[None, :, :] - positions[rows, None, :], axis=2)
-        d[np.arange(npts)[None, :] <= rows[:, None]] = np.inf
-        hit = np.flatnonzero(d.min(axis=1) < tol)
-        if hit.size:
-            i = hit[0]
-            raise ValueError("collision: points %d and %d coincide"
-                             % (rows[i], int(np.argmin(d[i]))))
-
-
-def build(n: int, rings: list[RingSpec]) -> RingSystem:
-    """Assemble and validate a ring system for D_n: every ring passes
-    `check_ring` (its message prefixed "ring i: "), at most one is a center,
-    at least one is not, and no two points collide."""
-    if n < 2:
-        raise ValueError("group order mismatch: need n >= 2")
-    if not rings:
-        raise ValueError("empty ring list")
-    if sum(1 for r in rings if r.kind == "center") > 1:
-        raise ValueError("at most one center ring allowed")
-    if all(r.kind == "center" for r in rings):
-        raise ValueError("need at least one non-center ring")
+    The coincidence rule is applied at the first point p of each non-center
+    ring only.  D_n carries every point of a ring onto that ring's first
+    point, so it carries any pair of coinciding points onto a pair at a
+    first point; a center can only meet a ring point.  p and its nearest
+    point q coincide when |q_p - q_q| < 1e-9 * max(max |q|, 1).
+    """
     chunks, masses, slices = [], [], []
     start = 0
     for idx, spec in enumerate(rings):
@@ -250,7 +226,30 @@ def build(n: int, rings: list[RingSpec]) -> RingSystem:
         slices.append(slice(start, start + len(pts)))
         start += len(pts)
     positions = np.vstack(chunks)
-    _check_collisions(positions)
-    return RingSystem(n=n, rings=list(rings), positions=positions,
-                      masses=np.asarray(masses, dtype=float),
+    first = np.array([sl.start for sl, spec in zip(slices, rings) if spec.kind != "center"])
+    d = np.linalg.norm(positions[first, None, :] - positions[None, :, :], axis=2)
+    d[np.arange(len(first)), first] = np.inf
+    tol = 1e-9 * max(np.max(np.linalg.norm(positions, axis=1)), 1.0)
+    hit = np.flatnonzero(d.min(axis=1) < tol)
+    if hit.size:
+        i = hit[0]
+        raise ValueError("collision: points %d and %d coincide"
+                         % (first[i], int(np.argmin(d[i]))))
+    return positions, np.asarray(masses, dtype=float), slices
+
+
+def build(n: int, rings: list[RingSpec]) -> RingSystem:
+    """Assemble and validate a ring system for D_n: at most one ring is a
+    center and at least one is not, then `_layout` checks every ring and
+    the coincidence rule."""
+    if n < 2:
+        raise ValueError("group order mismatch: need n >= 2")
+    if not rings:
+        raise ValueError("empty ring list")
+    if sum(1 for r in rings if r.kind == "center") > 1:
+        raise ValueError("at most one center ring allowed")
+    if all(r.kind == "center" for r in rings):
+        raise ValueError("need at least one non-center ring")
+    positions, masses, slices = _layout(n, rings)
+    return RingSystem(n=n, rings=list(rings), positions=positions, masses=masses,
                       orbit_slices=slices)

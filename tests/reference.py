@@ -14,7 +14,7 @@ import numpy as np
 
 from ringstab.dihedral import (DihedralElement, planar_action, reflection,
                                rho_range, rotation)
-from ringstab.dynamics import Potential, StabilityOperator, _pair_geometry, apply_j
+from ringstab.dynamics import Potential, StabilityOperator, apply_j
 from ringstab.geometry import RingSystem, _element_index
 from ringstab.stability import _shifts
 from ringstab.symbasis import SymBasis, multiplicities
@@ -159,13 +159,41 @@ def j_matrix(npoints: int) -> np.ndarray:
 
 
 def potential_value(sys: RingSystem, pot: Potential) -> float:
-    diff, dist = _pair_geometry(sys.positions)
-    mm = np.outer(sys.masses, sys.masses)
-    iu = np.triu_indices(sys.npoints, k=1)
+    i, j = np.triu_indices(sys.npoints, k=1)
+    dist = np.hypot(*(sys.positions[i] - sys.positions[j]).T)
+    mm = sys.masses[i] * sys.masses[j]
     if pot.kind == "vortex":
-        return float(-np.sum(mm[iu] * np.log(dist[iu])))
+        return float(-np.sum(mm * np.log(dist)))
     p = 2.0 * pot.gamma + 2.0
-    return float(np.sum(mm[iu] * dist[iu] ** p) / p)
+    return float(np.sum(mm * dist ** p) / p)
+
+
+# ---------------------------------------------------------------------------
+# the all-pairs coincidence scan `build` replaced by its first-point rule
+
+
+def collision_tolerance(radii: np.ndarray) -> float:
+    """Distance below which two points coincide, from the points' distances
+    to the origin: 1e-9 * max(rmax, 1)."""
+    return 1e-9 * max(np.max(radii), 1.0)
+
+
+def _check_collisions(positions: np.ndarray) -> None:
+    """Raise on the first point i with a later point j within
+    `collision_tolerance`; j is i's nearest later point.  Rows are taken in
+    chunks of about 2^20 pair distances so memory stays bounded for large N."""
+    npts = len(positions)
+    tol = collision_tolerance(np.linalg.norm(positions, axis=1))
+    step = max(1, (1 << 20) // npts)
+    for lo in range(0, npts, step):
+        rows = np.arange(lo, min(lo + step, npts))
+        d = np.linalg.norm(positions[None, :, :] - positions[rows, None, :], axis=2)
+        d[np.arange(npts)[None, :] <= rows[:, None]] = np.inf
+        hit = np.flatnonzero(d.min(axis=1) < tol)
+        if hit.size:
+            i = hit[0]
+            raise ValueError("collision: points %d and %d coincide"
+                             % (rows[i], int(np.argmin(d[i]))))
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ from numpy.testing import assert_allclose
 import ringstab as rs
 from ringstab.dynamics import (_force_scale, _ring_balance, _ring_forces, apply_j,
                                gradient, hessian, releq_residual)
-from reference import j_matrix, potential_value
+from ringstab.geometry import ring_positions
+from reference import _check_collisions, j_matrix, potential_value
 
 RNG = np.random.default_rng(40823)
 
@@ -266,6 +267,8 @@ def ring_residual_cases():
     yield 6, [rs.regular(1.0, 1.0), rs.regular(1.8, 0.5, phase=np.pi / 6)], rs.vortex()
     yield 8, [rs.center(2.0), rs.regular(1.0, 1.0), rs.semiregular(1.9, np.pi / 24, 0.7)], \
         rs.homogeneous(-0.7)
+    for pot in (rs.newtonian(), rs.vortex(), rs.homogeneous(0.5)):
+        yield 6, [rs.center(1.5), rs.regular(1.0, 1.0), rs.semiregular(1.7, np.pi / 15, 0.6)], pot
 
 
 def test_ring_residual_is_projected_full_residual():
@@ -282,28 +285,56 @@ def test_ring_residual_is_projected_full_residual():
             p = sys.orbit_slices[i].start
             rhat = sys.positions[p] / np.linalg.norm(sys.positions[p])
             ref += [full[p] @ rhat, full[p] @ np.array([-rhat[1], rhat[0]])]
-        got = _ring_balance(_ring_forces(n, rings, pot), pot, omega)
+        forces = _ring_forces(n, rings, pot)
+        got = _ring_balance(forces, pot, omega)
         scale = _force_scale(gradient(sys, pot))
         assert np.max(np.abs(got - np.array(ref))) <= 1e-14 * scale, (n, rings, pot)
+        # the same row kernel: grad F at the representatives, bit for bit
+        reps = [sl.start for sl, spec in zip(sys.orbit_slices, sys.rings) if spec.kind != "center"]
+        assert np.array_equal(forces.grad, gradient(sys, pot).reshape(-1, 2)[reps]), (n, rings, pot)
 
 
-@pytest.mark.parametrize("ring", [
-    rs.regular(1.0, 2.0),                          # the inner ring's radius and phase
-    rs.regular(1.0 + 5e-10, 2.0),                  # inside the collision tolerance
-    rs.regular(0.0, 2.0),
-    rs.regular(-0.5, 2.0),
-])
-def test_ring_forces_reject_invalid_trials(ring):
-    rings = [rs.center(1.0), rs.regular(1.0, 1.0), ring]
-    with pytest.raises(ValueError):
-        rs.build(6, rings)
-    assert _ring_forces(6, rings, rs.newtonian()) is None
+def near_coincidence_rings(n):
+    """Rings that meet each other, or themselves, within a few 1e-9."""
+    for r in (1.0, 1.0 + 5e-10, 1.0 + 2e-9, 5e-10, 2e-9, 1.5):
+        for phase in (0.0, np.pi / n):
+            yield rs.regular(r, 2.0, phase=phase)
+    for mu in (4e-10, 2e-9, np.pi / n - 4e-10, np.pi / n - 2e-9, 0.3 / n):
+        yield rs.semiregular(1.0, mu, 0.5)
 
 
-def test_ring_forces_accept_near_miss():
-    rings = [rs.center(1.0), rs.regular(1.0, 1.0), rs.regular(1.0 + 2e-9, 2.0)]
-    rs.build(6, rings)
-    assert _ring_forces(6, rings, rs.newtonian()) is not None
+@pytest.mark.parametrize("n", range(2, 10))
+def test_coincidence_rule_matches_all_pairs_scan(n):
+    # `build` checks coincidence at each ring's first point only; it must
+    # refuse exactly the systems the all-pairs reference scan refuses, and
+    # the solver's `_ring_forces` exactly the systems `build` refuses
+    for ring in (rs.regular(0.0, 2.0), rs.regular(-0.5, 2.0)):
+        rings = [rs.center(1.0), rs.regular(1.0, 1.0), ring]
+        with pytest.raises(ValueError, match="invalid radius"):
+            rs.build(n, rings)
+        assert _ring_forces(n, rings, rs.newtonian()) is None
+    refused = accepted = 0
+    cands = list(near_coincidence_rings(n))
+    for i, first in enumerate(cands):
+        for second in [None] + cands[i:]:
+            for lead in ([], [rs.center(1.0)]):
+                rings = lead + [first] + ([second] if second else [])
+                try:
+                    _check_collisions(np.vstack([ring_positions(n, r) for r in rings]))
+                    expect = None
+                except ValueError as exc:
+                    expect = str(exc)
+                try:
+                    rs.build(n, rings)
+                    got = None
+                except ValueError as exc:
+                    assert "collision" in str(exc), (rings, exc)
+                    got = str(exc)
+                assert (got is None) == (expect is None), (rings, got, expect)
+                assert (_ring_forces(n, rings, rs.newtonian()) is None) == (got is not None)
+                refused += got is not None
+                accepted += got is None
+    assert refused > 100 and accepted > 100, (refused, accepted)
 
 
 def test_solver_builds_once_and_takes_no_full_gradient_while_iterating(monkeypatch):

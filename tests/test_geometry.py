@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -96,10 +98,24 @@ def test_build_validation():
         rs.build(3, [])
     with pytest.raises(ValueError, match="invalid mass"):
         rs.build(3, [rs.regular(1.0, 0.0)])
-    with pytest.raises(ValueError, match="collision"):
+    # named by a ring's first point and the point nearest to it
+    with pytest.raises(ValueError, match="^collision: points 0 and 4 coincide$"):
         rs.build(4, [rs.regular(1.0, 1.0), rs.regular(1.0, 2.0)])
     with pytest.raises(ValueError, match="group order mismatch"):
         rs.build(1, [rs.regular(1.0, 1.0)])
+
+
+def test_build_memory_grows_with_points_times_rings():
+    # the coincidence rule reads one distance row per ring, not all N^2
+    # pairs: at D_4096 (N = 8193) a chunked all-pairs scan peaks at ~56 MB
+    rings = [rs.center(4.0), rs.regular(1.0, 1.0), rs.regular(1.8, 1.0, phase=np.pi / 4096)]
+    tracemalloc.start()
+    try:
+        rs.build(4096, rings)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20, peak
 
 
 def test_ring_validation():

@@ -232,6 +232,19 @@ def test_off_residuals_match_transform_on_leaking_operators():
         assert any(b.refined for b in fac.blocks)
         assert min(b.off_residual for b in fac.blocks) > 1e-14
         assert_matches_transform(op, basis, fac)
+    # leakage past the default gate: every lead pair is refused with a note,
+    # and the same operator splits once the gate is lifted
+    for i, (op, basis) in enumerate(solved_split_systems()):
+        op = leaking(op, 1e-8, i)
+        fac = factorize(op, basis, oracle=False)
+        leads = [b.label for b in basis.blocks if b.halves()]
+        assert leads
+        for label in leads:
+            assert any(note.startswith("lead pair of %s not split" % label) for note in fac.notes)
+        assert not any(b.label.endswith(("_lead", "_rest")) for b in fac.blocks)
+        lifted = factorize(op, basis, tol_off=1.0, oracle=False)
+        assert {b.label for b in lifted.blocks if b.refined} == \
+            {h for label in leads for h in (label + "_lead", label + "_rest")}
 
 
 def assert_factors_equal_block_determinants(factors, Ab, Jb, omega, kind):
