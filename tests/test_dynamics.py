@@ -294,6 +294,25 @@ def test_ring_residual_is_projected_full_residual():
         assert np.array_equal(forces.grad, gradient(sys, pot).reshape(-1, 2)[reps]), (n, rings, pot)
 
 
+@pytest.mark.parametrize("ring", [
+    rs.regular(1.0, 2.0),                          # the inner ring's radius and phase
+    rs.regular(1.0 + 5e-10, 2.0),                  # inside the collision tolerance
+    rs.regular(0.0, 2.0),
+    rs.regular(-0.5, 2.0),
+])
+def test_ring_forces_reject_invalid_trials(ring):
+    rings = [rs.center(1.0), rs.regular(1.0, 1.0), ring]
+    with pytest.raises(ValueError):
+        rs.build(6, rings)
+    assert _ring_forces(6, rings, rs.newtonian()) is None
+
+
+def test_ring_forces_accept_near_miss():
+    rings = [rs.center(1.0), rs.regular(1.0, 1.0), rs.regular(1.0 + 2e-9, 2.0)]
+    rs.build(6, rings)
+    assert _ring_forces(6, rings, rs.newtonian()) is not None
+
+
 def near_coincidence_rings(n):
     """Rings that meet each other, or themselves, within a few 1e-9."""
     for r in (1.0, 1.0 + 5e-10, 1.0 + 2e-9, 5e-10, 2e-9, 1.5):
