@@ -32,15 +32,12 @@ import math
 from dataclasses import dataclass, field
 
 from .dynamics import Potential, free_radius_errors, homogeneous
-from .geometry import RingSpec, RingSystem, build, check_ring
+from .geometry import RING_VALUES, RingSpec, RingSystem, build, check_ring
 
 _TOP_KEYS = ("n", "kind", "gamma", "omega", "free_radii",
              "tol_off_block", "tol_oracle", "tol_invariants",
              "report", "csv", "svg")
 _RING_KEYS = ("kind", "mass", "radius", "phase", "half_gap")
-#: the value keys each ring kind takes; phase may be left out and reads 0
-_RING_VALUES = {"center": ("mass",), "regular": ("mass", "radius", "phase"),
-                "semiregular": ("mass", "radius", "half_gap")}
 
 
 class ConfigError(ValueError):
@@ -138,10 +135,10 @@ def _ring_spec(idx: int, sec: dict[str, str], n: int, errors: list[str]) -> Ring
     it; otherwise None, with the problems appended to errors."""
     prefix = "ring %d: " % idx
     kind = sec.get("kind")
-    if kind not in _RING_VALUES:
+    if kind not in RING_VALUES:
         errors.append(prefix + "kind must be center, regular, or semiregular, got %r" % (kind,))
         return None
-    keys = _RING_VALUES[kind]
+    keys = RING_VALUES[kind]
     errors += [prefix + "%s rings take no %s" % (kind, k)
                for k in _RING_KEYS[1:] if k in sec and k not in keys]
     values = {}
@@ -261,7 +258,7 @@ def parse_config_text(text: str, path: str = "<string>") -> JobConfig:
             errors.append(str(exc))
 
     # free_radii counts every [ring] section, parsed or not
-    errors += free_radius_errors([sec.get("kind") if sec.get("kind") in _RING_VALUES else None
+    errors += free_radius_errors([sec.get("kind") if sec.get("kind") in RING_VALUES else None
                                   for sec in ring_secs], free)
 
     if errors:

@@ -28,6 +28,9 @@ from .dihedral import (DihedralElement, full_group, planar_action, reflection,
 MATCH_RTOL = 1e-9
 #: how far a regular ring's phase may lie from 0 or pi/n
 PHASE_TOL = 1e-12
+#: the value fields each ring kind takes, in the order reports list them
+RING_VALUES = {"center": ("mass",), "regular": ("mass", "radius", "phase"),
+               "semiregular": ("mass", "radius", "half_gap")}
 
 
 @dataclass(frozen=True)
@@ -45,7 +48,7 @@ class RingSpec:
     half_gap: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("center", "regular", "semiregular"):
+        if self.kind not in RING_VALUES:
             raise ValueError("unknown ring kind %r" % (self.kind,))
 
 

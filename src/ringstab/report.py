@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import JobConfig
 from .dynamics import ReleqSolution, StabilityOperator
-from .geometry import RingSystem
+from .geometry import RING_VALUES, RingSystem
 from .stability import FactorizationReport
 from .symbasis import SymBasis, multiplicities
 
@@ -54,16 +54,8 @@ def build_report(cfg: JobConfig, sysm: RingSystem, op: StabilityOperator | None 
                  oracle_passed: bool | None = None) -> dict:
     """The report document; oracle_passed is the caller's oracle verdict."""
     a, b, c = sysm.type_abc
-    rings = []
-    for r in cfg.rings:
-        entry = {"kind": r.kind, "mass": r.mass}
-        if r.kind != "center":
-            entry["radius"] = r.radius
-        if r.kind == "regular":
-            entry["phase"] = r.phase
-        if r.kind == "semiregular":
-            entry["half_gap"] = r.half_gap
-        rings.append(entry)
+    rings = [{"kind": r.kind, **{k: getattr(r, k) for k in RING_VALUES[r.kind]}}
+             for r in cfg.rings]
     doc = {
         "tool": {"name": TOOL_NAME, "version": _tool_version()},
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),

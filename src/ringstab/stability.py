@@ -29,7 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import StabilityOperator, apply_j
-from .symbasis import SymBasis, standard_j, translation_field
+from .symbasis import (SymBasis, _project, _residual, _size_stacks, standard_j,
+                       translation_field)
 
 #: default off-block threshold; `factorize` splits lead pairs against it, `cli` gates on it
 OFF_BLOCK_TOL = 1e-9
@@ -152,44 +153,6 @@ def _block_factors(labels: list[str], Ab: np.ndarray, omega: float,
     coeffs.flags.writeable = False
     return [PolyFactor(label=label, degree=lin.shape[-1], spectrum=r, coefficients=c)
             for label, r, c in zip(labels, spectra, coeffs)]
-
-
-# ---------------------------------------------------------------------------
-# blocks by projection
-
-
-class _Products:
-    """A C for projecting blocks out of the adapted basis C; J needs no
-    product, since J C_b = C_b J_b exactly.
-
-    Everything is kept transposed, one row per basis column, so a block's
-    columns are a row gather.  W = |M|^(1/2) weights the residuals; for a
-    mixed-sign system it keeps them a norm.
-    """
-
-    def __init__(self, op: StabilityOperator, basis: SymBasis):
-        md = op.system.mass_diag
-        self.ct = basis.matrix.T
-        self.mct = self.ct * md                   # rows of C^T M
-        self.act = (op.matrix @ basis.matrix).T
-        self.w = np.sqrt(np.abs(md))
-        self.total = float(np.linalg.norm(self.act * self.w))
-
-    def project(self, idx: np.ndarray) -> np.ndarray:
-        """A~_b of each row of idx, a (k, s) stack of the column indices of
-        k coarse blocks: G_b^-1 C_b^T M (A C_b) with G_b = C_b^T M C_b, one
-        batched solve."""
-        ct, mct = self.ct[idx], self.mct[idx]
-        return np.linalg.solve(mct @ ct.transpose(0, 2, 1),
-                               mct @ self.act[idx].transpose(0, 2, 1))
-
-    def residuals(self, idx: np.ndarray, ab: np.ndarray) -> np.ndarray:
-        """||W (A C_b - C_b A~_b)||_F / ||W A C||_F per row of idx (column
-        indices, (k, s)) and its blocks ab ((k, s, s))."""
-        if self.total == 0.0:
-            return np.zeros(len(idx))
-        r = (self.act[idx] - ab.transpose(0, 2, 1) @ self.ct[idx]) * self.w
-        return np.linalg.norm(r, axis=(1, 2)) / self.total
 
 
 @dataclass
@@ -338,16 +301,18 @@ def factorize(op: StabilityOperator, basis: SymBasis,
               oracle: bool = True) -> FactorizationReport:
     """Factor the stability pencil along the adapted basis.
 
-    Each coarse block is projected out of one product A C (`_Products`):
-    A~_b = G_b^-1 C_b^T M (A C_b), with G_b = C_b^T M C_b.  Distinct
-    isotypic blocks are M-orthogonal (M is D_n-invariant), so these are the
-    diagonal blocks of C^-1 A C, with no 2N x 2N solve.  J needs
-    no projection: the basis layout gives J C_b = C_b J_b exactly, so
+    Each coarse block is projected out of one product A C by
+    `symbasis._project`, the projection `symmetry_certificate` takes of the
+    generators: A~_b = G_b^-1 C_b^T M (A C_b), with G_b = C_b^T M C_b.
+    Distinct isotypic blocks are M-orthogonal (M is D_n-invariant), so
+    these are the diagonal blocks of C^-1 A C, with no 2N x 2N solve.  J
+    needs no projection: the basis layout gives J C_b = C_b J_b exactly, so
     J~_b = J_b (`symbasis.standard_j`) and J leaks nothing.  The off-block
     residual of a block is the weighted invariance residual
         ||W (A C_b - C_b A~_b)||_F / ||W A C||_F,
-    W = |M|^(1/2); when C^T M C = I it equals the Frobenius mass of
-    C^-1 A C outside the block's rows, relative to the whole.
+    W = |M|^(1/2), which keeps it a norm for a mixed-sign system; when
+    C^T M C = I it equals the Frobenius mass of C^-1 A C outside the
+    block's rows, relative to the whole.
 
     At a verified relative equilibrium the leading pair (J kappa, kappa) of
     the tau/alpha block and (Delta_v, Delta_h) of the sigma block split off
@@ -357,13 +322,19 @@ def factorize(op: StabilityOperator, basis: SymBasis,
     matching sub-blocks of the coarse A~_b, as in C^-1 A C.
     Blocks of equal size are projected, and factored, as one stack.
     """
-    prod = _Products(op, basis)
+    act = (op.matrix @ basis.matrix).T       # rows of (A C)^T: a block is a row gather
+    w = np.sqrt(np.abs(op.system.mass_diag))
+    total = float(np.linalg.norm(act * w))
+
+    def off_residuals(idx: np.ndarray, ab: np.ndarray) -> np.ndarray:
+        if total == 0.0:
+            return np.zeros(len(idx))
+        return np.linalg.norm(_residual(basis, act, idx, ab) * w, axis=(1, 2)) / total
+
     coarse: dict[str, tuple[np.ndarray, float]] = {}
-    for size in sorted({blk.size for blk in basis.blocks}):
-        same = [blk for blk in basis.blocks if blk.size == size]
-        idx = np.array([blk.cols for blk in same])
-        ab = prod.project(idx)
-        for blk, a, off in zip(same, ab, prod.residuals(idx, ab)):
+    for same, idx in _size_stacks(basis.blocks):
+        ab = _project(basis, act, idx)
+        for blk, a, off in zip(same, ab, off_residuals(idx, ab)):
             coarse[blk.label] = (a, float(off))
 
     notes = []
@@ -376,7 +347,7 @@ def factorize(op: StabilityOperator, basis: SymBasis,
             for label, cols in blk.halves():
                 loc = np.ix_(np.array(cols) - blk.start, np.array(cols) - blk.start)
                 sub_a = ab[loc]
-                sub_off = prod.residuals(np.array([cols]), sub_a[None])[0]
+                sub_off = off_residuals(np.array([cols]), sub_a[None])[0]
                 halves.append(BlockReport(label=label, cols=cols, size=len(cols),
                                           refined=True, off_residual=float(sub_off),
                                           factor=None, a_block=sub_a))
@@ -392,8 +363,7 @@ def factorize(op: StabilityOperator, basis: SymBasis,
     if not op.is_releq:
         notes.append("not a relative equilibrium (residual %.3g)" % op.releq_residual_norm)
 
-    for size in sorted({blk.size for blk in blocks}):
-        same = [blk for blk in blocks if blk.size == size]
+    for same, _ in _size_stacks(blocks):
         stack = _block_factors([blk.label for blk in same],
                                np.stack([blk.a_block for blk in same]), op.omega, kind)
         for blk, f in zip(same, stack):

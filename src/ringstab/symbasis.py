@@ -13,6 +13,8 @@ named by the keys of `multiplicities`).  `symmetry_certificate` checks
 this for the basis itself, from the two generators r and s alone: the
 block is invariant under both, and their matrices on it satisfy the
 type's relations.  No projector and no dense sigma matrix is formed.
+Both the certificate and `stability.factorize` project onto the blocks
+with one M-projection, `_project`.
 
 All inner products are taken with respect to M = diag(masses), which may be
 indefinite when masses (vorticities) change sign; orthogonalization then
@@ -201,13 +203,39 @@ def gram_residual(basis: SymBasis) -> float:
     return float(np.linalg.norm(off) / max(np.linalg.norm(G), 1e-300))
 
 
+def _size_stacks(blocks):
+    """(blocks of one size, their (k, s) stack of column indices), one
+    pair per block size, ascending; blocks need `size` and `cols`."""
+    for size in sorted({blk.size for blk in blocks}):
+        same = [blk for blk in blocks if blk.size == size]
+        yield same, np.array([blk.cols for blk in same])
+
+
+def _project(basis: SymBasis, xt: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """P_b = G_b^-1 C_b^T M X_b with G_b = C_b^T M C_b, for each row of idx,
+    a (k, s) stack of the column indices of k blocks of C: one batched
+    solve.  xt = X^T, one row per column of X, so a block is a row gather.
+    Distinct isotypic blocks are M-orthogonal, so for an X = Y C with Y
+    equivariant, P_b is the diagonal block b of C^-1 Y C."""
+    ct = basis.matrix.T[idx]
+    mct = ct * basis.system.mass_diag
+    return np.linalg.solve(mct @ ct.transpose(0, 2, 1), mct @ xt[idx].transpose(0, 2, 1))
+
+
+def _residual(basis: SymBasis, xt: np.ndarray, idx: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """(X_b - C_b P_b)^T for each row of idx and its (s, s) block in p,
+    stacked (k, s, 2N); zero when X_b lies in the span of C_b."""
+    return xt[idx] - p.transpose(0, 2, 1) @ basis.matrix.T[idx]
+
+
 def symmetry_certificate(basis: SymBasis, act: GroupAction) -> dict[str, float]:
     """Residuals that each block of the basis carries its irreps, keyed
     "<block> <relation>".
 
     For g = r and g = s, rho_b(g) = G_b^-1 C_b^T M (g C_b), with
-    G_b = C_b^T M C_b, the projection `factorize` takes of A; "r invariance"
-    and "s invariance" are ||g C_b - C_b rho_b(g)||_F / ||C_b||_F.  With
+    G_b = C_b^T M C_b: the projection `_project` that `factorize` takes of
+    A, one batched call per block size and generator.  "r invariance" and
+    "s invariance" are ||g C_b - C_b rho_b(g)||_F / ||C_b||_F.  With
     R = rho_b(r), S = rho_b(s) and J_b = `standard_j`, the other residuals
     are Frobenius norms of D_n's presentation (Serre 1977, 2.6) on the
     block: the minimal polynomial of r on its irreps (R - I on tau/alpha,
@@ -218,19 +246,20 @@ def symmetry_certificate(basis: SymBasis, act: GroupAction) -> dict[str, float]:
     """
     n = act.n
     C = basis.matrix
-    MC = basis.system.mass_diag[:, None] * C
-    moved = {"r": act.left(rotation(n), C), "s": act.left(reflection(n), C)}
+    moved = {"r": act.left(rotation(n), C).T, "s": act.left(reflection(n), C).T}
+    rho, invariance = {}, {}
+    for same, idx in _size_stacks(basis.blocks):
+        scale = np.linalg.norm(C.T[idx], axis=(1, 2))
+        for g, xt in moved.items():
+            p = _project(basis, xt, idx)
+            res = np.linalg.norm(_residual(basis, xt, idx, p), axis=(1, 2)) / scale
+            for blk, pb, r in zip(same, p, res):
+                rho[blk.label, g], invariance[blk.label, g] = pb, float(r)
     out = {}
     for blk in basis.blocks:
-        cb, mcb = C[:, blk.cols], MC[:, blk.cols]
-        gram = mcb.T @ cb
-        rho = {}
-        for g, X in moved.items():
-            xb = X[:, blk.cols]
-            rho[g] = np.linalg.solve(gram, mcb.T @ xb)
-            out["%s %s invariance" % (blk.label, g)] = float(
-                np.linalg.norm(xb - cb @ rho[g]) / np.linalg.norm(cb))
-        R, S = rho["r"], rho["s"]
+        for g in moved:
+            out["%s %s invariance" % (blk.label, g)] = invariance[blk.label, g]
+        R, S = rho[blk.label, "r"], rho[blk.label, "s"]
         eye, J = np.eye(blk.size), standard_j(blk.pairs)
         if blk.label == "tau_alpha":
             minimal = R - eye
@@ -285,12 +314,19 @@ def _lead_combo(sys: RingSystem, per_orbit: list[list[np.ndarray]]) -> tuple[lis
     Each orbit list leads with its combinable element (radial field or
     translation); combos are first + c_i * i-th with c_i killing the
     M-product against the total, the classical cross-orbit construction.
+    A total of zero M-norm (by `_m_gram_schmidt`'s rule) lies in its own
+    M-complement, where the combos may depend on it (with two orbits they
+    are the total); the other leads then follow it as they are, flagged
+    partial, and Gram-Schmidt takes them with the Euclidean product.
     """
     items = [lst for lst in per_orbit if lst]
     full = True
     leads = [lst[0] for lst in items]
     total = np.sum(leads, axis=0)
     md = sys.mass_diag
+    extras = [v for lst in items for v in lst[1:]]
+    if abs(float(total @ (md * total))) <= MNORM_RTOL * float(total @ total):
+        return [total] + leads[1:] + extras, False
     combos = []
     for f in leads[1:]:
         m0 = float(leads[0] @ (md * leads[0]))
@@ -300,7 +336,6 @@ def _lead_combo(sys: RingSystem, per_orbit: list[list[np.ndarray]]) -> tuple[lis
         else:
             full = False
             combos.append(f)
-    extras = [v for lst in items for v in lst[1:]]
     return [total] + combos + extras, full
 
 

@@ -577,6 +577,37 @@ def test_verify_mixed_signs_partial(tmp_path):
     assert "M-orthogonality" in r.stdout, r.stdout + r.stderr
 
 
+#: systems whose lead-block total has zero M-norm, with the note analyze
+#: gives: the shielded vortex (sigma: circulation -6 + 6, omega = -3.5) and
+#: a D_6 pair off equilibrium (tau/alpha: sum m r^2 = 6 - 6)
+ZERO_TOTAL = {
+    "shielded vortex": ("n = 6\nkind = vortex\nomega = solve\n"
+                        "[ring]\nkind = center\nmass = -6\n"
+                        "[ring]\nkind = regular\nradius = 1\nmass = 1\n",
+                        "lead pair of sigma not split: off-block residual 0.547"),
+    "two rings": ("n = 6\nkind = vortex\nomega = 1\n"
+                  "[ring]\nkind = regular\nradius = 1\nmass = 1\n"
+                  "[ring]\nkind = regular\nradius = 2\nmass = -0.25\nphase = pi/n\n",
+                  "not a relative equilibrium: tau_alpha lead pair kept coarse"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ZERO_TOTAL))
+def test_zero_total_m_norm_systems_pass_on_a_partial_basis(name, tmp_path, capsys):
+    text, note = ZERO_TOTAL[name]
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text(text)
+    assert cli.main(["analyze", "--config", str(cfg), "--format", "machine"]) == 0, \
+        capsys.readouterr().err
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["decomposition"]["m_orthogonal"] == "partial"
+    assert note in doc["factorization"]["notes"]
+    if name == "shielded vortex":
+        assert doc["releq"]["omega"] == pytest.approx(-3.5, rel=1e-12)
+    assert cli.main(["verify", "--config", str(cfg)]) == 0, capsys.readouterr().err
+    assert "PARTIAL basis M-orthogonality" in capsys.readouterr().out
+
+
 def test_verify_machine_format(tmp_path, pentagon_cfg):
     r = run_cli(["verify", "--config", str(pentagon_cfg), "--format", "machine"], tmp_path)
     assert r.returncode == 0, r.stdout + r.stderr

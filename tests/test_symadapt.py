@@ -258,16 +258,44 @@ def test_symplectic_residuals_vanish():
             assert np.linalg.norm(X - X.T) < 1e-10 * np.linalg.norm(X), (key, i, j)
 
 
+def mixed_sign_systems():
+    """The mixed-sign D_3 pair, and two systems whose lead-block total has
+    zero M-norm, so that their bases are partial: the shielded vortex
+    (sigma: circulation -6 + 6) and a D_6 pair (tau/alpha: sum m r^2 =
+    6 - 6)."""
+    return [rs.build(3, [rs.regular(1.0, 1.0), rs.regular(2.0, -0.5)]),
+            rs.build(6, [rs.center(-6.0), rs.regular(1.0, 1.0)]),
+            rs.build(6, [rs.regular(1.0, 1.0), rs.regular(2.0, -0.25, phase=np.pi / 6)])]
+
+
 def test_symmetry_certificate_names_every_relation_of_every_block():
     # mixed signs: the basis is not M-normalized, and the certificate still
     # holds at rounding level
-    for sys in sample_systems() + [rs.build(3, [rs.regular(1.0, 1.0), rs.regular(2.0, -0.5)])]:
+    for sys in sample_systems() + mixed_sign_systems():
         basis = rs.assemble_global_basis(sys)
         cert = symmetry_certificate(basis, sys.group_action())
         assert list(cert) == ["%s %s" % (blk.label, rel) for blk in basis.blocks
                               for rel in ("r invariance", "s invariance", "minimal polynomial",
                                           "s^2", "(s r)^2", "J r", "J s")]
         assert max(cert.values()) < 1e-13, (sys.n, max(cert, key=cert.get))
+
+
+@pytest.mark.parametrize("g", ["r", "s"])
+def test_projection_matches_the_dense_blocks(g):
+    """`_project` of sigma(g) C, one stack per block size, against the
+    diagonal blocks of C^-1 sigma(g) C from the dense sigma matrix."""
+    worst = 0.0
+    systems = [grid_system(*key) for key in type_grid()] + mixed_sign_systems()
+    for sys in systems:
+        basis = rs.assemble_global_basis(sys)
+        C = basis.matrix
+        moved = sigma_matrix(sys, rs.rotation(sys.n) if g == "r" else rs.reflection(sys.n)) @ C
+        dense = np.linalg.solve(C, moved)
+        for size in {blk.size for blk in basis.blocks}:
+            same = [blk.cols for blk in basis.blocks if blk.size == size]
+            for cols, p in zip(same, symbasis._project(basis, moved.T, np.array(same))):
+                worst = max(worst, np.linalg.norm(p - dense[np.ix_(cols, cols)]))
+    assert worst <= 1e-13
 
 
 # --- the closed-form basis against the projector oracles -------------------
