@@ -90,12 +90,6 @@ class GroupAction:
         rows = X.reshape(self.perm.shape[1], 2, -1)[self.inverse[k]]
         return (self.blocks[k] @ rows).reshape(X.shape)
 
-    def right(self, X: np.ndarray, g: DihedralElement) -> np.ndarray:
-        """X @ sigma(g) for X with 2N columns: a column gather, then the 2x2 block."""
-        k = _element_index(g, self.n)
-        cols = X.reshape(-1, self.perm.shape[1], 2)[:, self.perm[k]]
-        return (cols @ self.blocks[k]).reshape(X.shape)
-
 
 @dataclass
 class RingSystem:

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ringstab.dihedral import (DihedralElement, planar_action, reflection,
-                               rho_range, rotation)
+from ringstab.dihedral import (DihedralElement, full_group, planar_action,
+                               reflection, rho_range, rotation)
 from ringstab.dynamics import Potential, StabilityOperator, apply_j
 from ringstab.geometry import RingSystem, _element_index
 from ringstab.stability import _shifts
@@ -110,6 +110,17 @@ def sigma_matrix(sys: RingSystem, g: DihedralElement) -> np.ndarray:
         j = perm[i]
         out[2 * j:2 * j + 2, 2 * i:2 * i + 2] = act
     return out
+
+
+def sigma_matrices(sys: RingSystem) -> np.ndarray:
+    """`sigma_matrix` of every g of D_n in `full_group` order, (2n, 2N, 2N)."""
+    return np.array([sigma_matrix(sys, g) for g in full_group(sys.n)])
+
+
+def equivariance_residuals(A: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
+    """||A S_g - S_g A||_F / ||A||_F for each dense S_g of sigmas
+    (`sigma_matrices`): the per-element check by its definition."""
+    return np.linalg.norm(A @ sigmas - sigmas @ A, axis=(1, 2)) / np.linalg.norm(A)
 
 
 def dense_projectors(sys: RingSystem) -> dict[tuple[str, int, int], np.ndarray]:

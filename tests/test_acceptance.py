@@ -99,7 +99,7 @@ def test_criterion_03_j_relations():
 
 
 def test_criterion_04_equivariance_and_hessian():
-    with criterion(4, "equivariance 1e-9, hessian FD 1e-5"):
+    with criterion(4, "equivariance 1e-9, hessian vs complex step 1e-12"):
         rng = np.random.default_rng(5150)
         picks = [(3, 0, 2, 0), (4, 1, 1, 1), (5, 0, 1, 2), (6, 1, 2, 0),
                  (7, 0, 0, 1), (8, 1, 2, 2)]
@@ -116,7 +116,7 @@ def test_criterion_04_equivariance_and_hessian():
         for n, a, b, c in picks[:2]:
             sys = grid_system(n, a, b, c)
             for pot in (NEWT, VORT):
-                assert rs.hessian_fd_residual(rs.stability_operator(sys, pot, 1.0)) <= 1e-5
+                assert rs.hessian_fd_residual(rs.stability_operator(sys, pot, 1.0)) <= 1e-12
 
 
 def test_criterion_05_block_structure():

@@ -14,6 +14,7 @@ from ringstab.config import ConfigError, parse_config, parse_config_text
 from ringstab.geometry import RingSystem
 from ringstab.report import factors_csv, to_machine
 from ringstab.svg import emit_svg, render_svg
+from reference import sigma_matrices
 
 PENTAGON = """
 n = 5
@@ -349,6 +350,57 @@ def broken_symmetry(monkeypatch):
 def test_verify_negative_control(pentagon_cfg, broken_symmetry, capsys):
     # the broken masses read ~1e-3 against 1e-9
     verify_fails_on("equivariance of A", pentagon_cfg, capsys)
+
+
+@pytest.fixture
+def rotation_averaged_defect(monkeypatch):
+    """Sets A off equivariance by eps ||A||_F along a random defect averaged
+    over C_n: it commutes with every rotation and breaks the reflections.
+    A defect of this kind keeps each block of the adapted basis invariant,
+    so the off-block gate cannot see it."""
+    operator = cli.stability_operator
+
+    def install(eps):
+        def defective(sys_, pot, omega):
+            op = operator(sys_, pot, omega)
+            R = np.random.default_rng(2417).standard_normal(op.matrix.shape)
+            D = sum(S.T @ R @ S for S in sigma_matrices(sys_)[:sys_.n])
+            return replace(op, matrix=op.matrix + eps * np.linalg.norm(op.matrix)
+                           / np.linalg.norm(D) * D)
+
+        monkeypatch.setattr(cli, "stability_operator", defective)
+
+    return install
+
+
+def test_verify_equivariance_gate_fails_near_its_threshold(pentagon_cfg,
+                                                           rotation_averaged_defect, capsys):
+    """Fault injection for the equivariance gate: the defect at 1e-8 reads
+    1.5e-8 against 1e-9 (the Hessian, translation kernel and oracle gates
+    trip too); at 1e-11 it reads 1.5e-11 and passes, and only the Hessian
+    gate, at 1e-12, still sees it."""
+    rotation_averaged_defect(1e-8)
+    fails = verify_fails_on("equivariance of A", pentagon_cfg, capsys)
+    assert len(fails) == 4, fails
+    rotation_averaged_defect(1e-11)
+    fails = verify_fails_on("hessian vs complex step", pentagon_cfg, capsys)
+    assert len(fails) == 1, fails
+
+
+def test_verify_gathers_only_for_the_certificate(pentagon_cfg, monkeypatch, capsys):
+    """verify builds the group action once; the equivariance of A takes all
+    2n elements in one pass, so the only row gathers are the symmetry
+    certificate's two, sigma(r) C and sigma(s) C."""
+    calls = {"group_action": 0, "left": 0}
+    for owner, name in ((RingSystem, "group_action"), (rs.geometry.GroupAction, "left")):
+        def counted(*args, _fn=getattr(owner, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+    assert cli.main(["verify", "--config", str(pentagon_cfg)]) == 0, capsys.readouterr().out
+    assert calls == {"group_action": 1, "left": 2}
+    assert not hasattr(rs.geometry.GroupAction, "right")
 
 
 def test_verify_tol_override_loosens_gates(tmp_path, broken_symmetry, capsys):

@@ -4,12 +4,13 @@ from numpy.testing import assert_allclose
 
 import ringstab as rs
 from ringstab import cli, symbasis
-from ringstab.dynamics import apply_j
+from ringstab.dynamics import _equivariance_residuals, apply_j
 from ringstab.geometry import RingSystem
 from ringstab.stability import factorize
 from ringstab.symbasis import (gram_residual, multiplicities, standard_j,
                                symmetry_certificate, translation_field)
-from reference import dense_projectors, j_matrix, m_inner, sigma_matrix
+from reference import (dense_projectors, equivariance_residuals, j_matrix, m_inner,
+                       sigma_matrices, sigma_matrix)
 from test_acceptance import grid_system, type_grid
 
 RNG = np.random.default_rng(77121)
@@ -359,7 +360,44 @@ def test_gather_action_matches_sigma_matrix(n):
         for g in rs.full_group(n):
             S = sigma_matrix(sys, g)
             assert np.abs(act.left(g, X) - S @ X).max() <= 1e-14, (key, g)
-            assert np.abs(act.right(X.T, g) - X.T @ S).max() <= 1e-14, (key, g)
+
+
+def equivariance_defects(sys, sigmas, rng):
+    """Three defects of A, each with the element classes it breaks: a
+    random one (all), a rotation-breaking one that still commutes with
+    sigma(s) (all but the identity and s), and a reflection-breaking one
+    that is still averaged over C_n (the reflections)."""
+    n = sys.n
+    R = rng.standard_normal((2 * sys.npoints,) * 2)
+    s = sigmas[n]
+    everything = np.arange(1, 2 * n)
+    return {"random": (R, everything),
+            "rotation": (R + s @ R @ s, everything[everything != n]),
+            "reflection": (sum(S.T @ R @ S for S in sigmas[:n]), everything[everything >= n])}
+
+
+@pytest.mark.parametrize("n", list(range(2, 13)) + ["mixed signs"])
+def test_equivariance_residuals_match_dense_sigma_matrices(n):
+    """Every element's residual from the one FFT pass against
+    ||A S_g - S_g A||_F / ||A||_F with the dense S_g: on the operators of
+    the type grid (or the mixed-sign systems) and on each of them moved off
+    equivariance by each defect at 1e-3 .. 1e-12 of ||A||_F."""
+    systems = mixed_sign_systems() if n == "mixed signs" else [s for _, s in grid_systems(n)]
+    for i, sys in enumerate(systems):
+        act = sys.group_action()
+        sigmas = sigma_matrices(sys)
+        A = rs.stability_operator(sys, (rs.newtonian(), rs.vortex())[i % 2], 1.0).matrix
+        fast = _equivariance_residuals(A, act) / np.linalg.norm(A)
+        assert np.abs(fast - equivariance_residuals(A, sigmas)).max() <= 1e-13, i
+        for kind, (D, broken) in equivariance_defects(sys, sigmas, RNG).items():
+            for eps in (1e-3, 1e-6, 1e-9, 1e-12):
+                B = A + eps * np.linalg.norm(A) / np.linalg.norm(D) * D
+                ref = equivariance_residuals(B, sigmas)
+                fast = _equivariance_residuals(B, act) / np.linalg.norm(B)
+                assert np.all(np.abs(fast - ref) <= 1e-9 * ref + 1e-15), (i, kind, eps)
+                # each defect moves exactly the elements it should
+                kept = np.setdiff1d(np.arange(2 * sys.n), broken)
+                assert ref[broken].min() > 0.1 * eps and ref[kept].max() < 1e-13, (i, kind, eps)
 
 
 GUARD_CONFIG = """
