@@ -96,8 +96,9 @@ def invariant_suite(op: StabilityOperator, basis: SymBasis,
              _item("equivariance of A", equivariance_residual(op, act), inv(1e-9)),
              _item("hessian vs complex step", hessian_fd_residual(op), inv(1e-12)),
              _item("translation kernel of A", translation_kernel_residual(op), inv(1e-9))]
-    # mixed signs leave the mass form indefinite: orthogonality is then not gated
-    partial = basis.m_orthogonal == "partial" or not basis.normalized
+    # a full basis has C^T M C = diag(+-1) for masses of any signs; only a
+    # partial one, orthogonalized in part by the Euclidean product, is not gated
+    partial = basis.m_orthogonal == "partial"
     items.append(_item("basis M-orthogonality", gram_residual(basis), inv(1e-10),
                        status="PARTIAL" if partial else None, gated=not partial))
     items += _factor_gates(fac, limit).values()
@@ -120,15 +121,14 @@ def _pipeline(cfg: JobConfig):
 
 
 def _write_outputs(args, cfg: JobConfig, sysm, basis, fac, report: str):
-    """Write the files the config asks for; report is the rendered report,
-    the text analyze printed."""
+    """Write the report, the text analyze printed, and the files the config
+    asks for."""
     if not args.out:
         return
     os.makedirs(args.out, exist_ok=True)
-    if cfg.outputs.get("report", True):
-        name = "report.json" if args.format == "machine" else "report.txt"
-        with open(os.path.join(args.out, name), "w", encoding="utf-8") as fh:
-            fh.write(report)
+    name = "report.json" if args.format == "machine" else "report.txt"
+    with open(os.path.join(args.out, name), "w", encoding="utf-8") as fh:
+        fh.write(report)
     if cfg.outputs.get("csv"):
         with open(os.path.join(args.out, "factors.csv"), "w", encoding="utf-8") as fh:
             fh.write(factors_csv(fac, block=args.block))

@@ -35,8 +35,7 @@ from .dynamics import Potential, free_radius_errors, homogeneous
 from .geometry import RING_VALUES, RingSpec, RingSystem, build, check_ring
 
 _TOP_KEYS = ("n", "kind", "gamma", "omega", "free_radii",
-             "tol_off_block", "tol_oracle", "tol_invariants",
-             "report", "csv", "svg")
+             "tol_off_block", "tol_oracle", "tol_invariants", "csv", "svg")
 _RING_KEYS = ("kind", "mass", "radius", "phase", "half_gap")
 
 
@@ -57,7 +56,7 @@ class JobConfig:
     omega: float | str               # number or "solve"
     free_radii: tuple[int, ...] = ()
     tolerances: dict[str, float] = field(default_factory=dict)
-    outputs: dict[str, bool] = field(default_factory=lambda: {"report": True, "csv": False, "svg": False})
+    outputs: dict[str, bool] = field(default_factory=lambda: {"csv": False, "svg": False})
     source_sha256: str = ""
     path: str = ""
     #: the system of n and rings, set by `parse_config_text` when it
@@ -232,8 +231,8 @@ def parse_config_text(text: str, path: str = "<string>") -> JobConfig:
             except ValueError:
                 errors.append("invalid %s %r (must be positive and finite)" % (key, top[key]))
 
-    outputs = {"report": True, "csv": False, "svg": False}
-    for key in ("report", "csv", "svg"):
+    outputs = {"csv": False, "svg": False}
+    for key in outputs:
         if key in top:
             try:
                 outputs[key] = _parse_bool(top[key])

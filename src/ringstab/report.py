@@ -96,7 +96,6 @@ def build_report(cfg: JobConfig, sysm: RingSystem, op: StabilityOperator | None 
         doc["decomposition"] = {
             "basis_cond": basis.cond,
             "m_orthogonal": basis.m_orthogonal,
-            "normalized": basis.normalized,
             "blocks": [{"label": blk.label, "start": blk.start, "pairs": blk.pairs,
                         "lead_pair": blk.lead_pair} for blk in basis.blocks],
         }
@@ -121,14 +120,13 @@ def build_report(cfg: JobConfig, sysm: RingSystem, op: StabilityOperator | None 
                 "coefficients": blk.factor.coefficients,
                 "roots": blk.factor.roots(),
             } for blk in fac.blocks],
-        }
-        if fac.oracle is not None:
-            fdoc["oracle"] = {
+            "oracle": {
                 "samples": fac.oracle.samples,
                 "rel_errors": fac.oracle.rel_errors,
                 "max_rel_error": fac.oracle.max_rel_error,
                 "passed": oracle_passed,
-            }
+            },
+        }
         if fac.classical is not None:
             fdoc["classical"] = fac.classical
         doc["factorization"] = fdoc
@@ -173,8 +171,8 @@ def to_text(doc: dict) -> str:
         out.append(line)
     if "decomposition" in doc:
         d = doc["decomposition"]
-        out.append("basis: cond=%s m_orthogonal=%s normalized=%s"
-                   % (_fmt_num(d["basis_cond"]), d["m_orthogonal"], d["normalized"]))
+        out.append("basis: cond=%s m_orthogonal=%s"
+                   % (_fmt_num(d["basis_cond"]), d["m_orthogonal"]))
         out.append("multiplicities: " + " ".join(
             "%s=%d" % (k, v) for k, v in sorted(doc["system"]["multiplicities"].items())))
     if "factorization" in doc:
@@ -186,10 +184,9 @@ def to_text(doc: dict) -> str:
             coeffs = " ".join(_fmt_num(c) for c in blk["coefficients"])
             out.append("factor %-16s size=%2d degree=%2d  [%s]"
                        % (blk["label"], blk["size"], blk["degree"], coeffs))
-        if "oracle" in f:
-            out.append("oracle: max rel error %s (%s)"
-                       % (_fmt_num(f["oracle"]["max_rel_error"]),
-                          "pass" if f["oracle"]["passed"] else "FAIL"))
+        out.append("oracle: max rel error %s (%s)"
+                   % (_fmt_num(f["oracle"]["max_rel_error"]),
+                      "pass" if f["oracle"]["passed"] else "FAIL"))
         if "classical" in f:
             for k in sorted(f["classical"]):
                 out.append("classical %-40s %s" % (k, _fmt_num(f["classical"][k])))

@@ -29,8 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import StabilityOperator, apply_j
-from .symbasis import (SymBasis, _project, _residual, _size_stacks, standard_j,
-                       translation_field)
+from .symbasis import SymBasis, _project, _residual, _size_stacks, standard_j
 
 #: default off-block threshold; `factorize` splits lead pairs against it, `cli` gates on it
 OFF_BLOCK_TOL = 1e-9
@@ -237,19 +236,16 @@ def _factor_log_product(factors: list[PolyFactor], ts: np.ndarray) -> tuple[np.n
 def classical_checks(op: StabilityOperator) -> dict[str, float]:
     """Relative residuals of the exact eigenvector identities at a releq.
 
-    The radial field kappa, its rotation J kappa, and the two translations
-    are eigenvectors of A: for the homogeneous kind A kappa = (2 gamma + 1)
-    omega^2 kappa and A J kappa = omega^2 J kappa; for vortices A kappa =
-    omega kappa and A J kappa = -omega J kappa; translations are always in
-    the kernel.  Callers should gate on op.is_releq; away from a releq the
-    identities have no reason to hold.
+    The radial field kappa and its rotation J kappa are eigenvectors of A:
+    for the homogeneous kind A kappa = (2 gamma + 1) omega^2 kappa and
+    A J kappa = omega^2 J kappa; for vortices A kappa = omega kappa and
+    A J kappa = -omega J kappa.  Callers should gate on op.is_releq; away
+    from a releq the identities have no reason to hold.  The translations,
+    in the kernel of A at any omega, are `translation_kernel_residual`'s.
     """
     A = op.matrix
-    sys = op.system
-    kap = sys.config_vector
+    kap = op.system.config_vector
     jkap = apply_j(kap)
-    dh = translation_field(sys, direction=0)
-    dv = translation_field(sys, direction=1)
     anorm = np.linalg.norm(A)
     # each identity's residual with the vector it is taken on
     if op.potential.kind == "vortex":
@@ -263,8 +259,6 @@ def classical_checks(op: StabilityOperator) -> dict[str, float]:
             "A kappa - (2 gamma + 1) omega^2 kappa": (A @ kap - lam_r * kap, kap),
             "A J kappa - omega^2 J kappa": (A @ jkap - op.omega ** 2 * jkap, jkap),
         }
-    pairs["A Delta_h"] = (A @ dh, dh)
-    pairs["A Delta_v"] = (A @ dv, dv)
     return {name: float(np.linalg.norm(r) / (anorm * np.linalg.norm(v) + 1e-300))
             for name, (r, v) in pairs.items()}
 
@@ -282,7 +276,7 @@ class FactorizationReport:
     blocks: list[BlockReport]
     degree_profile: list[int]
     max_off_residual: float
-    oracle: OracleReport | None
+    oracle: OracleReport
     classical: dict[str, float] | None
     notes: list[str] = field(default_factory=list)
 
@@ -297,8 +291,7 @@ class FactorizationReport:
 
 
 def factorize(op: StabilityOperator, basis: SymBasis,
-              tol_off: float = OFF_BLOCK_TOL,
-              oracle: bool = True) -> FactorizationReport:
+              tol_off: float = OFF_BLOCK_TOL) -> FactorizationReport:
     """Factor the stability pencil along the adapted basis.
 
     Each coarse block is projected out of one product A C by
@@ -369,12 +362,8 @@ def factorize(op: StabilityOperator, basis: SymBasis,
         for blk, f in zip(same, stack):
             blk.factor = f
 
-    orep = None
-    if oracle:
-        ts, sd, ld = dense_oracle(op)
-        sp, lp = _factor_log_product([blk.factor for blk in blocks], ts)
-        rel = _log_rel_errors(sp, lp, sd, ld)
-        orep = OracleReport(samples=ts, rel_errors=rel, max_rel_error=float(np.max(rel)))
+    ts, sd, ld = dense_oracle(op)
+    rel = _log_rel_errors(*_factor_log_product([blk.factor for blk in blocks], ts), sd, ld)
 
     classical = classical_checks(op) if op.is_releq else None
     gamma = op.potential.gamma if kind == "homogeneous" else None
@@ -382,4 +371,6 @@ def factorize(op: StabilityOperator, basis: SymBasis,
                                is_releq=op.is_releq, blocks=blocks,
                                degree_profile=[blk.size for blk in basis.blocks],
                                max_off_residual=max(off for _, off in coarse.values()),
-                               oracle=orep, classical=classical, notes=notes)
+                               oracle=OracleReport(samples=ts, rel_errors=rel,
+                                                  max_rel_error=float(np.max(rel))),
+                               classical=classical, notes=notes)

@@ -17,8 +17,12 @@ Both the certificate and `stability.factorize` project onto the blocks
 with one M-projection, `_project`.
 
 All inner products are taken with respect to M = diag(masses), which may be
-indefinite when masses (vorticities) change sign; orthogonalization then
-falls back to the Euclidean product and the result is flagged.
+indefinite when masses (vorticities) change sign.  Every column is scaled to
+|u^T M u| = 1, the signature normalization of indefinite orthogonalization
+(Bojanczyk, Higham & Patel 2003), so a full basis has C^T M C = diag(+-1)
+for masses of any signs.  Where a column's M-norm is too small to divide
+by, orthogonalization falls back to the Euclidean product and the basis is
+flagged partial.
 """
 
 from __future__ import annotations
@@ -189,7 +193,6 @@ class SymBasis:
     system: RingSystem
     matrix: np.ndarray           # (2N, 2N) columns
     blocks: list[BlockPlan]
-    normalized: bool
     m_orthogonal: str            # "full" | "partial"
     cond: float
 
@@ -276,9 +279,9 @@ def symmetry_certificate(basis: SymBasis, act: GroupAction) -> dict[str, float]:
     return out
 
 
-def _m_gram_schmidt(sys: RingSystem, cols: list[np.ndarray],
-                    normalize: bool) -> tuple[list[np.ndarray], bool]:
-    """In-order Gram-Schmidt under <.,.>_M; no-op on already-orthogonal input.
+def _m_gram_schmidt(sys: RingSystem, cols: list[np.ndarray]) -> tuple[list[np.ndarray], bool]:
+    """In-order Gram-Schmidt under <.,.>_M, each column scaled to
+    |v^T M v| = 1 (to unit Euclidean norm where its M-norm is degenerate).
 
     Returns (columns, full_flag); full_flag False means the M-product was too
     degenerate and the Euclidean product was used for at least one step.
@@ -297,13 +300,12 @@ def _m_gram_schmidt(sys: RingSystem, cols: list[np.ndarray],
                 v -= (float(w @ v) / float(w @ w)) * w
         if np.linalg.norm(v) < 1e-10 * max(np.linalg.norm(u), 1.0):
             raise ValueError("decomposition mismatch: dependent column in basis block")
-        if normalize:
-            mv = float(v @ (md * v))
-            if abs(mv) > MNORM_RTOL * float(v @ v):
-                v = v / np.sqrt(abs(mv))
-            else:
-                full = False
-                v = v / np.linalg.norm(v)
+        mv = float(v @ (md * v))
+        if abs(mv) > MNORM_RTOL * float(v @ v):
+            v = v / np.sqrt(abs(mv))
+        else:
+            full = False
+            v = v / np.linalg.norm(v)
         done.append(v)
     return done, full
 
@@ -358,9 +360,6 @@ def assemble_global_basis(sys: RingSystem) -> SymBasis:
         plan += [("rho_%d" % k, "rho_%d" % k, expect["rho_%d" % k], False)
                  for k in rho_range(n)[1:]]
         plan.append(("sigma", "sigma", expect["rho_1"], True))
-    # M-normalization only makes sense for a definite mass form; with
-    # mixed-sign vorticities columns are left unnormalized
-    normalize = bool(np.all(sys.masses > 0))
     cols: list[np.ndarray] = []
     blocks: list[BlockPlan] = []
     m_full = True
@@ -374,7 +373,7 @@ def assemble_global_basis(sys: RingSystem) -> SymBasis:
         if len(u) != count:
             raise ValueError("decomposition mismatch: %s has %d columns, expected %d"
                              % (name, len(u), count))
-        u, ok = _m_gram_schmidt(sys, u, normalize)
+        u, ok = _m_gram_schmidt(sys, u)
         m_full = m_full and ok
         blocks.append(BlockPlan(label=label, start=len(cols), pairs=len(u), lead_pair=lead))
         cols.extend(apply_j(v) for v in u)
@@ -384,12 +383,13 @@ def assemble_global_basis(sys: RingSystem) -> SymBasis:
     if C.shape[0] != C.shape[1]:
         raise ValueError("decomposition mismatch: %d columns for dimension %d"
                          % (C.shape[1], C.shape[0]))
-    if normalize and m_full:
-        # C^T M C = I, so C = M^(-1/2) Q with Q orthogonal
-        cond = float(np.sqrt(np.max(sys.masses) / np.min(sys.masses)))
+    m = sys.masses
+    if m_full and (np.all(m > 0) or np.all(m < 0)):
+        # C^T M C = +-I, so C = |M|^(-1/2) Q with Q orthogonal
+        cond = float(np.sqrt(np.max(np.abs(m)) / np.min(np.abs(m))))
     else:
         cond = float(np.linalg.cond(C))
     if cond > 1e8:
         raise ValueError("basis ill-conditioned: cond = %.3g" % cond)
-    return SymBasis(system=sys, matrix=C, blocks=blocks, normalized=normalize,
+    return SymBasis(system=sys, matrix=C, blocks=blocks,
                     m_orthogonal="full" if m_full else "partial", cond=cond)

@@ -77,6 +77,21 @@ def pentagon_cfg(tmp_path):
     return p
 
 
+def test_cli_import_loads_no_third_party_module(tmp_path):
+    """A fresh interpreter that has numpy imports ringstab.cli and gains
+    only standard-library modules and ringstab: every CLI start pays for
+    what the package imports, so no heavier dependency rides along."""
+    code = ("import sys, numpy\n"
+            "before = set(sys.modules)\n"
+            "import ringstab.cli\n"
+            "new = {m.partition('.')[0] for m in set(sys.modules) - before}\n"
+            "print(' '.join(sorted(new - set(sys.stdlib_module_names) - {'ringstab'})))\n")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                       cwd=tmp_path, env=child_env())
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split() == [], r.stdout
+
+
 # --- config parsing --------------------------------------------------------
 
 def test_parse_double_square():
@@ -618,15 +633,17 @@ def test_verify_hessian_gate_fails_on_a_perturbed_pair_block(pentagon_cfg, monke
     verify_fails_on("hessian vs complex step", pentagon_cfg, capsys)
 
 
-def test_verify_mixed_signs_partial(tmp_path):
+def test_verify_gates_m_orthogonality_on_mixed_signs(tmp_path):
+    # a full basis has C^T M C = diag(+-1) for masses of any signs, so the
+    # gate applies to mixed signs as well
     cfg = tmp_path / "mixed.cfg"
     cfg.write_text("n = 3\nkind = vortex\nomega = 0.4\n"
                    "[ring]\nkind = regular\nradius = 1\nmass = 1\n"
                    "[ring]\nkind = regular\nradius = 2\nmass = -0.5\n")
     r = run_cli(["verify", "--config", str(cfg)], tmp_path)
     assert r.returncode == 0, r.stdout + r.stderr
-    assert "PARTIAL" in r.stdout, r.stdout + r.stderr
-    assert "M-orthogonality" in r.stdout, r.stdout + r.stderr
+    assert "PARTIAL" not in r.stdout, r.stdout + r.stderr
+    assert "PASS    basis M-orthogonality" in r.stdout, r.stdout + r.stderr
 
 
 #: systems whose lead-block total has zero M-norm, with the note analyze
@@ -636,7 +653,7 @@ ZERO_TOTAL = {
     "shielded vortex": ("n = 6\nkind = vortex\nomega = solve\n"
                         "[ring]\nkind = center\nmass = -6\n"
                         "[ring]\nkind = regular\nradius = 1\nmass = 1\n",
-                        "lead pair of sigma not split: off-block residual 0.547"),
+                        "lead pair of sigma not split: off-block residual 0.481"),
     "two rings": ("n = 6\nkind = vortex\nomega = 1\n"
                   "[ring]\nkind = regular\nradius = 1\nmass = 1\n"
                   "[ring]\nkind = regular\nradius = 2\nmass = -0.25\nphase = pi/n\n",
@@ -658,6 +675,32 @@ def test_zero_total_m_norm_systems_pass_on_a_partial_basis(name, tmp_path, capsy
         assert doc["releq"]["omega"] == pytest.approx(-3.5, rel=1e-12)
     assert cli.main(["verify", "--config", str(cfg)]) == 0, capsys.readouterr().err
     assert "PARTIAL basis M-orthogonality" in capsys.readouterr().out
+
+
+#: the D_6 shielded vortex with center circulation c near -6, where the
+#: sigma lead total (circulation c + 6) is nearly M-null: its basis
+#: condition number grows like 1 / |c + 6|
+SHIELDED_LADDER = ("n = 6\nkind = vortex\nomega = solve\n"
+                   "[ring]\nkind = center\nmass = {c}\n"
+                   "[ring]\nkind = regular\nradius = 1\nmass = 1\n")
+
+
+@pytest.mark.parametrize("c", [-6.1, -6.001, -6.00001])
+def test_nearly_m_null_lead_total_ladder(c, tmp_path, capsys):
+    """Every rung is analyzed (exit 0), and at c = -6.001 the condition
+    number reads 3.4e4, about 34 / |c + 6|; unnormalized mixed-sign
+    columns built from the orbits' plain leads read 1.0e8 there and exit
+    3.  verify passes down to -6.001; from -6.00001 on the sigma
+    certificate reads above its 1e-11 gate (4.5e-10)."""
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text(SHIELDED_LADDER.format(c=c))
+    assert cli.main(["analyze", "--config", str(cfg), "--format", "machine"]) == 0, \
+        capsys.readouterr().err
+    doc = json.loads(capsys.readouterr().out)
+    if c == -6.001:
+        assert doc["decomposition"]["basis_cond"] < 1e5
+    if c != -6.00001:
+        assert cli.main(["verify", "--config", str(cfg)]) == 0, capsys.readouterr().out
 
 
 def test_verify_machine_format(tmp_path, pentagon_cfg):

@@ -217,7 +217,6 @@ def test_global_basis_structure():
     dim = 2 * basis.system.npoints
     assert basis.matrix.shape == (dim, dim)
     assert basis.cond < 50.0
-    assert basis.normalized
     assert basis.m_orthogonal == "full"
     assert gram_residual(basis) < 1e-12
     # plans tile the column range in order
@@ -238,11 +237,37 @@ def test_global_basis_j_pairs():
         assert np.array_equal(apply_j(cb.T).T, cb @ standard_j(plan.pairs)), plan.label
 
 
-def test_mixed_sign_masses_skip_normalization():
-    basis = assemble(3, [rs.regular(1.0, 1.0), rs.regular(2.0, -0.5)])
-    assert not basis.normalized
-    if basis.m_orthogonal == "full":
-        assert gram_residual(basis) < 1e-10
+def signature_residual(basis):
+    """max |C^T M C - diag(+-1)|, the signs those of the diagonal."""
+    C = basis.matrix
+    G = C.T @ (basis.system.mass_diag[:, None] * C)
+    return float(np.max(np.abs(G - np.diag(np.sign(np.diag(G))))))
+
+
+def test_mixed_sign_masses_normalize_to_signature():
+    """Every column is scaled to |u^T M u| = 1 whatever the signs of the
+    masses, so a full basis has C^T M C = diag(+-1): on the mixed-sign
+    systems whose basis is full, and on a center and two rings of opposite
+    sign, whose condition number then reads 8.85 at every n (unnormalized,
+    it grew like n: 54.3 at n = 32, 225.6 at n = 128).  With masses all
+    negative C = |M|^(-1/2) Q, and the closed-form condition number holds."""
+    full = [rs.assemble_global_basis(sys) for sys in mixed_sign_systems()]
+    full = [basis for basis in full if basis.m_orthogonal == "full"]
+    conds = []
+    for n in (8, 32, 128):
+        full.append(assemble(n, [rs.center(2.0), rs.regular(1.0, 1.0),
+                                 rs.regular(1.8, -0.5, phase=np.pi / n)]))
+        assert full[-1].m_orthogonal == "full"
+        conds.append(full[-1].cond)
+    for basis in full:
+        assert signature_residual(basis) <= 1e-13, basis.system.n
+        assert abs(basis.cond - np.linalg.cond(basis.matrix)) <= 1e-12 * basis.cond
+    assert max(conds) < 9.0 and max(conds) - min(conds) <= 1e-10 * max(conds), conds
+    basis = assemble(7, [rs.center(-2.0), rs.regular(1.0, -1.0), rs.semiregular(1.9, 0.2, -0.5)])
+    assert basis.m_orthogonal == "full"
+    G = basis.matrix.T @ (basis.system.mass_diag[:, None] * basis.matrix)
+    assert np.max(np.abs(G + np.eye(len(G)))) <= 1e-13
+    assert abs(basis.cond - np.linalg.cond(basis.matrix)) <= 1e-12 * basis.cond
 
 
 def test_symplectic_residuals_vanish():
@@ -270,8 +295,8 @@ def mixed_sign_systems():
 
 
 def test_symmetry_certificate_names_every_relation_of_every_block():
-    # mixed signs: the basis is not M-normalized, and the certificate still
-    # holds at rounding level
+    # mixed signs, partial bases included: the certificate still holds at
+    # rounding level
     for sys in sample_systems() + mixed_sign_systems():
         basis = rs.assemble_global_basis(sys)
         cert = symmetry_certificate(basis, sys.group_action())
@@ -345,7 +370,8 @@ def test_closed_form_basis_matches_projectors(n):
 def test_basis_cond_closed_form(n):
     for key, sys in grid_systems(n):
         basis = rs.assemble_global_basis(sys)
-        assert basis.normalized and basis.m_orthogonal == "full", key
+        assert basis.m_orthogonal == "full", key
+        assert signature_residual(basis) <= 1e-13, key
         ref = np.linalg.cond(basis.matrix)
         assert abs(basis.cond - ref) <= 1e-12 * ref, key
 
