@@ -12,6 +12,9 @@ x-axis (`dihedral.planar_action`); every admissible ring is invariant under
 both.  Points carry masses (or vorticities), constant along each ring but
 otherwise arbitrary nonzero reals.  No two points may coincide; since each
 ring is one D_n orbit, that is checked at each ring's first point only.
+
+Each ring lists its points in one fixed order (`ring_positions`); the
+group action reads its point permutations off that order.
 """
 
 from __future__ import annotations
@@ -21,11 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dihedral import (DihedralElement, full_group, planar_action, reflection,
-                       rotation)
+from .dihedral import DihedralElement, full_group, planar_action
 
-#: matching tolerance for the permutation action, relative to the largest radius
-MATCH_RTOL = 1e-9
 #: how far a regular ring's phase may lie from 0 or pi/n
 PHASE_TOL = 1e-12
 #: the value fields each ring kind takes, in the order reports list them
@@ -81,13 +81,14 @@ class GroupAction:
 
     n: int
     perm: np.ndarray               # (2n, N) point permutations
-    inverse: np.ndarray            # (2n, N) their inverses
     blocks: np.ndarray             # (2n, 2, 2) planar_action of each element
 
     def left(self, g: DihedralElement, X: np.ndarray) -> np.ndarray:
-        """sigma(g) @ X for X with 2N rows: a row gather, then the 2x2 block."""
+        """sigma(g) @ X for X with 2N rows: a row gather by the permutation
+        of g^-1 (r^-j for r^j; r^j s is its own inverse), then the 2x2 block."""
         k = _element_index(g, self.n)
-        rows = X.reshape(self.perm.shape[1], 2, -1)[self.inverse[k]]
+        back = k if g.ref else -g.rot % self.n
+        rows = X.reshape(self.perm.shape[1], 2, -1)[self.perm[back]]
         return (self.blocks[k] @ rows).reshape(X.shape)
 
 
@@ -123,43 +124,31 @@ class RingSystem:
         return np.repeat(self.masses, 2)
 
     def group_action(self) -> "GroupAction":
-        """The action of every element of D_n as index arrays.
+        """The action of every element of D_n as index arrays, read off the
+        ring order of `ring_positions`.
 
-        The point permutations of the generators r and s come from a
-        vectorized nearest-point match within each ring, so the action
-        keeps every point on its ring by construction; those of r^j and
-        r^j s follow by composing them.
+        On a ring of m points numbered from 0, r moves point l to
+        l + step and s moves it to shift - l, both mod m.  step is 2 on a
+        semiregular ring, whose (+mu, -mu) pairs move together, and 1
+        otherwise.  shift is 1 on a semiregular ring, where s swaps +mu at
+        pair j with -mu at pair -j; -1 on a `staggered` ring, whose point j
+        s takes to -j - 1; and 0 otherwise.  r^j then moves l to l + j step,
+        and r^j s to shift - l + j step.
         """
-        n, npts = self.n, self.npoints
-        gens = (rotation(n), reflection(n))
-        # a point outside every ring matches nothing
-        match = np.zeros((2, npts), dtype=int)
-        gap = np.full((2, npts), np.inf)
-        for sl in self.orbit_slices:
-            pts = self.positions[sl]
-            moved = np.stack([pts @ planar_action(g).T for g in gens])   # (2, m, 2)
-            d = np.hypot(moved[:, :, None, 0] - pts[:, 0],
-                         moved[:, :, None, 1] - pts[:, 1])             # (2, m, m)
-            local = np.argmin(d, axis=2)
-            match[:, sl] = local + sl.start
-            gap[:, sl] = np.take_along_axis(d, local[:, :, None], axis=2)[:, :, 0]
-        scale = max(np.max(np.abs(self.positions)), 1.0)
-        off = gap > MATCH_RTOL * scale
-        for g, miss, m in zip(gens, off, match):
-            if miss.any():
-                raise ValueError("system not D_n-symmetric: point %d leaves the set under %r"
-                                 % (int(np.argmax(miss)), g))
-            if np.bincount(m, minlength=npts).max() > 1:
-                raise ValueError("system not D_n-symmetric: action is not a permutation")
-        perm = np.empty((2 * n, npts), dtype=int)
-        perm[0] = np.arange(npts)
-        for j in range(1, n):
-            perm[j] = match[0][perm[j - 1]]
-        perm[n:] = perm[:n][:, match[1]]
-        inverse = np.empty_like(perm)
-        np.put_along_axis(inverse, perm, np.arange(npts)[None, :], axis=1)
+        n = self.n
+        rot = np.arange(n)[:, None]
+        perm = np.empty((2 * n, self.npoints), dtype=int)
+        for sl, spec in zip(self.orbit_slices, self.rings):
+            m = sl.stop - sl.start
+            if spec.kind == "semiregular":
+                step, shift = 2, 1
+            else:
+                step, shift = 1, -1 if staggered(n, spec) else 0
+            local = np.arange(m)
+            perm[:n, sl] = sl.start + (local + step * rot) % m
+            perm[n:, sl] = sl.start + (shift - local + step * rot) % m
         blocks = np.array([planar_action(g) for g in full_group(n)])
-        return GroupAction(n=n, perm=perm, inverse=inverse, blocks=blocks)
+        return GroupAction(n=n, perm=perm, blocks=blocks)
 
 
 def check_ring(n: int, spec: RingSpec) -> None:
@@ -180,12 +169,19 @@ def check_ring(n: int, spec: RingSpec) -> None:
         raise ValueError("invalid half_gap %.12g: need 0 < mu < pi/n" % spec.half_gap)
 
 
+def staggered(n: int, spec: RingSpec) -> bool:
+    """Whether spec is a regular ring at phase pi/n rather than 0, taken as
+    the nearer of the two: `check_ring` admits no other phase."""
+    return spec.kind == "regular" and spec.phase >= 0.5 * math.pi / n
+
+
 def ring_positions(n: int, spec: RingSpec) -> np.ndarray:
     """Points of one ring in deterministic order, after `check_ring`.
 
     Regular rings: angles phase + 2*pi*j/n, j ascending.  Semiregular rings:
-    pairs (+mu, -mu) shifted by 2*pi*j/n, j ascending; the adapted basis
-    reads each point's interleave sign from this order.
+    pairs (+mu, -mu) shifted by 2*pi*j/n, j ascending.  The adapted basis
+    reads each point's interleave sign from this order, and the group
+    action its point permutations.
     """
     check_ring(n, spec)
     if spec.kind == "center":

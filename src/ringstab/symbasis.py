@@ -33,7 +33,7 @@ import numpy as np
 
 from .dihedral import reflection, rho_range, rotation
 from .dynamics import apply_j
-from .geometry import GroupAction, RingSystem
+from .geometry import GroupAction, RingSystem, staggered
 
 #: M-norms below this relative to the Euclidean norm trigger the fallback
 MNORM_RTOL = 1e-10
@@ -128,11 +128,10 @@ def _orbit_contribution(sys: RingSystem, i: int) -> dict[str, list[np.ndarray]]:
         return out
     if n % 2 == 0:
         half = 0.5 * n * theta
-        phase0 = spec.phase < 0.5 * np.pi / n
         phi = out["phi_psi"] = []
-        if semi or phase0:
+        if semi or not staggered(n, spec):
             phi.append(column(np.cos(half), zero))
-        if semi or not phase0:
+        if semi or staggered(n, spec):
             phi.append(column(zero, np.sin(half)))
     for k in rho_range(n):
         c, s = np.cos(k * theta), np.sin(k * theta)
@@ -383,12 +382,12 @@ def assemble_global_basis(sys: RingSystem) -> SymBasis:
     if C.shape[0] != C.shape[1]:
         raise ValueError("decomposition mismatch: %d columns for dimension %d"
                          % (C.shape[1], C.shape[0]))
-    m = sys.masses
-    if m_full and (np.all(m > 0) or np.all(m < 0)):
-        # C^T M C = +-I, so C = |M|^(-1/2) Q with Q orthogonal
-        cond = float(np.sqrt(np.max(np.abs(m)) / np.min(np.abs(m))))
-    else:
-        cond = float(np.linalg.cond(C))
+    # distinct isotypic blocks are Euclidean-orthogonal, so the singular
+    # values of C are those of its blocks; the stack of tall C_b takes half
+    # the time of the stack of C_b^T
+    sv = np.concatenate([np.linalg.svd(C.T[idx].transpose(0, 2, 1), compute_uv=False).ravel()
+                         for _, idx in _size_stacks(blocks)])
+    cond = float(sv.max() / sv.min())
     if cond > 1e8:
         raise ValueError("basis ill-conditioned: cond = %.3g" % cond)
     return SymBasis(system=sys, matrix=C, blocks=blocks,

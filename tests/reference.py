@@ -1,9 +1,11 @@
 """Dense references the tests compare the library against.
 
-No verb runs these: the library works matrix-free in the group action and
-reads the block structure off the adapted basis.  Here the same objects are
-formed directly, as the 2N x 2N matrices or closed forms of their
-definitions, so that the tests can check the library against them.
+No verb runs these: the library works matrix-free in the group action,
+reads its point permutations off the ring order, and reads the block
+structure off the adapted basis.  Here the same objects are formed
+directly, from the positions alone or as the 2N x 2N matrices or closed
+forms of their definitions, so that the tests can check the library
+against them.
 """
 
 from __future__ import annotations
@@ -95,15 +97,59 @@ def irrep_matrix(label: IrrepLabel, g: DihedralElement) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
+#: matching tolerance for `matched_perm`, relative to the largest radius
+MATCH_RTOL = 1e-9
+
+
+def matched_perm(sys: RingSystem) -> np.ndarray:
+    """The (2n, N) point permutations of every element of D_n in
+    `full_group` order, found from the positions alone, independently of
+    the ring order that `RingSystem.group_action` reads.
+
+    The point permutations of the generators r and s come from a
+    vectorized nearest-point match within each ring, so the action keeps
+    every point on its ring by construction; those of r^j and r^j s follow
+    by composing them.  Raises ValueError when a point's image lies in no
+    ring or two points share one.
+    """
+    n, npts = sys.n, sys.npoints
+    gens = (rotation(n), reflection(n))
+    # a point outside every ring matches nothing
+    match = np.zeros((2, npts), dtype=int)
+    gap = np.full((2, npts), np.inf)
+    for sl in sys.orbit_slices:
+        pts = sys.positions[sl]
+        moved = np.stack([pts @ planar_action(g).T for g in gens])   # (2, m, 2)
+        d = np.hypot(moved[:, :, None, 0] - pts[:, 0],
+                     moved[:, :, None, 1] - pts[:, 1])             # (2, m, m)
+        local = np.argmin(d, axis=2)
+        match[:, sl] = local + sl.start
+        gap[:, sl] = np.take_along_axis(d, local[:, :, None], axis=2)[:, :, 0]
+    scale = max(np.max(np.abs(sys.positions)), 1.0)
+    off = gap > MATCH_RTOL * scale
+    for g, miss, m in zip(gens, off, match):
+        if miss.any():
+            raise ValueError("system not D_n-symmetric: point %d leaves the set under %r"
+                             % (int(np.argmax(miss)), g))
+        if np.bincount(m, minlength=npts).max() > 1:
+            raise ValueError("system not D_n-symmetric: action is not a permutation")
+    perm = np.empty((2 * n, npts), dtype=int)
+    perm[0] = np.arange(npts)
+    for j in range(1, n):
+        perm[j] = match[0][perm[j - 1]]
+    perm[n:] = perm[:n][:, match[1]]
+    return perm
+
+
 def sigma_matrix(sys: RingSystem, g: DihedralElement) -> np.ndarray:
     """2N x 2N matrix of g acting on displacement fields.
 
     (sigma(g) w)_i = g . w_{g^{-1}(i)}: block (pi[i], i) is the planar
-    action of g, where pi is the point permutation of g, with
-    positions[pi[i]] = planar_action(g) @ positions[i].
+    action of g, where pi is the point permutation of g from
+    `matched_perm`, with positions[pi[i]] = planar_action(g) @ positions[i].
     """
     k = _element_index(g, sys.n)
-    perm = sys.group_action().perm[k]
+    perm = matched_perm(sys)[k]
     act = planar_action(g)
     out = np.zeros((2 * sys.npoints, 2 * sys.npoints))
     for i in range(sys.npoints):

@@ -5,8 +5,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 import ringstab as rs
+from ringstab import cli
 from ringstab.dihedral import full_group, planar_action, reflection, rotation
-from ringstab.geometry import RingSystem, ring_positions
+from ringstab.geometry import ring_positions
 from reference import sigma_matrix
 
 
@@ -140,30 +141,16 @@ def test_phase_pi_over_n_offsets_ring():
     assert_allclose(th[0], np.pi / 4, atol=1e-14)
 
 
-def test_asymmetric_point_set_names_the_point():
+def test_moved_point_fails_equivariance_of_a():
+    """The group action reads no position: it is read off the ring order,
+    which `build` makes D_n-symmetric.  A point moved off that order by
+    hand is caught by the check that compares A with the action, verify's
+    equivariance of A (residual 2.7e-3 against its 1e-9 gate)."""
     sys = rs.build(5, [rs.regular(1.0, 1.0)])
     sys.positions = sys.positions.copy()
     sys.positions[3] += [1e-3, 0.0]
-    # r moves point 2 onto the old place of point 3, which is now empty
-    with pytest.raises(ValueError, match=r"system not D_n-symmetric: point 2 leaves the set "
-                                         r"under r\^1\(D_5\)"):
-        sys.group_action()
-    # a pentagon at phase 0.3 is invariant under r but not under s
-    ang = 0.3 + 2.0 * np.pi * np.arange(5) / 5
-    chiral = RingSystem(n=5, rings=sys.rings, positions=np.column_stack([np.cos(ang), np.sin(ang)]),
-                        masses=sys.masses, orbit_slices=sys.orbit_slices)
-    with pytest.raises(ValueError, match=r"point 0 leaves the set under s\(D_5\)"):
-        chiral.group_action()
-    # a doubled point: every image lies in the set, but r hits point 1 twice
-    doubled = RingSystem(n=5, rings=sys.rings,
-                         positions=np.vstack([ring_positions(5, rs.regular(1.0, 1.0)), [[1.0, 0.0]]]),
-                         masses=np.ones(6), orbit_slices=[slice(0, 6)])
-    with pytest.raises(ValueError, match="action is not a permutation"):
-        doubled.group_action()
-    # points are matched within their ring: a pentagon split into two
-    # "rings" is not invariant ring by ring, since r moves point 1 into the
-    # other one
-    split = RingSystem(n=5, rings=sys.rings, positions=ring_positions(5, rs.regular(1.0, 1.0)),
-                       masses=np.ones(5), orbit_slices=[slice(0, 2), slice(2, 5)])
-    with pytest.raises(ValueError, match=r"point 1 leaves the set under r\^1\(D_5\)"):
-        split.group_action()
+    op = rs.stability_operator(sys, rs.vortex(), 1.0)
+    basis = rs.assemble_global_basis(sys)
+    items = cli.invariant_suite(op, basis, rs.factorize(op, basis), {}.get)
+    item = next(it for it in items if it["name"] == "equivariance of A")
+    assert item["status"] == "FAIL" and item["residual"] > 1e-3, item

@@ -10,7 +10,7 @@ from ringstab.stability import factorize
 from ringstab.symbasis import (gram_residual, multiplicities, standard_j,
                                symmetry_certificate, translation_field)
 from reference import (dense_projectors, equivariance_residuals, j_matrix, m_inner,
-                       sigma_matrices, sigma_matrix)
+                       matched_perm, sigma_matrices, sigma_matrix)
 from test_acceptance import grid_system, type_grid
 
 RNG = np.random.default_rng(77121)
@@ -376,7 +376,55 @@ def test_basis_cond_closed_form(n):
         assert abs(basis.cond - ref) <= 1e-12 * ref, key
 
 
+def shielded_ladder():
+    """The D_6 shielded vortex at center vorticity c = -6.1, -6.001 and
+    -6.00001: its sigma lead total is nearly M-null, and its condition
+    number grows like 34 / |c + 6| (3.4e6 at the last rung)."""
+    return [rs.build(6, [rs.center(c), rs.regular(1.0, 1.0)]) for c in (-6.1, -6.001, -6.00001)]
+
+
+def test_basis_cond_matches_dense_svd_on_mixed_signs():
+    """The per-block condition number against the dense SVD, partial and
+    ill-conditioned bases included.  Both read the smallest singular value
+    to an absolute eps * sigma_max, so they may differ by about eps * cond
+    relative: measured 1.1e-15 on the mixed-sign systems, 8.5e-15, 1.8e-13
+    and 4.9e-10 on the ladder (at most 0.65 eps * cond)."""
+    for sys in mixed_sign_systems() + shielded_ladder():
+        basis = rs.assemble_global_basis(sys)
+        ref = np.linalg.cond(basis.matrix)
+        assert abs(basis.cond - ref) <= 1e-15 * basis.cond * ref, (sys.masses[0], basis.cond)
+
+
+def test_basis_cond_never_takes_the_dense_svd(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("assemble_global_basis took the dense condition number")
+
+    monkeypatch.setattr(np.linalg, "cond", forbidden)
+    for n in range(2, 13):
+        for key, sys in grid_systems(n):
+            assert rs.assemble_global_basis(sys).cond >= 1.0, key
+    for sys in mixed_sign_systems() + shielded_ladder():
+        assert rs.assemble_global_basis(sys).cond >= 1.0
+
+
 # --- the matrix-free group action against dense sigma matrices --------------
+
+@pytest.mark.parametrize("n", list(range(2, 13)) + ["samples"])
+def test_group_action_matches_the_nearest_point_matcher(n):
+    """The point permutations read off the ring order equal, element for
+    element, those the matcher finds from the positions alone: on the type
+    grid, the sample and mixed-sign systems, and regular rings at phases
+    9e-13 off 0 and pi/n, either side."""
+    if n == "samples":
+        systems = sample_systems() + mixed_sign_systems()
+    else:
+        systems = [sys for _, sys in grid_systems(n)]
+        systems += [rs.build(n, [rs.center(1.0), rs.regular(1.0, 1.0, phase=d0),
+                                 rs.regular(1.7, 0.5, phase=np.pi / n + d1)])
+                    for d0 in (9e-13, -9e-13) for d1 in (9e-13, -9e-13)]
+    for sys in systems:
+        assert np.array_equal(sys.group_action().perm, matched_perm(sys)), sys.rings
+
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_gather_action_matches_sigma_matrix(n):
