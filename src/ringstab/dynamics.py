@@ -180,9 +180,10 @@ def _equivariance_residuals(A: np.ndarray, act: GroupAction) -> np.ndarray:
     z = x + i y, and ||B||_F^2 = 2 (|alpha|^2 + |beta|^2).  The residual of
     g is ||sigma(g)^T A sigma(g) - A||_F, and sigma(r^k)^T A sigma(r^k)
     carries (alpha, e^(-4 pi i k/n) beta) from the pair (r^k p, r^k q) to
-    (p, q).  Along each C_n orbit of pairs, (p_j, q_j) = (perm[j, p],
-    perm[j, q]) for j < n, that is a cyclic shift by k, which the FFT over
-    j turns into the phase w^(f k), w = e^(2 pi i/n), at the frequency f,
+    (p, q).  Along each C_n orbit of pairs, (p_j, q_j) = (rot[j, p],
+    rot[j, q]) for j < n, where rot[j] is the point permutation of r^j,
+    composed here from act's r; that is a cyclic shift by k, which the FFT
+    over j turns into the phase w^(f k), w = e^(2 pi i/n), at the frequency f,
     less 2 for beta.  By Parseval, with E[f] the energy at f,
 
         r^k:    sum_f E[f] |w^(f k) - 1|^2,
@@ -198,7 +199,10 @@ def _equivariance_residuals(A: np.ndarray, act: GroupAction) -> np.ndarray:
     residual far below that scale is summed directly (`RESOLVED`).
     """
     n, npts = act.n, act.perm.shape[1]
-    rot = act.perm[:n]
+    rot = np.empty((n, npts), dtype=int)
+    rot[0] = np.arange(npts)
+    for j in range(1, n):
+        rot[j] = act.perm[0][rot[j - 1]]
     # one orbit per pair (p, q) with p first on its r-cycle, and q too where
     # p is a center; the orbit of two centers repeats one block n times
     heads = np.flatnonzero(rot.min(axis=0) == np.arange(npts))
@@ -215,7 +219,7 @@ def _equivariance_residuals(A: np.ndarray, act: GroupAction) -> np.ndarray:
     phase = np.exp(2j * np.pi * (np.outer(j, j) % n) / n)              # w^(f k)
     # (A, sigma(s) A sigma(s)) x (alpha, beta) x orbit x j
     rows, cols = rot[:, p].T, rot[:, q].T
-    flip = act.perm[n]
+    flip = act.perm[1]
     plain = coef[:, rows, cols]
     flipped = coef[:, flip[rows], flip[cols]].conj()
 

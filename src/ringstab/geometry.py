@@ -20,11 +20,11 @@ group action reads its point permutations off that order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .dihedral import DihedralElement, full_group, planar_action
+from .dihedral import planar_action, reflection, rotation
 
 #: how far a regular ring's phase may lie from 0 or pi/n
 PHASE_TOL = 1e-12
@@ -64,32 +64,30 @@ def semiregular(radius: float, half_gap: float, mass: float) -> RingSpec:
     return RingSpec("semiregular", mass, radius=radius, half_gap=half_gap)
 
 
-def _element_index(g: DihedralElement, n: int) -> int:
-    if g.n != n:
-        raise ValueError("group order mismatch: element of D_%d on a D_%d system" % (g.n, n))
-    return g.rot + g.ref * n
-
-
 @dataclass(frozen=True)
 class GroupAction:
-    """sigma(g) for every g of D_n, applied by index gathers, never as a
-    dense 2N x 2N matrix.
+    """sigma(r) and sigma(s), the generators of D_n, applied by index
+    scatters, never as a dense 2N x 2N matrix; every other element is a
+    product of these two.
 
-    (sigma(g) w)_perm[g, i] = planar_action(g) w_i.  Elements are indexed in
-    `full_group` order: r^j s^k sits at j + k n.
+    Row 0 of perm and blocks holds r, row 1 holds s:
+    (sigma(g) w)_perm[k, i] = blocks[k] w_i.
     """
 
     n: int
-    perm: np.ndarray               # (2n, N) point permutations
-    blocks: np.ndarray             # (2n, 2, 2) planar_action of each element
+    perm: np.ndarray               # (2, N) point permutations of r and s
+    blocks: np.ndarray             # (2, 2, 2) planar_action of r and s
 
-    def left(self, g: DihedralElement, X: np.ndarray) -> np.ndarray:
-        """sigma(g) @ X for X with 2N rows: a row gather by the permutation
-        of g^-1 (r^-j for r^j; r^j s is its own inverse), then the 2x2 block."""
-        k = _element_index(g, self.n)
-        back = k if g.ref else -g.rot % self.n
-        rows = X.reshape(self.perm.shape[1], 2, -1)[self.perm[back]]
-        return (self.blocks[k] @ rows).reshape(X.shape)
+    def left(self, gen: str, X: np.ndarray) -> np.ndarray:
+        """sigma(gen) @ X for gen "r" or "s" and X with 2N rows: each
+        point's rows, times the 2x2 block, scattered to its image."""
+        if gen not in ("r", "s"):
+            raise ValueError("unknown generator %r: need 'r' or 's'" % (gen,))
+        k = int(gen == "s")
+        npts = self.perm.shape[1]
+        out = np.empty(X.shape, dtype=np.result_type(self.blocks, X))
+        out.reshape(npts, 2, -1)[self.perm[k]] = self.blocks[k] @ X.reshape(npts, 2, -1)
+        return out
 
 
 @dataclass
@@ -100,7 +98,7 @@ class RingSystem:
     rings: list[RingSpec]
     positions: np.ndarray          # (N, 2)
     masses: np.ndarray             # (N,)
-    orbit_slices: list[slice] = field(default_factory=list)
+    orbit_slices: list[slice]
 
     @property
     def npoints(self) -> int:
@@ -124,20 +122,18 @@ class RingSystem:
         return np.repeat(self.masses, 2)
 
     def group_action(self) -> "GroupAction":
-        """The action of every element of D_n as index arrays, read off the
-        ring order of `ring_positions`.
+        """The action of the generators r and s as index arrays, read off
+        the ring order of `ring_positions`.
 
         On a ring of m points numbered from 0, r moves point l to
         l + step and s moves it to shift - l, both mod m.  step is 2 on a
         semiregular ring, whose (+mu, -mu) pairs move together, and 1
         otherwise.  shift is 1 on a semiregular ring, where s swaps +mu at
         pair j with -mu at pair -j; -1 on a `staggered` ring, whose point j
-        s takes to -j - 1; and 0 otherwise.  r^j then moves l to l + j step,
-        and r^j s to shift - l + j step.
+        s takes to -j - 1; and 0 otherwise.
         """
         n = self.n
-        rot = np.arange(n)[:, None]
-        perm = np.empty((2 * n, self.npoints), dtype=int)
+        perm = np.empty((2, self.npoints), dtype=int)
         for sl, spec in zip(self.orbit_slices, self.rings):
             m = sl.stop - sl.start
             if spec.kind == "semiregular":
@@ -145,9 +141,9 @@ class RingSystem:
             else:
                 step, shift = 1, -1 if staggered(n, spec) else 0
             local = np.arange(m)
-            perm[:n, sl] = sl.start + (local + step * rot) % m
-            perm[n:, sl] = sl.start + (shift - local + step * rot) % m
-        blocks = np.array([planar_action(g) for g in full_group(n)])
+            perm[0, sl] = sl.start + (local + step) % m
+            perm[1, sl] = sl.start + (shift - local) % m
+        blocks = np.array([planar_action(rotation(n)), planar_action(reflection(n))])
         return GroupAction(n=n, perm=perm, blocks=blocks)
 
 

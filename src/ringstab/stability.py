@@ -159,7 +159,6 @@ class BlockReport:
     label: str
     cols: list[int]
     size: int
-    refined: bool
     off_residual: float
     factor: PolyFactor
     a_block: np.ndarray | None = None
@@ -281,10 +280,6 @@ class FactorizationReport:
     notes: list[str] = field(default_factory=list)
 
     @property
-    def factors(self) -> list[PolyFactor]:
-        return [b.factor for b in self.blocks]
-
-    @property
     def lambda_degrees(self) -> list[int]:
         """Factor degrees in lambda, finest reported partition."""
         return [b.factor.degree for b in self.blocks]
@@ -342,8 +337,8 @@ def factorize(op: StabilityOperator, basis: SymBasis,
                 sub_a = ab[loc]
                 sub_off = off_residuals(np.array([cols]), sub_a[None])[0]
                 halves.append(BlockReport(label=label, cols=cols, size=len(cols),
-                                          refined=True, off_residual=float(sub_off),
-                                          factor=None, a_block=sub_a))
+                                          off_residual=float(sub_off), factor=None,
+                                          a_block=sub_a))
             worst = max(h.off_residual for h in halves)
             if worst <= tol_off:
                 blocks += halves
@@ -351,7 +346,7 @@ def factorize(op: StabilityOperator, basis: SymBasis,
             notes.append("lead pair of %s not split: off-block residual %.3g" % (blk.label, worst))
         elif blk.lead_pair and not op.is_releq:
             notes.append("not a relative equilibrium: %s lead pair kept coarse" % blk.label)
-        blocks.append(BlockReport(label=blk.label, cols=blk.cols, size=blk.size, refined=False,
+        blocks.append(BlockReport(label=blk.label, cols=blk.cols, size=blk.size,
                                   off_residual=off, factor=None, a_block=ab))
     if not op.is_releq:
         notes.append("not a relative equilibrium (residual %.3g)" % op.releq_residual_norm)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dihedral import reflection, rho_range, rotation
+from .dihedral import rho_range
 from .dynamics import apply_j
 from .geometry import GroupAction, RingSystem, staggered
 
@@ -248,7 +248,7 @@ def symmetry_certificate(basis: SymBasis, act: GroupAction) -> dict[str, float]:
     """
     n = act.n
     C = basis.matrix
-    moved = {"r": act.left(rotation(n), C).T, "s": act.left(reflection(n), C).T}
+    moved = {g: act.left(g, C).T for g in "rs"}
     rho, invariance = {}, {}
     for same, idx in _size_stacks(basis.blocks):
         scale = np.linalg.norm(C.T[idx], axis=(1, 2))

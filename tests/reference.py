@@ -17,8 +17,7 @@ import numpy as np
 from ringstab.dihedral import (DihedralElement, full_group, planar_action,
                                reflection, rho_range, rotation)
 from ringstab.dynamics import Potential, StabilityOperator, apply_j
-from ringstab.geometry import RingSystem, _element_index
-from ringstab.stability import _shifts
+from ringstab.geometry import RingSystem
 from ringstab.symbasis import SymBasis, multiplicities
 
 
@@ -148,8 +147,7 @@ def sigma_matrix(sys: RingSystem, g: DihedralElement) -> np.ndarray:
     action of g, where pi is the point permutation of g from
     `matched_perm`, with positions[pi[i]] = planar_action(g) @ positions[i].
     """
-    k = _element_index(g, sys.n)
-    perm = matched_perm(sys)[k]
+    perm = matched_perm(sys)[g.rot + g.ref * sys.n]
     act = planar_action(g)
     out = np.zeros((2 * sys.npoints, 2 * sys.npoints))
     for i in range(sys.npoints):
@@ -265,8 +263,14 @@ def pencil(op: StabilityOperator, lam: float) -> np.ndarray:
 
 def _pencils(A: np.ndarray, J: np.ndarray, omega: float, kind: str, ts) -> np.ndarray:
     """The pencils at every lambda in ts as one (..., len(ts), s, s) stack;
-    leading axes of A and J (a stack of blocks) come first."""
-    c, d = _shifts(omega, kind, ts)
+    leading axes of A and J (a stack of blocks) come first.  The pencil is
+    (A + c I) + d J with (c, d) = (omega, lambda) for vortices and
+    (lambda^2 - omega^2, 2 lambda omega) for homogeneous potentials."""
+    ts = np.asarray(ts, dtype=float)
+    if kind == "vortex":
+        c, d = np.full_like(ts, omega), ts
+    else:
+        c, d = ts * ts - omega * omega, 2.0 * ts * omega
     A, J = A[..., None, :, :], J[..., None, :, :]
     return (A + c[:, None, None] * np.eye(A.shape[-1])) + d[:, None, None] * J
 

@@ -242,7 +242,7 @@ def test_criterion_09_d2_full_factorization():
                 op = rs.stability_operator(sol.system, pot, sol.omega)
                 fac = factorize(op, rs.assemble_global_basis(sol.system))
                 assert all(b.size == 2 for b in fac.blocks), (name, pot.kind)
-                for f in fac.factors:
+                for f in [b.factor for b in fac.blocks]:
                     if pot.kind == "vortex":
                         assert f.degree == 2
                     else:

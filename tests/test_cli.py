@@ -403,18 +403,20 @@ def test_verify_equivariance_gate_fails_near_its_threshold(pentagon_cfg,
 
 
 def test_verify_gathers_only_for_the_certificate(pentagon_cfg, monkeypatch, capsys):
-    """verify builds the group action once; the equivariance of A takes all
-    2n elements in one pass, so the only row gathers are the symmetry
-    certificate's two, sigma(r) C and sigma(s) C."""
-    calls = {"group_action": 0, "left": 0}
-    for owner, name in ((RingSystem, "group_action"), (rs.geometry.GroupAction, "left")):
+    """verify builds the group action once, from the two planar blocks of
+    r and s; the equivariance of A takes all 2n elements in one pass, so
+    the action is applied only by the symmetry certificate, twice: sigma(r) C
+    and sigma(s) C."""
+    calls = {"group_action": 0, "left": 0, "planar_action": 0}
+    for owner, name in ((RingSystem, "group_action"), (rs.geometry.GroupAction, "left"),
+                        (rs.geometry, "planar_action")):
         def counted(*args, _fn=getattr(owner, name), _name=name):
             calls[_name] += 1
             return _fn(*args)
 
         monkeypatch.setattr(owner, name, counted)
     assert cli.main(["verify", "--config", str(pentagon_cfg)]) == 0, capsys.readouterr().out
-    assert calls == {"group_action": 1, "left": 2}
+    assert calls == {"group_action": 1, "left": 2, "planar_action": 2}
     assert not hasattr(rs.geometry.GroupAction, "right")
 
 
@@ -438,7 +440,7 @@ def broken_reflection(monkeypatch):
     def broken(sys_):
         act = group_action(sys_)
         blocks = act.blocks.copy()
-        blocks[act.n, 0, 0] *= -1.0
+        blocks[1, 0, 0] *= -1.0
         return replace(act, blocks=blocks)
 
     monkeypatch.setattr(RingSystem, "group_action", broken)

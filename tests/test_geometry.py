@@ -8,7 +8,7 @@ import ringstab as rs
 from ringstab import cli
 from ringstab.dihedral import full_group, planar_action, reflection, rotation
 from ringstab.geometry import ring_positions
-from reference import sigma_matrix
+from reference import matched_perm, sigma_matrix
 
 
 def test_regular_positions_exact():
@@ -63,7 +63,7 @@ def test_permutation_action(n):
     sys = rs.build(n, [rs.center(2.0), rs.regular(1.0, 1.0), rs.semiregular(1.7, np.pi / (3 * n), 0.5)])
     x = sys.config_vector
     for g in full_group(n):
-        p = sys.group_action().perm[full_group(n).index(g)]
+        p = matched_perm(sys)[full_group(n).index(g)]
         assert_allclose(np.sort(p), np.arange(sys.npoints))
         s = sigma_matrix(sys, g)
         # the configuration itself is a fixed point of the action
@@ -83,7 +83,7 @@ def test_sigma_is_representation():
         g_inv = g if g.ref else rotation(4, -g.rot)
         assert_allclose(sigma_matrix(sys, g) @ sigma_matrix(sys, g_inv),
                         np.eye(2 * sys.npoints), atol=1e-12)
-        perm = sys.group_action().perm[full_group(4).index(g)]
+        perm = matched_perm(sys)[full_group(4).index(g)]
         S = sigma_matrix(sys, g)
         for i in range(sys.npoints):
             j = perm[i]
@@ -117,6 +117,29 @@ def test_build_memory_grows_with_points_times_rings():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2 ** 20, peak
+
+
+def test_group_action_memory_grows_with_points_not_group_order():
+    # r and s are held as two rows of N labels and two 2x2 blocks: at D_1024
+    # a table of all 2n permutations and planar blocks peaks at ~50 MB
+    sys = rs.build(1024, [rs.center(4.0), rs.regular(1.0, 1.0),
+                          rs.regular(1.8, 1.0, phase=np.pi / 1024)])
+    tracemalloc.start()
+    try:
+        act = sys.group_action()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert act.perm.shape == (2, sys.npoints) and act.blocks.shape == (2, 2, 2)
+    assert peak < 2 ** 20, peak
+
+
+def test_ring_system_needs_its_orbit_slices():
+    # without the slices the group action would read no ring and return
+    # uninitialized labels
+    sys = rs.build(5, [rs.regular(1.0, 1.0)])
+    with pytest.raises(TypeError, match="orbit_slices"):
+        rs.geometry.RingSystem(sys.n, sys.rings, sys.positions, sys.masses)
 
 
 def test_ring_validation():

@@ -190,7 +190,7 @@ def test_projected_blocks_match_transform_on_grid():
 def test_projected_split_blocks_match_transform():
     for op, basis in solved_split_systems():
         fac = factorize(op, basis)
-        assert any(b.refined for b in fac.blocks), op.system.n
+        assert any(b.label.endswith(("_lead", "_rest")) for b in fac.blocks), op.system.n
         assert_matches_transform(op, basis, fac)
 
 
@@ -229,7 +229,7 @@ def test_off_residuals_match_transform_on_leaking_operators():
     for i, (op, basis) in enumerate(solved_split_systems()):
         op = leaking(op, 1e-11, i)
         fac = factorize(op, basis)
-        assert any(b.refined for b in fac.blocks)
+        assert any(b.label.endswith(("_lead", "_rest")) for b in fac.blocks)
         assert min(b.off_residual for b in fac.blocks) > 1e-14
         assert_matches_transform(op, basis, fac)
     # leakage past the default gate: every lead pair is refused with a note,
@@ -243,7 +243,7 @@ def test_off_residuals_match_transform_on_leaking_operators():
             assert any(note.startswith("lead pair of %s not split" % label) for note in fac.notes)
         assert not any(b.label.endswith(("_lead", "_rest")) for b in fac.blocks)
         lifted = factorize(op, basis, tol_off=1.0)
-        assert {b.label for b in lifted.blocks if b.refined} == \
+        assert {b.label for b in lifted.blocks if b.label.endswith(("_lead", "_rest"))} == \
             {h for label in leads for h in (label + "_lead", label + "_rest")}
 
 
@@ -311,7 +311,8 @@ def test_factor_log_product_equals_loop():
         fac = factorize(op, basis)
         ts = dense_oracle(op)[0] if op.system.npoints < 60 else \
             np.linspace(-2.0, 2.0, 20) * max(1.0, abs(op.omega))
-        got, ref = _factor_log_product(fac.factors, ts), loop_log_product(fac.factors, ts)
+        factors = [b.factor for b in fac.blocks]
+        got, ref = _factor_log_product(factors, ts), loop_log_product(factors, ts)
         assert np.array_equal(got[0], ref[0])
         assert np.max(np.abs(got[1] - ref[1])) <= 1e-12
     # a root at a sample: sign 0 and log -inf, as in the loop
@@ -345,7 +346,7 @@ def test_homogeneous_degrees_double():
     fac = factorize(op, basis)
     assert fac.degree_profile == [2, 4, 4]
     assert sum(fac.lambda_degrees) == 4 * op.system.npoints
-    for f in fac.factors:
+    for f in [b.factor for b in fac.blocks]:
         assert abs(f.coefficients[-1] - 1.0) < 1e-10
         assert np.max(np.abs(f.coefficients[1::2])) <= 1e-8 * np.max(np.abs(f.coefficients))
 
@@ -445,7 +446,7 @@ def test_oracle_samples_match_factor_product():
     fac = factorize(op, basis)
     ts, signs, logs = dense_oracle(op)
     for t, s, l in zip(ts, signs, logs):
-        prod = np.prod([np.prod(t - f.spectrum).real for f in fac.factors])
+        prod = np.prod([np.prod(t - b.factor.spectrum).real for b in fac.blocks])
         assert_allclose(prod, s * np.exp(l), rtol=1e-7)
 
 
@@ -517,7 +518,7 @@ def test_coefficients_match_np_poly():
     # compared on the expansion's error scale, the coefficients of
     # prod (lambda + |r_j|)
     for op, basis in list(grid_operators()) + solved_split_systems():
-        for f in factorize(op, basis).factors:
+        for f in [b.factor for b in factorize(op, basis).blocks]:
             ref = np.poly(f.spectrum).real[::-1]
             scale = np.poly(-np.abs(f.spectrum)).real[::-1]
             assert np.all(np.abs(f.coefficients - ref) <= 1e-14 * scale), f.label
@@ -572,7 +573,7 @@ def test_vortex_polygon_stability_thomson_havelock(n):
     # n = 7 and unstable for n >= 8 (Havelock 1931)
     op, basis = solved(n, [rs.regular(1.0, 1.0)], VORT)
     fac = factorize(op, basis)
-    growth = max(np.max(f.roots().real) for f in fac.factors)
+    growth = max(np.max(b.factor.roots().real) for b in fac.blocks)
     w = abs(op.omega)
     if n <= 6:
         assert growth <= 1e-9 * w

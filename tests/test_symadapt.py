@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -9,6 +12,7 @@ from ringstab.geometry import RingSystem
 from ringstab.stability import factorize
 from ringstab.symbasis import (gram_residual, multiplicities, standard_j,
                                symmetry_certificate, translation_field)
+import reference
 from reference import (dense_projectors, equivariance_residuals, j_matrix, m_inner,
                        matched_perm, sigma_matrices, sigma_matrix)
 from test_acceptance import grid_system, type_grid
@@ -411,8 +415,8 @@ def test_basis_cond_never_takes_the_dense_svd(monkeypatch):
 
 @pytest.mark.parametrize("n", list(range(2, 13)) + ["samples"])
 def test_group_action_matches_the_nearest_point_matcher(n):
-    """The point permutations read off the ring order equal, element for
-    element, those the matcher finds from the positions alone: on the type
+    """The point permutations of r and s read off the ring order equal
+    those the matcher finds from the positions alone: on the type
     grid, the sample and mixed-sign systems, and regular rings at phases
     9e-13 off 0 and pi/n, either side."""
     if n == "samples":
@@ -423,7 +427,7 @@ def test_group_action_matches_the_nearest_point_matcher(n):
                                  rs.regular(1.7, 0.5, phase=np.pi / n + d1)])
                     for d0 in (9e-13, -9e-13) for d1 in (9e-13, -9e-13)]
     for sys in systems:
-        assert np.array_equal(sys.group_action().perm, matched_perm(sys)), sys.rings
+        assert np.array_equal(sys.group_action().perm, matched_perm(sys)[[1, sys.n]]), sys.rings
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -431,9 +435,27 @@ def test_gather_action_matches_sigma_matrix(n):
     for key, sys in grid_systems(n):
         act = sys.group_action()
         X = RNG.standard_normal((2 * sys.npoints, 3))
-        for g in rs.full_group(n):
+        for gen, g in (("r", rs.rotation(n)), ("s", rs.reflection(n))):
             S = sigma_matrix(sys, g)
-            assert np.abs(act.left(g, X) - S @ X).max() <= 1e-14, (key, g)
+            assert np.abs(act.left(gen, X) - S @ X).max() <= 1e-14, (key, g)
+
+
+def test_group_action_takes_only_the_generators():
+    act = sample_systems()[3].group_action()
+    X = RNG.standard_normal((2 * act.perm.shape[1], 2))
+    for gen in ("", "rs", "sr", "e", "R", rs.rotation(4), rs.reflection(4)):
+        with pytest.raises(ValueError, match="unknown generator"):
+            act.left(gen, X)
+
+
+def test_reference_imports_no_private_library_name():
+    """The dense references stay independent of production: tests/reference.py
+    imports no _-prefixed name from ringstab."""
+    tree = ast.parse(Path(reference.__file__).read_text(encoding="utf-8"))
+    private = [(node.module, alias.name) for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "ringstab"
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
 
 
 def equivariance_defects(sys, sigmas, rng):
