@@ -7,8 +7,6 @@ linearizations along the isotypic decomposition of displacement space and
 factors the characteristic polynomial accordingly.
 """
 
-from .dihedral import (DihedralElement, full_group, planar_action, reflection,
-                       rotation)
 from .config import ConfigError, JobConfig, parse_config, parse_config_text
 from .dynamics import (Potential, ReleqSolution, StabilityOperator, apply_j,
                        equivariance_residual, gradient, hessian, hessian_fd,

@@ -173,8 +173,9 @@ RESOLVED = 1e-4
 
 
 def _equivariance_residuals(A: np.ndarray, act: GroupAction) -> np.ndarray:
-    """||A sigma(g) - sigma(g) A||_F for every g of D_n, in `full_group`
-    order, from one FFT along the rotation orbits of the pair blocks.
+    """||A sigma(g) - sigma(g) A||_F for every g of D_n, in the order
+    r^0 .. r^(n-1), then r^0 s .. r^(n-1) s, from one FFT along the rotation
+    orbits of the pair blocks.
 
     Each 2x2 pair block of A acts as B w = alpha z + beta conj(z) with
     z = x + i y, and ||B||_F^2 = 2 (|alpha|^2 + |beta|^2).  The residual of
@@ -240,10 +241,12 @@ def _equivariance_residuals(A: np.ndarray, act: GroupAction) -> np.ndarray:
     return np.sqrt(np.concatenate([rotations, direct + np.maximum(rest, 0.0)]))
 
 
-def equivariance_residual(op: StabilityOperator, act: GroupAction) -> float:
+def equivariance_residual(op: StabilityOperator) -> float:
     """max_g ||A sigma(g) - sigma(g) A||_F / ||A||_F over all 2n elements
-    of D_n (`_equivariance_residuals`): O(N^2 log n) for all of them."""
+    of D_n acting on op's system (`_equivariance_residuals`): O(N^2 log n)
+    for all of them."""
     A = op.matrix
+    act = op.system.group_action()
     return float(_equivariance_residuals(A, act).max() / max(np.linalg.norm(A), 1e-300))
 
 

@@ -8,7 +8,7 @@ A ring system of type (a, b, c) for D_n consists of
     0 < mu < pi/n, i.e. vertices at angles +-mu + 2*pi*j/n.
 
 The group acts with r = rotation by 2*pi/n and s = reflection across the
-x-axis (`dihedral.planar_action`); every admissible ring is invariant under
+x-axis (`RingSystem.group_action`); every admissible ring is invariant under
 both.  Points carry masses (or vorticities), constant along each ring but
 otherwise arbitrary nonzero reals.  No two points may coincide; since each
 ring is one D_n orbit, that is checked at each ring's first point only.
@@ -23,8 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .dihedral import planar_action, reflection, rotation
 
 #: how far a regular ring's phase may lie from 0 or pi/n
 PHASE_TOL = 1e-12
@@ -76,7 +74,7 @@ class GroupAction:
 
     n: int
     perm: np.ndarray               # (2, N) point permutations of r and s
-    blocks: np.ndarray             # (2, 2, 2) planar_action of r and s
+    blocks: np.ndarray             # (2, 2, 2) planar blocks of r and s
 
     def left(self, gen: str, X: np.ndarray) -> np.ndarray:
         """sigma(gen) @ X for gen "r" or "s" and X with 2N rows: each
@@ -143,7 +141,9 @@ class RingSystem:
             local = np.arange(m)
             perm[0, sl] = sl.start + (local + step) % m
             perm[1, sl] = sl.start + (shift - local) % m
-        blocks = np.array([planar_action(rotation(n)), planar_action(reflection(n))])
+        theta = 2.0 * np.pi / n
+        c, s = np.cos(theta), np.sin(theta)
+        blocks = np.array([[[c, -s], [s, c]], [[1.0, 0.0], [0.0, -1.0]]])
         return GroupAction(n=n, perm=perm, blocks=blocks)
 
 

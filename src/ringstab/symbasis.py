@@ -33,10 +33,16 @@ import numpy as np
 
 from .dihedral import rho_range
 from .dynamics import apply_j
-from .geometry import GroupAction, RingSystem, staggered
+from .geometry import RingSystem, staggered
 
 #: M-norms below this relative to the Euclidean norm trigger the fallback
 MNORM_RTOL = 1e-10
+
+
+def _m_null(m: float, v: np.ndarray) -> bool:
+    """Whether v, of M-norm m = v^T M v, is too close to M-null to divide
+    by: |m| <= MNORM_RTOL v^T v."""
+    return abs(m) <= MNORM_RTOL * float(v @ v)
 
 
 def multiplicities(n: int, a: int, b: int, c: int) -> dict[str, int]:
@@ -63,17 +69,11 @@ def multiplicities(n: int, a: int, b: int, c: int) -> dict[str, int]:
 # adapted bases
 
 
-def translation_field(sys: RingSystem, orbit: int | None = None, direction: int = 0) -> np.ndarray:
-    """Unit-vector displacement on one orbit (or all points), exact."""
-    e = np.zeros(2)
-    e[direction] = 1.0
-    out = np.zeros(2 * sys.npoints)
-    if orbit is None:
-        out.reshape(-1, 2)[:] = e
-    else:
-        sl = sys.orbit_slices[orbit]
-        out.reshape(-1, 2)[sl] = e
-    return out
+def translation_field(sys: RingSystem, orbit: int) -> np.ndarray:
+    """The unit displacement along x of one orbit's points, exact."""
+    out = np.zeros((sys.npoints, 2))
+    out[sys.orbit_slices[orbit], 0] = 1.0
+    return out.reshape(-1)
 
 
 def _orbit_contribution(sys: RingSystem, i: int) -> dict[str, list[np.ndarray]]:
@@ -101,7 +101,7 @@ def _orbit_contribution(sys: RingSystem, i: int) -> dict[str, list[np.ndarray]]:
     """
     n = sys.n
     spec = sys.rings[i]
-    t = translation_field(sys, orbit=i, direction=0)
+    t = translation_field(sys, i)
     if spec.kind == "center":
         return {"phi_psi" if n == 2 else "sigma": [t]}
     sl = sys.orbit_slices[i]
@@ -230,7 +230,7 @@ def _residual(basis: SymBasis, xt: np.ndarray, idx: np.ndarray, p: np.ndarray) -
     return xt[idx] - p.transpose(0, 2, 1) @ basis.matrix.T[idx]
 
 
-def symmetry_certificate(basis: SymBasis, act: GroupAction) -> dict[str, float]:
+def symmetry_certificate(basis: SymBasis) -> dict[str, float]:
     """Residuals that each block of the basis carries its irreps, keyed
     "<block> <relation>".
 
@@ -245,7 +245,9 @@ def symmetry_certificate(basis: SymBasis, act: GroupAction) -> dict[str, float]:
     sigma), S^2 - I and (S R)^2 - I; and J's commutation with rotations and
     anticommutation with reflections, R J_b - J_b R and S J_b + J_b S.
     rho_b(g) is similar to an orthogonal matrix, so these need no scale.
+    r and s act as the `group_action` of the basis's system.
     """
+    act = basis.system.group_action()
     n = act.n
     C = basis.matrix
     moved = {g: act.left(g, C).T for g in "rs"}
@@ -292,19 +294,19 @@ def _m_gram_schmidt(sys: RingSystem, cols: list[np.ndarray]) -> tuple[list[np.nd
         v = u.copy()
         for w in done:
             mw = float(w @ (md * w))
-            if abs(mw) > MNORM_RTOL * float(w @ w):
-                v -= (float(w @ (md * v)) / mw) * w
-            else:
+            if _m_null(mw, w):
                 full = False
                 v -= (float(w @ v) / float(w @ w)) * w
+            else:
+                v -= (float(w @ (md * v)) / mw) * w
         if np.linalg.norm(v) < 1e-10 * max(np.linalg.norm(u), 1.0):
             raise ValueError("decomposition mismatch: dependent column in basis block")
         mv = float(v @ (md * v))
-        if abs(mv) > MNORM_RTOL * float(v @ v):
-            v = v / np.sqrt(abs(mv))
-        else:
+        if _m_null(mv, v):
             full = False
             v = v / np.linalg.norm(v)
+        else:
+            v = v / np.sqrt(abs(mv))
         done.append(v)
     return done, full
 
@@ -315,7 +317,7 @@ def _lead_combo(sys: RingSystem, per_orbit: list[list[np.ndarray]]) -> tuple[lis
     Each orbit list leads with its combinable element (radial field or
     translation); combos are first + c_i * i-th with c_i killing the
     M-product against the total, the classical cross-orbit construction.
-    A total of zero M-norm (by `_m_gram_schmidt`'s rule) lies in its own
+    A total of zero M-norm (by the rule `_m_null`) lies in its own
     M-complement, where the combos may depend on it (with two orbits they
     are the total); the other leads then follow it as they are, flagged
     partial, and Gram-Schmidt takes them with the Euclidean product.
@@ -326,17 +328,18 @@ def _lead_combo(sys: RingSystem, per_orbit: list[list[np.ndarray]]) -> tuple[lis
     total = np.sum(leads, axis=0)
     md = sys.mass_diag
     extras = [v for lst in items for v in lst[1:]]
-    if abs(float(total @ (md * total))) <= MNORM_RTOL * float(total @ total):
+    if _m_null(float(total @ (md * total)), total):
         return [total] + leads[1:] + extras, False
     combos = []
+    m0 = float(leads[0] @ (md * leads[0]))
+    lead_null = _m_null(m0, leads[0])
     for f in leads[1:]:
-        m0 = float(leads[0] @ (md * leads[0]))
         mi = float(f @ (md * f))
-        if abs(mi) > MNORM_RTOL * float(f @ f) and abs(m0) > MNORM_RTOL * float(leads[0] @ leads[0]):
-            combos.append(leads[0] - (m0 / mi) * f)
-        else:
+        if lead_null or _m_null(mi, f):
             full = False
             combos.append(f)
+        else:
+            combos.append(leads[0] - (m0 / mi) * f)
     return [total] + combos + extras, full
 
 

@@ -1,9 +1,10 @@
 """Dense references the tests compare the library against.
 
-No verb runs these: the library works matrix-free in the group action,
-reads its point permutations off the ring order, and reads the block
-structure off the adapted basis.  Here the same objects are formed
-directly, from the positions alone or as the 2N x 2N matrices or closed
+No verb runs these: the library holds D_n only as its generators r and
+s, works matrix-free in their action, reads their point permutations off
+the ring order, and reads the block structure off the adapted basis.
+Here the same objects are formed directly, from every element of the
+group, from the positions alone or as the 2N x 2N matrices or closed
 forms of their definitions, so that the tests can check the library
 against them.
 """
@@ -14,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ringstab.dihedral import (DihedralElement, full_group, planar_action,
-                               reflection, rho_range, rotation)
+from ringstab.dihedral import rho_range
 from ringstab.dynamics import Potential, StabilityOperator, apply_j
 from ringstab.geometry import RingSystem
 from ringstab.symbasis import SymBasis, multiplicities
@@ -23,6 +23,72 @@ from ringstab.symbasis import SymBasis, multiplicities
 
 # ---------------------------------------------------------------------------
 # the group and its action
+#
+# Elements are written r^j s^k with r the rotation by 2*pi/n, s a reflection,
+# j in {0..n-1}, k in {0,1}.  The composition law is
+#
+#     (r^j s^k) (r^j' s^k') = r^(j + (-1)^k j') s^(k xor k').
+
+
+@dataclass(frozen=True)
+class DihedralElement:
+    """One element r^rot s^ref of D_n."""
+
+    n: int
+    rot: int
+    ref: int
+
+    def __post_init__(self):
+        if self.n < 2:
+            raise ValueError("group order mismatch: need n >= 2")
+        object.__setattr__(self, "rot", self.rot % self.n)
+        object.__setattr__(self, "ref", self.ref % 2)
+
+    def __mul__(self, other: "DihedralElement") -> "DihedralElement":
+        if self.n != other.n:
+            raise ValueError("group order mismatch: cannot compose D_%d with D_%d"
+                             % (self.n, other.n))
+        sign = -1 if self.ref else 1
+        return DihedralElement(self.n, self.rot + sign * other.rot, self.ref ^ other.ref)
+
+    @property
+    def is_identity(self) -> bool:
+        return self.rot == 0 and self.ref == 0
+
+    def __repr__(self):
+        if self.is_identity:
+            return "e(D_%d)" % self.n
+        head = "r^%d" % self.rot if self.rot else ""
+        tail = "s" if self.ref else ""
+        return "%s%s(D_%d)" % (head, tail, self.n)
+
+
+def rotation(n: int, j: int = 1) -> DihedralElement:
+    return DihedralElement(n, j, 0)
+
+
+def reflection(n: int, j: int = 0) -> DihedralElement:
+    """The reflection r^j s."""
+    return DihedralElement(n, j, 1)
+
+
+def full_group(n: int) -> list[DihedralElement]:
+    """All 2n elements, rotations first, each family in ascending rotation order."""
+    return [DihedralElement(n, j, k) for k in (0, 1) for j in range(n)]
+
+
+def planar_action(g: DihedralElement) -> np.ndarray:
+    """2x2 matrix of g acting on the plane with s = reflection across the x-axis.
+
+    For n > 2 this is the standard representation rho_1; the admissible
+    ring systems are invariant under it.
+    """
+    theta = 2.0 * np.pi * g.rot / g.n
+    c, s = np.cos(theta), np.sin(theta)
+    rot = np.array([[c, -s], [s, c]])
+    if g.ref:
+        return rot @ np.array([[1.0, 0.0], [0.0, -1.0]])
+    return rot
 
 
 @dataclass(frozen=True)

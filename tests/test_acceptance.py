@@ -53,7 +53,7 @@ def grid_certificates():
     for n, a, b, c in type_grid():
         sys = grid_system(n, a, b, c)
         basis = rs.assemble_global_basis(sys)
-        yield (n, a, b, c), basis, symmetry_certificate(basis, sys.group_action())
+        yield (n, a, b, c), basis, symmetry_certificate(basis)
 
 
 #: the certificate's invariance keys end with this; the rest are relations
@@ -112,7 +112,7 @@ def test_criterion_04_equivariance_and_hessian():
             sys = rs.build(n, rings)
             for pot in (NEWT, VORT):
                 op = rs.stability_operator(sys, pot, 1.0)
-                assert rs.equivariance_residual(op, sys.group_action()) <= 1e-9, (n, a, b, c)
+                assert rs.equivariance_residual(op) <= 1e-9, (n, a, b, c)
         for n, a, b, c in picks[:2]:
             sys = grid_system(n, a, b, c)
             for pot in (NEWT, VORT):

