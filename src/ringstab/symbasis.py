@@ -5,7 +5,9 @@ isotypic components, one per irreducible representation.  This module builds
 the adapted basis in which any equivariant operator is block diagonal and J
 takes a standard symplectic form, directly from closed-form Fourier fields:
 on each orbit the columns are radial and tangential unit fields modulated by
-cos/sin of k*theta, O(N) per column (`assemble_global_basis`).
+cos/sin of k*theta, O(N) per column (`assemble_global_basis`).  Blocks of
+one size (every rho_k, 2 <= k < n/2, has 2(b + 2c) pairs) are built,
+orthogonalized and certified as one stack.
 
 Each block of that basis spans a D_n-invariant subspace of one type: the
 pair tau/alpha or phi/psi, which J exchanges, or one rho_k (irreps are
@@ -27,7 +29,10 @@ flagged partial.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cache
+from itertools import groupby
 
 import numpy as np
 
@@ -39,10 +44,10 @@ from .geometry import RingSystem, staggered
 MNORM_RTOL = 1e-10
 
 
-def _m_null(m: float, v: np.ndarray) -> bool:
-    """Whether v, of M-norm m = v^T M v, is too close to M-null to divide
-    by: |m| <= MNORM_RTOL v^T v."""
-    return abs(m) <= MNORM_RTOL * float(v @ v)
+def _m_null(m: float, vv: float) -> bool:
+    """Whether a vector of M-norm m = v^T M v and squared norm vv = v^T v is
+    too close to M-null to divide by: |m| <= MNORM_RTOL vv."""
+    return abs(m) <= MNORM_RTOL * vv
 
 
 def multiplicities(n: int, a: int, b: int, c: int) -> dict[str, int]:
@@ -58,8 +63,7 @@ def multiplicities(n: int, a: int, b: int, c: int) -> dict[str, int]:
         return {"tau": w, "alpha": w, "phi": a + w, "psi": a + w}
     out = {"tau": w, "alpha": w}
     if n % 2 == 0:
-        out["phi"] = w
-        out["psi"] = w
+        out["phi"] = out["psi"] = w
     for k in rho_range(n):
         out["rho_%d" % k] = (a + 2 * w) if k == 1 else 2 * w
     return out
@@ -76,29 +80,27 @@ def translation_field(sys: RingSystem, orbit: int) -> np.ndarray:
     return out.reshape(-1)
 
 
-def _orbit_contribution(sys: RingSystem, i: int) -> dict[str, list[np.ndarray]]:
+def _orbit_contribution(sys: RingSystem, i: int, ks: np.ndarray) -> dict:
     """Closed-form V_1-side columns of one orbit (J gives the partners),
-    keyed by block label.
-
-    Every column is a field f_r e_r + f_t e_t on the orbit's points, with
-    e_r, e_t the radial and tangential unit vectors at polar angle theta, r
-    the radius and, on semiregular rings, eps = +1 at the +mu points and -1
-    at the -mu points:
+    keyed by block label, but no rho_k column: "rho" is the orbit's part of
+    every rho_k, k in ks, as (slice, (K, count, points, 2) values).  Each
+    is a field f_r e_r + f_t e_t on the orbit's points, e_r and e_t the
+    radial and tangential unit vectors at polar angle theta, r the radius,
+    eps = +1 at a semiregular ring's +mu points and -1 at its -mu points:
 
       tau_alpha  r e_r; semiregular adds eps e_t
       phi_psi    cos(n theta/2) e_r (phase 0), sin(n theta/2) e_t (phase
                  pi/n); semiregular rings take both
       rho_k      cos k theta e_r, -sin k theta e_t; semiregular adds
                  eps sin k theta e_r, eps cos k theta e_t
-      sigma      the orbit's horizontal translation, which leads so that
-                 multi-orbit assembly can combine translations across
-                 orbits, then cos theta e_r + sin theta e_t; semiregular adds
+      sigma      the orbit's horizontal translation (leading, so that
+                 assembly can combine translations across orbits), then
+                 cos theta e_r + sin theta e_t; semiregular adds
                  eps sin theta e_r, -eps cos theta e_t
 
     The center carries the translation only.  For n = 2 there are no rho
-    components and the translation material lives in phi_psi instead: the
-    translation, plus cos theta e_r on a semiregular ring.
-    """
+    components and phi_psi takes the translation, plus cos theta e_r on a
+    semiregular ring."""
     n = sys.n
     spec = sys.rings[i]
     t = translation_field(sys, i)
@@ -112,7 +114,7 @@ def _orbit_contribution(sys: RingSystem, i: int) -> dict[str, list[np.ndarray]]:
     theta = np.arctan2(x[:, 1], x[:, 0])
     semi = spec.kind == "semiregular"
     # ring_positions lists semiregular points as (+mu, -mu) pairs
-    eps = np.where(np.arange(len(x)) % 2 == 0, 1.0, -1.0)
+    eps = np.where(np.arange(len(x)) % 2 == 0, 1.0, -1.0) if semi else None
     zero = np.zeros(len(x))
 
     def column(f_r: np.ndarray, f_t: np.ndarray) -> np.ndarray:
@@ -133,16 +135,15 @@ def _orbit_contribution(sys: RingSystem, i: int) -> dict[str, list[np.ndarray]]:
             phi.append(column(np.cos(half), zero))
         if semi or staggered(n, spec):
             phi.append(column(zero, np.sin(half)))
-    for k in rho_range(n):
-        c, s = np.cos(k * theta), np.sin(k * theta)
-        if k == 1:
-            out["sigma"] = [t, column(c, s)]
-            if semi:
-                out["sigma"] += [column(eps * s, zero), column(zero, -eps * c)]
-        else:
-            out["rho_%d" % k] = [column(c, zero), column(zero, -s)]
-            if semi:
-                out["rho_%d" % k] += [column(eps * s, zero), column(zero, eps * c)]
+    c, s = np.cos(theta), np.sin(theta)
+    out["sigma"] = [t, column(c, s)] + ([column(eps * s, zero), column(zero, -eps * c)]
+                                         if semi else [])
+    if len(ks):
+        kt = ks[:, None] * theta
+        ck, sk, zk = np.cos(kt), np.sin(kt), np.zeros(kt.shape)
+        rho = [(ck, zk), (zk, -sk)] + ([(eps * sk, zk), (zk, eps * ck)] if semi else [])
+        out["rho"] = (sl, np.stack([f_r[..., None] * e_r + f_t[..., None] * e_t
+                                    for f_r, f_t in rho], axis=1))
     return out
 
 
@@ -180,11 +181,15 @@ class BlockPlan:
                 (self.label + "_rest", [c for c in self.cols if c not in lead])]
 
 
+@cache
 def standard_j(pairs: int) -> np.ndarray:
     """J_b = [[0, I], [-I, 0]]: a block's columns are (J u_1 ... J u_m,
-    u_1 ... u_m) and J J u = -u exactly, so J C_b = C_b J_b bit for bit."""
+    u_1 ... u_m) and J J u = -u exactly, so J C_b = C_b J_b bit for bit.
+    One read-only array per size."""
     eye = np.eye(pairs)
-    return np.block([[0.0 * eye, eye], [-eye, 0.0 * eye]])
+    out = np.block([[0.0 * eye, eye], [-eye, 0.0 * eye]])
+    out.flags.writeable = False
+    return out
 
 
 @dataclass
@@ -206,8 +211,8 @@ def gram_residual(basis: SymBasis) -> float:
 
 
 def _size_stacks(blocks):
-    """(blocks of one size, their (k, s) stack of column indices), one
-    pair per block size, ascending; blocks need `size` and `cols`."""
+    """(blocks of one size, their (k, s) stack of column indices) for each
+    size, ascending; blocks need `size` and `cols`."""
     for size in sorted({blk.size for blk in blocks}):
         same = [blk for blk in blocks if blk.size == size]
         yield same, np.array([blk.cols for blk in same])
@@ -230,112 +235,110 @@ def _residual(basis: SymBasis, xt: np.ndarray, idx: np.ndarray, p: np.ndarray) -
     return xt[idx] - p.transpose(0, 2, 1) @ basis.matrix.T[idx]
 
 
+def _rowdot(a: np.ndarray, b: np.ndarray) -> list[float]:
+    """[a[i] @ b[i]] over the rows of (k, d) stacks, [a @ b] for 1-D a, b: one
+    BLAS dot per row, so the bits of the 1-D product (einsum's differ)."""
+    return [float(a @ b)] if a.ndim == 1 else (a[:, None, :] @ b[:, :, None]).ravel().tolist()
+
+
 def symmetry_certificate(basis: SymBasis) -> dict[str, float]:
     """Residuals that each block of the basis carries its irreps, keyed
-    "<block> <relation>".
+    "<block> <relation>" in block order.
 
-    For g = r and g = s, rho_b(g) = G_b^-1 C_b^T M (g C_b), with
-    G_b = C_b^T M C_b: the projection `_project` that `factorize` takes of
-    A, one batched call per block size and generator.  "r invariance" and
-    "s invariance" are ||g C_b - C_b rho_b(g)||_F / ||C_b||_F.  With
-    R = rho_b(r), S = rho_b(s) and J_b = `standard_j`, the other residuals
-    are Frobenius norms of D_n's presentation (Serre 1977, 2.6) on the
-    block: the minimal polynomial of r on its irreps (R - I on tau/alpha,
-    R + I on phi/psi, R^2 - 2 cos(2 pi k/n) R + I on rho_k, k = 1 for
-    sigma), S^2 - I and (S R)^2 - I; and J's commutation with rotations and
-    anticommutation with reflections, R J_b - J_b R and S J_b + J_b S.
-    rho_b(g) is similar to an orthogonal matrix, so these need no scale.
-    r and s act as the `group_action` of the basis's system.
+    For g = r, s (the basis system's `group_action`), rho_b(g) =
+    G_b^-1 C_b^T M (g C_b), G_b = C_b^T M C_b, by `_project` as `factorize`
+    takes it of A; "g invariance" is ||g C_b - C_b rho_b(g)||_F / ||C_b||_F.
+    With R = rho_b(r), S = rho_b(s), J_b = `standard_j`, the others are
+    Frobenius norms of D_n's presentation (Serre 1977, 2.6): r's minimal
+    polynomial (R - I on tau/alpha, R + I on phi/psi, R^2 - 2 cos(2 pi k/n)
+    R + I on rho_k, k = 1 for sigma), S^2 - I, (S R)^2 - I, R J_b - J_b R
+    and S J_b + J_b S; rho_b(g) is similar to an orthogonal matrix, so
+    they need no scale.  Each is taken for all blocks of a size at once.
     """
     act = basis.system.group_action()
-    n = act.n
     C = basis.matrix
     moved = {g: act.left(g, C).T for g in "rs"}
-    rho, invariance = {}, {}
+    rows = {}
     for same, idx in _size_stacks(basis.blocks):
+        k, size = idx.shape
         scale = np.linalg.norm(C.T[idx], axis=(1, 2))
+        res, rho = [], {}
         for g, xt in moved.items():
-            p = _project(basis, xt, idx)
-            res = np.linalg.norm(_residual(basis, xt, idx, p), axis=(1, 2)) / scale
-            for blk, pb, r in zip(same, p, res):
-                rho[blk.label, g], invariance[blk.label, g] = pb, float(r)
-    out = {}
-    for blk in basis.blocks:
-        for g in moved:
-            out["%s %s invariance" % (blk.label, g)] = invariance[blk.label, g]
-        R, S = rho[blk.label, "r"], rho[blk.label, "s"]
-        eye, J = np.eye(blk.size), standard_j(blk.pairs)
-        if blk.label == "tau_alpha":
-            minimal = R - eye
-        elif blk.label == "phi_psi":
-            minimal = R + eye
+            p = rho[g] = _project(basis, xt, idx)
+            res.append(np.linalg.norm(_residual(basis, xt, idx, p), axis=(1, 2)) / scale)
+        R, S = rho["r"], rho["s"]
+        eye, J = np.eye(size), standard_j(size // 2)
+        labels = [blk.label for blk in same]
+        # tau/alpha, phi/psi never share a size with rho_k or sigma blocks
+        if labels[0] in ("tau_alpha", "phi_psi"):
+            minimal = R + np.where(np.array(labels) == "tau_alpha", -1.0, 1.0)[:, None, None] * eye
         else:
-            k = 1 if blk.label == "sigma" else int(blk.label[4:])
-            minimal = R @ R - 2.0 * np.cos(2.0 * np.pi * k / n) * R + eye
+            ks = np.array([1 if x == "sigma" else int(x[4:]) for x in labels])
+            minimal = R @ R - (2.0 * np.cos(2.0 * np.pi * ks / act.n))[:, None, None] * R + eye
         SR = S @ R
-        for key, rel in (("minimal polynomial", minimal), ("s^2", S @ S - eye),
-                         ("(s r)^2", SR @ SR - eye), ("J r", R @ J - J @ R),
-                         ("J s", S @ J + J @ S)):
-            out["%s %s" % (blk.label, key)] = float(np.linalg.norm(rel))
-    return out
+        for rel in (minimal, S @ S - eye, SR @ SR - eye, R @ J - J @ R, S @ J + J @ S):
+            res.append([math.sqrt(x) for x in _rowdot(rel.reshape(k, -1), rel.reshape(k, -1))])
+        rows.update(zip(labels, zip(*res)))
+    keys = ("r invariance", "s invariance", "minimal polynomial", "s^2", "(s r)^2", "J r", "J s")
+    return {"%s %s" % (blk.label, key): float(v) for blk in basis.blocks
+            for key, v in zip(keys, rows[blk.label])}
 
 
-def _m_gram_schmidt(sys: RingSystem, cols: list[np.ndarray]) -> tuple[list[np.ndarray], bool]:
-    """In-order Gram-Schmidt under <.,.>_M, each column scaled to
-    |v^T M v| = 1 (to unit Euclidean norm where its M-norm is degenerate).
-
-    Returns (columns, full_flag); full_flag False means the M-product was too
-    degenerate and the Euclidean product was used for at least one step.
-    """
-    md = sys.mass_diag
-    done: list[np.ndarray] = []
-    full = True
-    for u in cols:
-        v = u.copy()
-        for w in done:
-            mw = float(w @ (md * w))
-            if _m_null(mw, w):
+def _m_gram_schmidt(md: np.ndarray, U: np.ndarray) -> bool:
+    """In-order Gram-Schmidt under <.,.>_M, M = diag(md), of each block of
+    a (k, m, 2N) stack U of k blocks' m columns, in place, each column
+    scaled to |v^T M v| = 1; a degenerate M-norm (`_m_null`) takes the
+    Euclidean one.  Products are per-row dots (`_rowdot`), so each block
+    gets the bits of its own 1-D Gram-Schmidt; a single block runs on 1-D
+    rows.  Returns False when any step took the Euclidean product."""
+    k, m, dim = U.shape
+    norms = _rowdot(U.reshape(-1, dim), U.reshape(-1, dim))
+    cols = U[0] if k == 1 else U.transpose(1, 0, 2)
+    per_row = (lambda x: x[0]) if k == 1 else (lambda x: np.array(x)[:, None])
+    full, done = True, []    # finished columns w: (w, divisor, M-null) per row
+    for j in range(m):
+        v = cols[j]
+        for w, div, null in done:
+            num = _rowdot(w, md * v)
+            if True in null:
                 full = False
-                v -= (float(w @ v) / float(w @ w)) * w
-            else:
-                v -= (float(w @ (md * v)) / mw) * w
-        if np.linalg.norm(v) < 1e-10 * max(np.linalg.norm(u), 1.0):
-            raise ValueError("decomposition mismatch: dependent column in basis block")
-        mv = float(v @ (md * v))
-        if _m_null(mv, v):
-            full = False
-            v = v / np.linalg.norm(v)
-        else:
-            v = v / np.sqrt(abs(mv))
-        done.append(v)
-    return done, full
+                num = [e if z else a for a, e, z in zip(num, _rowdot(w, v), null)]
+            v -= per_row([a / b for a, b in zip(num, div)]) * w
+        scale = []
+        for mv, vv, uu in zip(_rowdot(v, md * v), _rowdot(v, v), norms[j::m]):
+            # dependent: less than 1e-10 of its norm (of 1, if smaller) is left
+            if math.sqrt(vv) < 1e-10 * max(math.sqrt(uu), 1.0):
+                raise ValueError("decomposition mismatch: dependent column in basis block")
+            null = _m_null(mv, vv)
+            full = full and not null
+            scale.append(math.sqrt(vv if null else abs(mv)))
+        v /= per_row(scale)
+        if j + 1 < m:
+            mw, ww = _rowdot(v, md * v), _rowdot(v, v)
+            null = [_m_null(a, b) for a, b in zip(mw, ww)]
+            done.append((v, [b if z else a for a, b, z in zip(mw, ww, null)], null))
+    return full
 
 
-def _lead_combo(sys: RingSystem, per_orbit: list[list[np.ndarray]]) -> tuple[list[np.ndarray], bool]:
-    """[sum of leads, pairwise combos vanishing on the total, extras].
-
-    Each orbit list leads with its combinable element (radial field or
-    translation); combos are first + c_i * i-th with c_i killing the
-    M-product against the total, the classical cross-orbit construction.
-    A total of zero M-norm (by the rule `_m_null`) lies in its own
-    M-complement, where the combos may depend on it (with two orbits they
-    are the total); the other leads then follow it as they are, flagged
-    partial, and Gram-Schmidt takes them with the Euclidean product.
-    """
+def _lead_combo(md: np.ndarray, per_orbit: list[list[np.ndarray]]) -> tuple[list[np.ndarray], bool]:
+    """[sum of leads, pairwise combos vanishing on the total, extras]: each
+    orbit list leads with its radial field or translation; combos are
+    first + c_i * i-th, c_i killing the M-product against the total.  A
+    total of zero M-norm (`_m_null`) lies in its own M-complement, so the
+    other leads follow it as they are, flagged partial."""
     items = [lst for lst in per_orbit if lst]
     full = True
     leads = [lst[0] for lst in items]
     total = np.sum(leads, axis=0)
-    md = sys.mass_diag
     extras = [v for lst in items for v in lst[1:]]
-    if _m_null(float(total @ (md * total)), total):
+    if _m_null(float(total @ (md * total)), float(total @ total)):
         return [total] + leads[1:] + extras, False
     combos = []
     m0 = float(leads[0] @ (md * leads[0]))
-    lead_null = _m_null(m0, leads[0])
+    lead_null = _m_null(m0, float(leads[0] @ leads[0]))
     for f in leads[1:]:
         mi = float(f @ (md * f))
-        if lead_null or _m_null(mi, f):
+        if lead_null or _m_null(mi, float(f @ f)):
             full = False
             combos.append(f)
         else:
@@ -345,51 +348,48 @@ def _lead_combo(sys: RingSystem, per_orbit: list[list[np.ndarray]]) -> tuple[lis
 
 def assemble_global_basis(sys: RingSystem) -> SymBasis:
     """Full 2N-column adapted basis, blocks ordered tau/alpha, phi/psi,
-    rho_2..rho_t, sigma (rho_1).  Within each block the columns are
-    (J u_1 ... J u_m, u_1 ... u_m); the J-pairing is exact by construction.
-    """
-    contribs = [_orbit_contribution(sys, i) for i in range(len(sys.rings))]
+    rho_2..rho_t, sigma (rho_1), each (J u_1 ... J u_m, u_1 ... u_m), so the
+    J-pairing is exact.  Blocks of one size follow each other; each run is
+    one (k, m, 2N) stack, one `_m_gram_schmidt`, written into C in place."""
     n = sys.n
-    a, b, c = sys.type_abc
-    expect = multiplicities(n, a, b, c)
-    # (block label, the component its mismatch message names, its column
-    # count, whether it has a lead pair); a block with a lead pair combines
-    # the orbits' leading columns (`_lead_combo`)
-    plan = [("tau_alpha", "tau", expect["tau"], True)]
-    if n % 2 == 0:
-        plan.append(("phi_psi", "phi", expect["phi"], n == 2))
-    if n > 2:
-        plan += [("rho_%d" % k, "rho_%d" % k, expect["rho_%d" % k], False)
-                 for k in rho_range(n)[1:]]
-        plan.append(("sigma", "sigma", expect["rho_1"], True))
-    cols: list[np.ndarray] = []
-    blocks: list[BlockPlan] = []
-    m_full = True
-    for label, name, count, lead in plan:
-        per_orbit = [ct[label] for ct in contribs if ct.get(label)]
-        if lead:
-            u, ok = _lead_combo(sys, per_orbit)
-            m_full = m_full and ok
-        else:
-            u = [v for lst in per_orbit for v in lst]
-        if len(u) != count:
-            raise ValueError("decomposition mismatch: %s has %d columns, expected %d"
-                             % (name, len(u), count))
-        u, ok = _m_gram_schmidt(sys, u)
-        m_full = m_full and ok
-        blocks.append(BlockPlan(label=label, start=len(cols), pairs=len(u), lead_pair=lead))
-        cols.extend(apply_j(v) for v in u)
-        cols.extend(u)
-
-    C = np.column_stack(cols)
-    if C.shape[0] != C.shape[1]:
-        raise ValueError("decomposition mismatch: %d columns for dimension %d"
-                         % (C.shape[1], C.shape[0]))
-    # distinct isotypic blocks are Euclidean-orthogonal, so the singular
-    # values of C are those of its blocks; the stack of tall C_b takes half
-    # the time of the stack of C_b^T
-    sv = np.concatenate([np.linalg.svd(C.T[idx].transpose(0, 2, 1), compute_uv=False).ravel()
-                         for _, idx in _size_stacks(blocks)])
+    ks = np.array(rho_range(n)[1:] if n > 2 else [], dtype=int)
+    contribs = [_orbit_contribution(sys, i, ks) for i in range(len(sys.rings))]
+    expect = multiplicities(n, *sys.type_abc)
+    md = sys.mass_diag
+    # (block label, its multiplicity key, whether it has a lead pair)
+    plan = [("tau_alpha", "tau", True)] + ([("phi_psi", "phi", n == 2)] if n % 2 == 0 else [])
+    plan += [("rho_%d" % k, "rho_%d" % k, False) for k in ks]
+    plan += [("sigma", "rho_1", True)] if n > 2 else []
+    dim = 2 * sys.npoints
+    if sum(2 * expect[key] for _, key, _ in plan) != dim:
+        raise ValueError("decomposition mismatch: blocks do not fill dimension %d" % dim)
+    C, blocks, m_full, sv = np.empty((dim, dim)), [], True, []
+    for pairs, run in groupby(plan, key=lambda entry: expect[entry[1]]):
+        run, start = list(run), blocks[-1].start + blocks[-1].size if blocks else 0
+        U = np.zeros((len(run), pairs, dim))
+        if run[0][0].startswith("rho_"):       # rho_2 .. rho_t lead their run
+            parts, j = U[:len(ks)].reshape(len(ks), pairs, -1, 2), 0
+            for sl, values in (ct["rho"] for ct in contribs if "rho" in ct):
+                parts[:, j:j + values.shape[1], sl] = values
+                j += values.shape[1]
+        for i, (label, _, lead) in enumerate(run):
+            blocks.append(BlockPlan(label, start + 2 * pairs * i, pairs, lead))
+            if not label.startswith("rho_"):
+                per_orbit = [ct[label] for ct in contribs if ct.get(label)]
+                u, ok = _lead_combo(md, per_orbit) if lead else ([v for o in per_orbit for v in o], True)
+                if len(u) != pairs:
+                    raise ValueError("decomposition mismatch: %s has %d columns" % (label, len(u)))
+                m_full, U[i] = m_full and ok, u
+        m_full = _m_gram_schmidt(md, U) and m_full
+        # the run's column range of C as (2N, k, J side / u side, pairs)
+        stack = C[:, start:start + 2 * pairs * len(run)].reshape(dim, len(run), 2, pairs)
+        stack[:, :, 0] = apply_j(U).transpose(2, 0, 1)
+        stack[:, :, 1] = U.transpose(2, 0, 1)
+        del U
+        # blocks are Euclidean-orthogonal: C's singular values are theirs
+        tall = stack.reshape(dim, len(run), 2 * pairs).transpose(1, 0, 2)
+        sv.append(np.linalg.svd(tall, compute_uv=False).ravel())
+    sv = np.concatenate(sv)
     cond = float(sv.max() / sv.min())
     if cond > 1e8:
         raise ValueError("basis ill-conditioned: cond = %.3g" % cond)

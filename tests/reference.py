@@ -17,8 +17,9 @@ import numpy as np
 
 from ringstab.dihedral import rho_range
 from ringstab.dynamics import Potential, StabilityOperator, apply_j
-from ringstab.geometry import RingSystem
-from ringstab.symbasis import SymBasis, multiplicities
+from ringstab.geometry import RingSystem, staggered
+from ringstab.symbasis import (MNORM_RTOL, BlockPlan, SymBasis, multiplicities, standard_j,
+                               translation_field)
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +265,217 @@ def dense_projectors(sys: RingSystem) -> dict[tuple[str, int, int], np.ndarray]:
 def m_inner(sys: RingSystem, u: np.ndarray, v: np.ndarray) -> float:
     """<u, v>_M = u^T M v; indefinite when masses change sign."""
     return float(u @ (sys.mass_diag * v))
+
+
+# ---------------------------------------------------------------------------
+# the adapted basis and its certificate, one block at a time
+#
+# The library builds every rho_k block of one size as a stack, orthogonalizes
+# and certifies each stack in one batched pass.  Here each block is built
+# from its own closed-form columns, orthogonalized column by column with 1-D
+# products and certified relation by relation; the library must give the
+# same bits.
+
+
+def m_null(m: float, v: np.ndarray) -> bool:
+    """Whether v, of M-norm m = v^T M v, is too close to M-null to divide
+    by: |m| <= MNORM_RTOL v^T v."""
+    return abs(m) <= MNORM_RTOL * float(v @ v)
+
+
+def orbit_columns(sys: RingSystem, i: int) -> dict[str, list[np.ndarray]]:
+    """Closed-form V_1-side columns of one orbit (J gives the partners),
+    keyed by block label, each rho_k block from its own k:
+
+      tau_alpha  r e_r; semiregular adds eps e_t
+      phi_psi    cos(n theta/2) e_r (phase 0), sin(n theta/2) e_t (phase
+                 pi/n); semiregular rings take both
+      rho_k      cos k theta e_r, -sin k theta e_t; semiregular adds
+                 eps sin k theta e_r, eps cos k theta e_t
+      sigma      the orbit's horizontal translation, then cos theta e_r +
+                 sin theta e_t; semiregular adds eps sin theta e_r,
+                 -eps cos theta e_t
+
+    with e_r, e_t the radial and tangential unit vectors, r the radius and
+    eps = +1 at a semiregular ring's +mu points, -1 at its -mu points.  The
+    center carries the translation only; for n = 2 the translation material
+    lives in phi_psi.
+    """
+    n = sys.n
+    spec = sys.rings[i]
+    t = translation_field(sys, i)
+    if spec.kind == "center":
+        return {"phi_psi" if n == 2 else "sigma": [t]}
+    sl = sys.orbit_slices[i]
+    x = sys.positions[sl]
+    radius = np.linalg.norm(x, axis=1)
+    e_r = x / radius[:, None]
+    e_t = np.column_stack([-e_r[:, 1], e_r[:, 0]])
+    theta = np.arctan2(x[:, 1], x[:, 0])
+    semi = spec.kind == "semiregular"
+    eps = np.where(np.arange(len(x)) % 2 == 0, 1.0, -1.0)
+    zero = np.zeros(len(x))
+
+    def column(f_r: np.ndarray, f_t: np.ndarray) -> np.ndarray:
+        w = np.zeros((sys.npoints, 2))
+        w[sl] = f_r[:, None] * e_r + f_t[:, None] * e_t
+        return w.reshape(-1)
+
+    out = {"tau_alpha": [column(radius, zero)]}
+    if semi:
+        out["tau_alpha"].append(column(zero, eps))
+    if n == 2:
+        out["phi_psi"] = [t] + ([column(np.cos(theta), zero)] if semi else [])
+        return out
+    if n % 2 == 0:
+        half = 0.5 * n * theta
+        phi = out["phi_psi"] = []
+        if semi or not staggered(n, spec):
+            phi.append(column(np.cos(half), zero))
+        if semi or staggered(n, spec):
+            phi.append(column(zero, np.sin(half)))
+    for k in rho_range(n):
+        c, s = np.cos(k * theta), np.sin(k * theta)
+        if k == 1:
+            out["sigma"] = [t, column(c, s)]
+            if semi:
+                out["sigma"] += [column(eps * s, zero), column(zero, -eps * c)]
+        else:
+            out["rho_%d" % k] = [column(c, zero), column(zero, -s)]
+            if semi:
+                out["rho_%d" % k] += [column(eps * s, zero), column(zero, eps * c)]
+    return out
+
+
+def m_gram_schmidt(sys: RingSystem, cols: list[np.ndarray]) -> tuple[list[np.ndarray], bool]:
+    """In-order Gram-Schmidt under <.,.>_M, each column scaled to
+    |v^T M v| = 1 (to unit Euclidean norm where its M-norm is degenerate).
+    Returns (columns, full_flag); full_flag False means the Euclidean
+    product was used for at least one step."""
+    md = sys.mass_diag
+    done: list[np.ndarray] = []
+    full = True
+    for u in cols:
+        v = u.copy()
+        for w in done:
+            mw = float(w @ (md * w))
+            if m_null(mw, w):
+                full = False
+                v -= (float(w @ v) / float(w @ w)) * w
+            else:
+                v -= (float(w @ (md * v)) / mw) * w
+        if np.linalg.norm(v) < 1e-10 * max(np.linalg.norm(u), 1.0):
+            raise ValueError("decomposition mismatch: dependent column in basis block")
+        mv = float(v @ (md * v))
+        if m_null(mv, v):
+            full = False
+            v = v / np.linalg.norm(v)
+        else:
+            v = v / np.sqrt(abs(mv))
+        done.append(v)
+    return done, full
+
+
+def lead_combo(sys: RingSystem, per_orbit: list[list[np.ndarray]]) -> tuple[list[np.ndarray], bool]:
+    """[sum of leads, combos first + c_i * i-th vanishing in M-product on
+    the total, extras]; with an M-null total, or an M-null lead, the leads
+    follow as they are and the basis is partial."""
+    items = [lst for lst in per_orbit if lst]
+    full = True
+    leads = [lst[0] for lst in items]
+    total = np.sum(leads, axis=0)
+    md = sys.mass_diag
+    extras = [v for lst in items for v in lst[1:]]
+    if m_null(float(total @ (md * total)), total):
+        return [total] + leads[1:] + extras, False
+    combos = []
+    m0 = float(leads[0] @ (md * leads[0]))
+    lead_null = m_null(m0, leads[0])
+    for f in leads[1:]:
+        mi = float(f @ (md * f))
+        if lead_null or m_null(mi, f):
+            full = False
+            combos.append(f)
+        else:
+            combos.append(leads[0] - (m0 / mi) * f)
+    return [total] + combos + extras, full
+
+
+def per_block_basis(sys: RingSystem) -> SymBasis:
+    """`assemble_global_basis` one block at a time: each block's columns
+    from `orbit_columns`, its leads combined by `lead_combo`, then
+    `m_gram_schmidt`; the condition number from each block's singular
+    values."""
+    contribs = [orbit_columns(sys, i) for i in range(len(sys.rings))]
+    n = sys.n
+    a, b, c = sys.type_abc
+    expect = multiplicities(n, a, b, c)
+    plan = [("tau_alpha", "tau", True)]
+    if n % 2 == 0:
+        plan.append(("phi_psi", "phi", n == 2))
+    if n > 2:
+        plan += [("rho_%d" % k, "rho_%d" % k, False) for k in rho_range(n)[1:]]
+        plan.append(("sigma", "rho_1", True))
+    cols: list[np.ndarray] = []
+    blocks: list[BlockPlan] = []
+    m_full = True
+    for label, name, lead in plan:
+        per_orbit = [ct[label] for ct in contribs if ct.get(label)]
+        if lead:
+            u, ok = lead_combo(sys, per_orbit)
+            m_full = m_full and ok
+        else:
+            u = [v for lst in per_orbit for v in lst]
+        assert len(u) == expect[name], (label, len(u), expect[name])
+        u, ok = m_gram_schmidt(sys, u)
+        m_full = m_full and ok
+        blocks.append(BlockPlan(label=label, start=len(cols), pairs=len(u), lead_pair=lead))
+        cols.extend(apply_j(v) for v in u)
+        cols.extend(u)
+    C = np.column_stack(cols)
+    sv = np.concatenate([np.linalg.svd(C[:, blk.cols], compute_uv=False) for blk in blocks])
+    cond = float(sv.max() / sv.min())
+    if cond > 1e8:
+        raise ValueError("basis ill-conditioned: cond = %.3g" % cond)
+    return SymBasis(system=sys, matrix=C, blocks=blocks,
+                    m_orthogonal="full" if m_full else "partial", cond=cond)
+
+
+def per_block_certificate(basis: SymBasis) -> dict[str, float]:
+    """`symmetry_certificate` one block and one relation at a time: rho_b(g)
+    = G_b^-1 C_b^T M (g C_b) by a solve per block, then each residual of
+    D_n's presentation as its own Frobenius norm."""
+    act = basis.system.group_action()
+    n = act.n
+    C = basis.matrix
+    md = basis.system.mass_diag
+    moved = {g: act.left(g, C) for g in "rs"}
+    out = {}
+    for blk in basis.blocks:
+        cb = C[:, blk.cols]
+        mct = cb.T * md
+        rho = {}
+        for g, X in moved.items():
+            xt = X[:, blk.cols].T
+            rho[g] = np.linalg.solve(mct @ cb, mct @ xt.T)
+            res = xt - rho[g].T @ cb.T
+            out["%s %s invariance" % (blk.label, g)] = float(
+                np.linalg.norm(res, axis=(0, 1)) / np.linalg.norm(cb.T, axis=(0, 1)))
+        R, S = rho["r"], rho["s"]
+        eye, J = np.eye(blk.size), standard_j(blk.pairs)
+        if blk.label == "tau_alpha":
+            minimal = R - eye
+        elif blk.label == "phi_psi":
+            minimal = R + eye
+        else:
+            k = 1 if blk.label == "sigma" else int(blk.label[4:])
+            minimal = R @ R - 2.0 * np.cos(2.0 * np.pi * k / n) * R + eye
+        SR = S @ R
+        for key, rel in (("minimal polynomial", minimal), ("s^2", S @ S - eye),
+                         ("(s r)^2", SR @ SR - eye), ("J r", R @ J - J @ R),
+                         ("J s", S @ J + J @ S)):
+            out["%s %s" % (blk.label, key)] = float(np.linalg.norm(rel))
+    return out
 
 
 # ---------------------------------------------------------------------------

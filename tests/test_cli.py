@@ -676,6 +676,38 @@ def test_invariant_suite_fails_only_equivariance_on_a_turned_ring():
     assert 5e-6 < failed["equivariance of A"] < 2e-5, failed
 
 
+def test_lead_pair_split_against_the_wrong_vector_is_refused_for_sigma():
+    """Fault injection for a lead pair split against the wrong vector: the
+    solved D_6 center and two rings, with each lead pair swapped in C for
+    its block's next pair, the J layout kept.  The swapped sigma lead spans
+    no invariant plane, so `factorize` refuses the split (off-block
+    residual 0.207) and reports sigma coarse, while the oracle, which sees
+    only the product of the factors, still passes (5.7e-14).  tau/alpha is
+    not pinned: its swapped pair is the M-complement of (J kappa, kappa),
+    also invariant, so it still splits with its lead factor mislabelled and
+    no gate sees it (ROADMAP item 12)."""
+    cfg = parse_config_text(TWO_RINGS, path="inline")
+    pot = cfg.potential()
+    sol = rs.solve_releq(cfg.system(), pot, free_radii=cfg.free_radii)
+    assert sol.converged
+    op = rs.stability_operator(sol.system, pot, sol.omega)
+    basis = rs.assemble_global_basis(sol.system)
+    C = basis.matrix.copy()
+    swapped = []
+    for blk in basis.blocks:
+        if blk.lead_pair and blk.pairs > 1:
+            for col in (blk.start, blk.start + blk.pairs):       # J side, u side
+                C[:, [col, col + 1]] = C[:, [col + 1, col]]
+            swapped.append(blk.label)
+    assert swapped == ["tau_alpha", "sigma"]
+    report = rs.factorize(op, replace(basis, matrix=C))
+    labels = [blk.label for blk in report.blocks]
+    assert "sigma" in labels and "sigma_lead" not in labels, labels
+    assert report.notes == ["lead pair of sigma not split: off-block residual 0.207"]
+    assert report.max_off_residual <= 1e-12
+    assert report.oracle.max_rel_error <= 1e-12
+
+
 def test_verify_gates_m_orthogonality_on_mixed_signs(tmp_path):
     # a full basis has C^T M C = diag(+-1) for masses of any signs, so the
     # gate applies to mixed signs as well

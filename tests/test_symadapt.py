@@ -1,4 +1,5 @@
 import ast
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -445,6 +446,121 @@ def test_group_action_takes_only_the_generators():
     for gen in ("", "rs", "sr", "e", "R", rotation(4), reflection(4)):
         with pytest.raises(ValueError, match="unknown generator"):
             act.left(gen, X)
+
+
+# --- the stacked construction against the per-block reference --------------
+
+#: the D_6 shielded vortex at center vorticity c near -6: full bases down to
+#: -6.00001, partial ones (a lead total of zero M-norm) at the last two
+SHIELDED_LADDER = (-6.1, -6.001, -6.00001, -6.000000000001, -6.0)
+
+
+def same_bits(a, b):
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+def test_stacked_basis_and_certificate_equal_the_per_block_reference():
+    """Built, orthogonalized and certified one stack per block size, the
+    basis and its certificate have the bits of the per-block construction
+    in tests/reference.py, signed zeros included: C, the block plan, cond,
+    the M-orthogonality flag, and the certificate's values in key order."""
+    systems = [grid_system(*key) for key in type_grid()] + mixed_sign_systems()
+    systems += [rs.build(6, [rs.center(c), rs.regular(1.0, 1.0)]) for c in SHIELDED_LADDER]
+    for sys in systems:
+        key = (sys.n, sys.type_abc, float(sys.masses[0]))
+        basis, ref = rs.assemble_global_basis(sys), reference.per_block_basis(sys)
+        assert same_bits(basis.matrix, ref.matrix), key
+        assert basis.blocks == ref.blocks, key
+        assert (basis.cond, basis.m_orthogonal) == (ref.cond, ref.m_orthogonal), key
+        cert, ref_cert = symmetry_certificate(basis), reference.per_block_certificate(basis)
+        assert list(cert) == list(ref_cert), key
+        assert same_bits(list(cert.values()), list(ref_cert.values())), key
+
+
+def test_stacked_basis_fails_as_the_per_block_reference():
+    """One rung further down the ladder the basis is ill-conditioned, and a
+    column in the span of its predecessors is dependent: the stacked
+    construction refuses both with the reference's message, for a stack of
+    three blocks and for a single block (which runs on 1-D rows)."""
+    sys = rs.build(6, [rs.center(-6.0000001), rs.regular(1.0, 1.0)])
+    with pytest.raises(ValueError) as got:
+        rs.assemble_global_basis(sys)
+    with pytest.raises(ValueError) as ref:
+        reference.per_block_basis(sys)
+    assert str(got.value) == str(ref.value) == "basis ill-conditioned: cond = 3.43e+08"
+    U = RNG.standard_normal((3, 3, 2 * sys.npoints))
+    U[:, 2] = U[:, 0] - 0.5 * U[:, 1]
+    with pytest.raises(ValueError) as ref:
+        reference.m_gram_schmidt(sys, list(U[0]))
+    assert str(ref.value) == "decomposition mismatch: dependent column in basis block"
+    for k in (3, 1):
+        with pytest.raises(ValueError) as got:
+            symbasis._m_gram_schmidt(sys.mass_diag, U[:k].copy())
+        assert str(got.value) == str(ref.value)
+
+
+def test_stacked_calls_follow_the_block_sizes_not_n(monkeypatch):
+    """A center and two rings have three block sizes at every n >= 6: the
+    basis takes one Gram-Schmidt per size and the certificate one
+    projection per size and generator, at D_12 and at D_96 alike."""
+    counts = {}
+
+    def counted(name):
+        fn = getattr(symbasis, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(symbasis, name, wrapper)
+
+    counted("_m_gram_schmidt")
+    counted("_project")
+    seen = []
+    for n in (12, 96):
+        sys = rs.build(n, [rs.center(4.0), rs.regular(1.0, 0.5),
+                           rs.regular(1.8, 1.0, phase=np.pi / n)])
+        counts.clear()
+        basis = rs.assemble_global_basis(sys)
+        gram_schmidt = counts.pop("_m_gram_schmidt")
+        symmetry_certificate(basis)
+        seen.append((gram_schmidt, counts["_project"], len({blk.size for blk in basis.blocks})))
+    assert seen == [(3, 6, 3), (3, 6, 3)]
+
+
+def test_standard_j_is_one_read_only_array_per_size():
+    assert standard_j(4) is standard_j(4)
+    assert np.array_equal(standard_j(2), [[0, 0, 1, 0], [0, 0, 0, 1],
+                                          [-1, 0, 0, 0], [0, -1, 0, 0]])
+    with pytest.raises(ValueError):
+        standard_j(4)[0, 2] = 2.0
+
+
+def traced_peak(fn, *args):
+    """(fn(*args), the peak of its traced allocations in MiB)."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1] / 2.0 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+#: traced peaks at D_384 with a center and two rings, one at phase pi/n, of
+#: the per-block construction (63.6 MiB: every column held twice) and of
+#: the certificate (90.0 MiB), plus 5 %; the stacked basis reads 45.0 MiB
+BASIS_PEAK_MIB = 63.6 * 1.05
+CERTIFICATE_PEAK_MIB = 90.0 * 1.05
+
+
+def test_basis_and_certificate_memory_at_scale():
+    """The stacks never hold a second copy of a (k, m, 2N) stack: both
+    stay under their bounds at D_384."""
+    n = 384
+    sys = rs.build(n, [rs.center(4.0), rs.regular(1.0, 0.5), rs.regular(1.8, 1.0, phase=np.pi / n)])
+    basis, peak = traced_peak(rs.assemble_global_basis, sys)
+    assert peak <= BASIS_PEAK_MIB, peak
+    _, peak = traced_peak(symmetry_certificate, basis)
+    assert peak <= CERTIFICATE_PEAK_MIB, peak
 
 
 def test_reference_imports_no_private_library_name():
