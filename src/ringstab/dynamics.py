@@ -21,10 +21,11 @@ characteristic polynomial of the linearization is
 
 with J = blockdiag([[0, -1], [1, 0]]).  `gradient`, `hessian` and the
 solver's forces at one point per ring read their pair offsets and distances
-from one row kernel; the complex-step `hessian_fd` keeps its own, as the
-independent reference.  `equivariance_residual` checks A against all 2n
-elements of D_n in one FFT along the C_n orbits of A's pair blocks, reading
-only the point permutations of the group action.
+from one kernel, as (N, chunk) planes of at most PAIR_CHUNK columns; the
+complex-step `hessian_fd` keeps its own, as the independent reference.
+`equivariance_residual` checks A against all 2n elements of D_n in one FFT
+along the C_n orbits of A's pair blocks, reading only the point permutations
+of the group action.
 """
 
 from __future__ import annotations
@@ -71,13 +72,20 @@ def apply_j(w: np.ndarray) -> np.ndarray:
     return np.column_stack([-v[:, 1], v[:, 0]]).reshape(w.shape)
 
 
-def _pair_rows(positions: np.ndarray, rows: np.ndarray):
-    """Offsets q_p - q_j and distances |q_p - q_j| from each point p of rows
-    to every point j, (len(rows), N, 2) and (len(rows), N); the self pair
-    reads distance 1, so no 0/0 arises, and its terms are unused."""
-    diff = positions[rows, None, :] - positions[None, :, :]
-    dist = np.linalg.norm(diff, axis=2)
-    dist[np.arange(len(rows)), rows] = 1.0
+#: the most points per chunk of the pair kernels, which split the points
+#: into near-equal chunks; `hessian` and `gradient` hold a few (N, chunk)
+#: planes at a time besides their result, and no chunk is one column, which
+#: numpy would sum pairwise rather than in order
+PAIR_CHUNK = 128
+
+
+def _pair_offsets(positions: np.ndarray, cols: np.ndarray):
+    """Offsets q_p - q_j, (N, 2, len(cols)), and lengths, (N, len(cols)), from
+    each point p of cols (a column) to every point j (a row); the self pair
+    reads length 1, so no 0/0 arises, and its terms are unused."""
+    diff = positions.T[:, cols] - positions[:, :, None]
+    dist = np.sqrt(diff[:, 0] ** 2 + diff[:, 1] ** 2)
+    dist[cols, np.arange(len(cols))] = 1.0
     return diff, dist
 
 
@@ -89,17 +97,20 @@ def _pair_weights(mm: np.ndarray, dist: np.ndarray, pot: Potential) -> np.ndarra
 
 
 def _row_forces(positions: np.ndarray, masses: np.ndarray, rows: np.ndarray, pot: Potential):
-    """grad_p F for each point p of rows, (len(rows), 2), and the pair
-    weights w_pj it sums, the self pair's set to 0."""
-    diff, dist = _pair_rows(positions, rows)
-    w = _pair_weights(masses[rows, None] * masses[None, :], dist, pot)
-    w[np.arange(len(rows)), rows] = 0.0
-    return (w[:, :, None] * diff).sum(axis=1), w
+    """grad_p F for each point p of rows, (len(rows), 2), summed over j in
+    order, and its pair weights w_pj, (N, len(rows)), the self pair's 0."""
+    diff, dist = _pair_offsets(positions, rows)
+    w = _pair_weights(masses[:, None] * masses[rows], dist, pot)
+    w[rows, np.arange(len(rows))] = 0.0
+    diff *= w[:, None, :]
+    return diff.sum(axis=0).T, w
 
 
 def gradient(sys: RingSystem, pot: Potential) -> np.ndarray:
-    """grad F as a vector of length 2N."""
-    return _row_forces(sys.positions, sys.masses, np.arange(sys.npoints), pot)[0].reshape(-1)
+    """grad F as a vector of length 2N, a chunk of points at a time."""
+    chunks = np.array_split(np.arange(sys.npoints), -(-sys.npoints // PAIR_CHUNK))
+    return np.concatenate([_row_forces(sys.positions, sys.masses, rows, pot)[0]
+                           for rows in chunks]).reshape(-1)
 
 
 def hessian(sys: RingSystem, pot: Potential) -> np.ndarray:
@@ -110,20 +121,38 @@ def hessian(sys: RingSystem, pot: Potential) -> np.ndarray:
       vortex:      -m_i m_j d^(-2) (2 u u^T - I)
     Diagonal blocks are the negated row sums, so constant fields are
     annihilated to rounding.
+
+    The x x, x y = y x and y y entries are three (N, N) planes, symmetric in
+    value, built a chunk of columns at a time into H[a::2, b::2]; a chunk's
+    column sums, in order over j, are the row sums of its points.
     """
-    N = sys.npoints
-    diff, dist = _pair_rows(sys.positions, np.arange(N))
-    u = diff / dist[:, :, None]
-    uu = u[:, :, :, None] * u[:, :, None, :]                  # (N, N, 2, 2)
-    if pot.kind == "vortex":
-        B = (2.0 * uu - np.eye(2)) / (dist ** 2)[:, :, None, None]
-    else:
-        B = (dist ** (2.0 * pot.gamma))[:, :, None, None] * (np.eye(2) + 2.0 * pot.gamma * uu)
-    B *= -np.outer(sys.masses, sys.masses)[:, :, None, None]
-    idx = np.arange(N)
-    B[idx, idx] = 0.0
-    B[idx, idx] = -B.sum(axis=1)
-    return B.transpose(0, 2, 1, 3).reshape(2 * N, 2 * N)
+    N, m = sys.npoints, sys.masses
+    blocks = np.empty((N, 2, N, 2))             # blocks[j, a, p, b] = H[2j + a, 2p + b]
+    # on -q the offsets read q_j - q_p, as in row j's own block, whose zeros
+    # carry the sign the x y plane keeps; off the diagonal, k uu + e I adds
+    # -0.0 for the vortex, which keeps x, and 0.0, which turns -0.0 into 0.0
+    vortex = pot.kind == "vortex"
+    k, e, apply = (2.0, -1.0, np.divide) if vortex else (2.0 * pot.gamma, 1.0, np.multiply)
+    flipped = -sys.positions
+    for rows in np.array_split(np.arange(N), -(-N // PAIR_CHUNK)):
+        diff, dist = _pair_offsets(flipped, rows)
+        ux, uy = np.divide(diff, dist[:, None, :], out=diff).transpose(1, 0, 2)
+        scale = dist * dist if vortex else np.power(dist, k, out=dist)
+        mm = np.negative(np.multiply.outer(m, m[rows]))
+        cols, self_pairs = slice(rows[0], rows[-1] + 1), (rows, np.arange(len(rows)))
+        t = np.empty_like(mm)
+        for a, b, u, v in ((0, 0, ux, ux), (0, 1, ux, uy), (1, 1, uy, uy)):
+            np.multiply(u, v, out=t)
+            t *= k
+            t += e * (a == b)
+            apply(t, scale, out=t)
+            t *= mm
+            t[self_pairs] = 0.0
+            diag = -t.sum(axis=0)
+            for r, s in {(a, b), (b, a)}:
+                blocks[:, r, cols, s] = t
+                blocks[rows, r, rows, s] = diag
+    return blocks.reshape(2 * N, 2 * N)
 
 
 def hessian_fd(sys: RingSystem, pot: Potential) -> np.ndarray:
@@ -288,8 +317,8 @@ class StabilityOperator:
 
 
 def stability_operator(sys: RingSystem, pot: Potential, omega: float) -> StabilityOperator:
-    H = hessian(sys, pot)
-    A = H / sys.mass_diag[:, None]
+    A = hessian(sys, pot)
+    A /= sys.mass_diag[:, None]
     g = gradient(sys, pot)
     res = float(np.max(np.abs(_balance(sys.mass_diag * sys.config_vector, g, pot, omega))))
     return StabilityOperator(system=sys, potential=pot, omega=omega, matrix=A, gradient=g,
@@ -362,7 +391,7 @@ def _ring_forces(n: int, rings: list[RingSpec], pot: Potential) -> _RingForces |
     rep = np.array([sl.start for sl, spec in zip(slices, rings) if spec.kind != "center"])
     radius = np.linalg.norm(pos, axis=1)
     grad, w = _row_forces(pos, masses, rep, pot)
-    err = np.sum(np.abs(w) * (radius[rep, None] + radius[None, :]), axis=1)
+    err = np.sum(np.abs(w.T, order="C") * (radius[rep, None] + radius[None, :]), axis=1)
     rhat = pos[rep] / radius[rep, None]
     return _RingForces(x=pos[rep], mass=masses[rep], grad=grad,
                        frame=np.stack([rhat, rhat[:, ::-1] * [-1.0, 1.0]], axis=1),

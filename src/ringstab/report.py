@@ -11,7 +11,8 @@ from __future__ import annotations
 import csv
 import datetime
 import io
-import json
+import itertools
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -134,7 +135,57 @@ def build_report(cfg: JobConfig, sysm: RingSystem, op: StabilityOperator | None 
 
 
 def to_machine(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    """json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n" for
+    what `_plain` returns, with one join per list of a scalar type or of
+    [re, im] float pairs.  One value per line lets the timestamp be dropped."""
+    out = []
+    _write(doc, "\n", out)
+    return "".join(out) + "\n"
+
+
+def _finite(text: str) -> str:
+    """text, float reprs, unless one is nan or inf: no finite repr has an n."""
+    if "n" in text:
+        raise ValueError("Out of range float values are not JSON compliant: " + text)
+    return text
+
+
+#: the JSON text of a scalar, by its type
+_SCALARS = {str: encode_basestring_ascii, int: int.__repr__, type(None): lambda x: "null",
+            bool: lambda x: "true" if x else "false", float: lambda x: _finite(float.__repr__(x))}
+
+
+def _write(obj, nl: str, out: list) -> None:
+    """Append obj's JSON text to out; nl starts the line obj is on."""
+    inner = nl + "  "
+    if type(obj) in _SCALARS:
+        out.append(_SCALARS[type(obj)](obj))
+    elif isinstance(obj, dict) and obj:
+        for i, key in enumerate(sorted(obj)):
+            out.append(("," if i else "{") + inner + encode_basestring_ascii(key) + ": ")
+            _write(obj[key], inner, out)
+        out.append(nl + "}")
+    elif isinstance(obj, (list, tuple)) and obj:
+        kinds = set(map(type, obj))
+        if kinds == {float}:
+            out.append("[" + inner + _finite(("," + inner).join(map(float.__repr__, obj))) + nl + "]")
+        elif len(kinds) == 1 and kinds <= _SCALARS.keys():
+            out.append("[" + inner + ("," + inner).join(map(_SCALARS[kinds.pop()], obj)) + nl + "]")
+        elif (kinds == {list} and set(map(len, obj)) == {2}
+              and set(map(type, itertools.chain(*obj))) == {float}):
+            deeper = inner + "  "
+            flat = map(float.__repr__, itertools.chain(*obj))
+            pairs = (inner + "]," + inner + "[" + deeper).join(map(("," + deeper).join, zip(flat, flat)))
+            out.append("[" + inner + "[" + deeper + _finite(pairs) + inner + "]" + nl + "]")
+        else:
+            for i, item in enumerate(obj):
+                out.append(("," if i else "[") + inner)
+                _write(item, inner, out)
+            out.append(nl + "]")
+    elif isinstance(obj, (dict, list, tuple)):
+        out.append("{}" if isinstance(obj, dict) else "[]")
+    else:
+        raise TypeError("Object of type %s is not JSON serializable" % type(obj).__name__)
 
 
 def _fmt_num(x) -> str:

@@ -502,6 +502,50 @@ def potential_value(sys: RingSystem, pot: Potential) -> float:
 
 
 # ---------------------------------------------------------------------------
+# the pair kernels as (N, N, 2, 2) blocks and (rows, N, 2) offsets, which
+# `hessian` and `gradient` must match bit for bit
+
+
+def pair_row_forces(positions: np.ndarray, masses: np.ndarray, rows: np.ndarray,
+                    pot: Potential) -> tuple[np.ndarray, np.ndarray]:
+    """grad_p F for each point p of rows, (len(rows), 2), and the pair
+    weights w_pj it sums, (len(rows), N), the self pair's set to 0."""
+    diff = positions[rows, None, :] - positions[None, :, :]
+    dist = np.linalg.norm(diff, axis=2)
+    self_pairs = (np.arange(len(rows)), rows)
+    dist[self_pairs] = 1.0
+    mm = masses[rows, None] * masses[None, :]
+    w = -mm / dist ** 2 if pot.kind == "vortex" else mm * dist ** (2.0 * pot.gamma)
+    w[self_pairs] = 0.0
+    return (w[:, :, None] * diff).sum(axis=1), w
+
+
+def pair_gradient(sys: RingSystem, pot: Potential) -> np.ndarray:
+    """grad F as a vector of length 2N, all rows at once."""
+    return pair_row_forces(sys.positions, sys.masses, np.arange(sys.npoints), pot)[0].reshape(-1)
+
+
+def pair_hessian(sys: RingSystem, pot: Potential) -> np.ndarray:
+    """D grad F from the (N, N, 2, 2) pair blocks of `hessian`'s docstring,
+    the diagonal blocks the negated row sums."""
+    N = sys.npoints
+    diff = sys.positions[:, None, :] - sys.positions[None, :, :]
+    dist = np.linalg.norm(diff, axis=2)
+    idx = np.arange(N)
+    dist[idx, idx] = 1.0
+    u = diff / dist[:, :, None]
+    uu = u[:, :, :, None] * u[:, :, None, :]
+    if pot.kind == "vortex":
+        B = (2.0 * uu - np.eye(2)) / (dist ** 2)[:, :, None, None]
+    else:
+        B = (dist ** (2.0 * pot.gamma))[:, :, None, None] * (np.eye(2) + 2.0 * pot.gamma * uu)
+    B *= -np.outer(sys.masses, sys.masses)[:, :, None, None]
+    B[idx, idx] = 0.0
+    B[idx, idx] = -B.sum(axis=1)
+    return B.transpose(0, 2, 1, 3).reshape(2 * N, 2 * N)
+
+
+# ---------------------------------------------------------------------------
 # the all-pairs coincidence scan `build` replaced by its first-point rule
 
 

@@ -12,10 +12,11 @@ import pytest
 import ringstab as rs
 from ringstab import cli
 from ringstab.config import ConfigError, parse_config, parse_config_text
-from ringstab.geometry import RingSystem
+from ringstab.geometry import RING_VALUES, RingSystem
 from ringstab.report import factors_csv, to_machine
 from ringstab.svg import emit_svg, render_svg
 from reference import sigma_matrices
+from test_acceptance import grid_system, type_grid
 from test_tracer_contract import CONFIG as TWO_RINGS
 
 PENTAGON = """
@@ -282,6 +283,72 @@ def test_machine_report_is_sorted_json():
     assert parsed["c"]["z"] == [1.0, 2.0]
     with pytest.raises(ValueError):
         to_machine({"x": float("nan")})
+
+
+def dumps(doc) -> str:
+    """The reference bytes of the machine report."""
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def grid_config(n, a, b, c, kind) -> str:
+    """A config of tests/test_acceptance.py::grid_system at omega = 1."""
+    lines = ["n = %d" % n, "kind = %s" % kind, "omega = 1.0"]
+    for ring in grid_system(n, a, b, c).rings:
+        lines += ["", "[ring]", "kind = %s" % ring.kind]
+        lines += ["%s = %r" % (key, getattr(ring, key)) for key in RING_VALUES[ring.kind]]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_machine_writer_equals_json_dumps_on_every_verb(n, tmp_path, monkeypatch, capsys):
+    """Every machine report on the type grid, homogeneous and vortex in
+    turn, of analyze with and without --block, verify, releq and oracle."""
+    docs = []
+
+    def recording(doc):
+        docs.append(doc)
+        return to_machine(doc)
+
+    monkeypatch.setattr(cli, "to_machine", recording)
+    cfg = tmp_path / "grid.cfg"
+    keys = [key for key in type_grid() if key[0] == n]
+    for i, key in enumerate(keys):
+        cfg.write_text(grid_config(*key, ("homogeneous", "vortex")[i % 2]))
+        for verb in (["analyze"], ["analyze", "--block", "tau_alpha"], ["verify"], ["releq"],
+                     ["oracle"]):
+            assert cli.main(verb + ["--config", str(cfg), "--format", "machine"]) == 0, (key, verb)
+    capsys.readouterr()
+    assert len(docs) == 5 * len(keys)
+    for doc in docs:
+        assert to_machine(doc) == dumps(doc)
+
+
+#: documents at the edges of JSON: empty containers, signed zero, the
+#: extreme floats, ints and bools among floats, escapes, non-ASCII text,
+#: nesting, and lists that look like runs of floats or [re, im] pairs but
+#: are not
+EDGE_DOCUMENTS = [
+    [], {}, {"a": [], "b": {}}, [[]], [{}], -0.0, [-0.0, 0.0], 5e-324, 1e300, [5e-324, -1e300, 1e16],
+    0, -7, 2 ** 70, [1, 2, 3], True, False, None, [True, False], [None, None],
+    "caf\u00e9 \u2603 \U0001f600", 'quote " backslash \\ tab \t newline \n nul \x00 \x1f \x7f',
+    {"\u00e9": 1, 'a"b': [2.5], "\n": None}, ["x", "y"],
+    [1, 2.5, "x", None, True, [], {}, [1.5, [2.5]], {"k": [[1.0, 2.0]]}],
+    [[1.0, 2.0], [3, 4.0]], [[1.0, 2.0], [3.0, 4.0]], [[-0.0, 5e-324]], [[1.0, 2.0, 3.0], [4.0]],
+    [[1.0, 2.0], "ab"], [[1.0], [2.0, 3.0]], [[True, 1.0]], [[1.0, 2.0], (3.0, 4.0)],
+    [[[1.0, 2.0]], [[3.0, 4.0]]], {"z": {"y": {"x": [[]]}}}, (1.0, 2),
+]
+
+
+def test_machine_writer_equals_json_dumps_on_edge_documents():
+    for doc in EDGE_DOCUMENTS:
+        assert to_machine(doc) == dumps(doc), doc
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        for doc in (bad, [bad], [1.0, bad], [1, bad], [[1.0, bad]], [[2.0, 3.0], [bad, 1.0]],
+                    {"a": bad}, {"a": [1, bad]}, [{"b": [bad]}]):
+            with pytest.raises(ValueError):
+                dumps(doc)
+            with pytest.raises(ValueError):
+                to_machine(doc)
 
 
 def test_plain_arrays_match_elementwise_conversion():

@@ -3,10 +3,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 import ringstab as rs
-from ringstab.dynamics import (_force_scale, _ring_balance, _ring_forces, apply_j,
-                               gradient, hessian, releq_residual)
+from ringstab.dynamics import (PAIR_CHUNK, _force_scale, _ring_balance, _ring_forces, _row_forces,
+                               apply_j, gradient, hessian, releq_residual)
 from ringstab.geometry import ring_positions
-from reference import _check_collisions, j_matrix, potential_value
+from reference import (_check_collisions, j_matrix, pair_gradient, pair_hessian, pair_row_forces,
+                       potential_value)
+from test_acceptance import grid_system, type_grid
+from test_symadapt import mixed_sign_systems
 
 RNG = np.random.default_rng(40823)
 
@@ -114,6 +117,44 @@ def test_complex_step_hessian_matches_analytic_hessian(pick):
         H = hessian(sys, pot)
         cs = rs.hessian_fd(sys, pot)
         assert np.linalg.norm(cs - H) <= 1e-14 * np.linalg.norm(H), (pick, pot.kind)
+
+
+def bit_equal(a, b):
+    """Equal arrays with equal signs of zero."""
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+PAIR_POTENTIALS = [rs.homogeneous(-1.5), rs.homogeneous(-0.5), rs.homogeneous(0.7), rs.vortex()]
+
+
+def several_chunk_systems():
+    """A center and two rings, of opposite mass signs, with N = PAIR_CHUNK + 1,
+    2 PAIR_CHUNK + 1 and 2 PAIR_CHUNK + 3 points: two or three chunks."""
+    return [rs.build(n, [rs.center(4.0), rs.regular(1.0, 0.5), rs.regular(1.8, -1.0, phase=np.pi / n)])
+            for n in (PAIR_CHUNK // 2, PAIR_CHUNK, PAIR_CHUNK + 1)]
+
+
+@pytest.mark.parametrize("n", list(range(2, 13)) + ["mixed signs", "several chunks"])
+def test_pair_kernels_equal_the_pair_block_reference(n):
+    """`hessian` and `gradient` against the (N, N, 2, 2) and (N, N, 2)
+    references bit for bit, signs of zero included, for every potential of
+    PAIR_POTENTIALS: on the type grid (centers, staggered and semiregular
+    rings), the mixed-sign systems and systems of several chunks.  The
+    solver's forces at one point, a single column, match too."""
+    if n == "mixed signs":
+        systems = mixed_sign_systems()
+    elif n == "several chunks":
+        systems = several_chunk_systems()
+    else:
+        systems = [grid_system(*key) for key in type_grid() if key[0] == n]
+    for sys in systems:
+        last = np.array([sys.npoints - 1])
+        for pot in PAIR_POTENTIALS:
+            assert bit_equal(hessian(sys, pot), pair_hessian(sys, pot)), (sys.n, sys.rings, pot)
+            assert bit_equal(gradient(sys, pot), pair_gradient(sys, pot)), (sys.n, sys.rings, pot)
+            got, w = _row_forces(sys.positions, sys.masses, last, pot)
+            want, w_ref = pair_row_forces(sys.positions, sys.masses, last, pot)
+            assert bit_equal(got, want) and bit_equal(w.T, w_ref), (sys.n, sys.rings, pot)
 
 
 @pytest.mark.parametrize("pot", [rs.vortex(), rs.homogeneous(-1.5)])

@@ -550,13 +550,19 @@ def traced_peak(fn, *args):
 #: the certificate (90.0 MiB), plus 5 %; the stacked basis reads 45.0 MiB
 BASIS_PEAK_MIB = 63.6 * 1.05
 CERTIFICATE_PEAK_MIB = 90.0 * 1.05
+#: the same system's `stability_operator` (23.9 MiB for an A of 18.0 MiB;
+#: 81.3 MiB when the Hessian was built from (N, N, 2, 2) pair blocks), plus 5 %
+OPERATOR_PEAK_MIB = 23.9 * 1.05
 
 
 def test_basis_and_certificate_memory_at_scale():
-    """The stacks never hold a second copy of a (k, m, 2N) stack: both
-    stay under their bounds at D_384."""
+    """The stacks never hold a second copy of a (k, m, 2N) stack, and the
+    operator holds A and a few chunks of pair planes: all stay under their
+    bounds at D_384."""
     n = 384
     sys = rs.build(n, [rs.center(4.0), rs.regular(1.0, 0.5), rs.regular(1.8, 1.0, phase=np.pi / n)])
+    _, peak = traced_peak(rs.stability_operator, sys, rs.newtonian(), 1.0)
+    assert peak <= OPERATOR_PEAK_MIB, peak
     basis, peak = traced_peak(rs.assemble_global_basis, sys)
     assert peak <= BASIS_PEAK_MIB, peak
     _, peak = traced_peak(symmetry_certificate, basis)

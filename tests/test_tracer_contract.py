@@ -88,7 +88,9 @@ def test_tracer_runs_one_analyze_job(tmp_path, capsys):
     bad = {k: v for k, v in metrics.items() if not math.isfinite(v)}
     assert not bad
     assert {k: metrics[k] for k in BLOCK_FACTOR_ZEROS} == dict.fromkeys(BLOCK_FACTOR_ZEROS, 0.0)
-    assert metrics["stability.factorize_s"] > 0.0
+    for key in ("stability.factorize_s", "dynamics.hessian_s", "dynamics.operator_s",
+                "report.render_s"):
+        assert metrics[key] > 0.0, key
     assert metrics["stability.offblock_residual"] > 0.0
     assert metrics["stability.eig_backward_err"] <= 1e-12
     assert metrics["dynamics.gradient_calls"] == 1
