@@ -77,8 +77,9 @@ def _factor_gates(fac: FactorizationReport, limit) -> dict[str, dict]:
 
 
 def _reversed_residual(op: StabilityOperator) -> float:
-    """||releq_residual at -omega||, from the gradient the operator took."""
-    return float(np.linalg.norm(op.residual_at(-op.omega)))
+    """max |releq_residual at -omega|, the max norm of the releq residual,
+    from the gradient the operator took."""
+    return float(np.max(np.abs(op.residual_at(-op.omega))))
 
 
 def invariant_suite(op: StabilityOperator, basis: SymBasis,
@@ -138,8 +139,27 @@ def _write_outputs(args, cfg: JobConfig, sysm, basis, fac, report: str):
                      title=blk.label)
 
 
+def _block_picks(basis: SymBasis, wanted: str | None) -> list[tuple]:
+    """The (block, columns) that --block selects: whole blocks by
+    `block_matches`, or one half of a lead-pair block by its factor label,
+    LABEL_lead or LABEL_rest.  Empty, with the labels known listed on
+    stderr, when wanted names none of them."""
+    halves = {label: (blk, cols) for blk in basis.blocks for label, cols in blk.halves()}
+    if wanted in halves:
+        return [halves[wanted]]
+    picks = [(blk, blk.cols) for blk in basis.blocks
+             if wanted is None or block_matches(blk.label, wanted)]
+    if not picks:
+        print("unknown block label %r; available: %s"
+              % (wanted, " ".join([b.label for b in basis.blocks] + list(halves))),
+              file=_sys.stderr)
+    return picks
+
+
 def _cmd_analyze(cfg: JobConfig, args) -> int:
     sysm, op, basis, fac, sol = _pipeline(cfg)
+    if not _block_picks(basis, args.block):
+        return EXIT_CONFIG
     gates = _factor_gates(fac, cfg.tolerances.get)
     doc = build_report(cfg, sysm, op=op, basis=basis, fac=fac, solution=sol,
                        reversed_residual=_reversed_residual(op),
@@ -183,20 +203,11 @@ def _cmd_releq(cfg: JobConfig, args) -> int:
 def _cmd_diagram(cfg: JobConfig, args) -> int:
     sysm = cfg.system()
     basis = assemble_global_basis(sysm)
+    picks = _block_picks(basis, args.block)
+    if not picks:
+        return EXIT_CONFIG
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
-    # --block selects whole blocks by the analyze rule, or one half of a
-    # lead-pair block by its factor label, LABEL_lead or LABEL_rest
-    halves = {label: (blk, cols) for blk in basis.blocks for label, cols in blk.halves()}
-    picks = [(blk, blk.cols) for blk in basis.blocks
-             if args.block is None or block_matches(blk.label, args.block)]
-    if args.block in halves:
-        picks = [halves[args.block]]
-    if not picks:
-        print("unknown block label %r; available: %s"
-              % (args.block, " ".join([b.label for b in basis.blocks] + list(halves))),
-              file=_sys.stderr)
-        return EXIT_CONFIG
     paths = [emit_svg(sysm, None, os.path.join(out, "system.svg"), title="system")]
     for blk, cols in picks:
         for col in cols:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import datetime
 import io
-import itertools
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -28,23 +27,6 @@ TOOL_NAME = "ringstab"
 def _tool_version() -> str:
     from . import __version__
     return __version__
-
-
-def _plain(obj):
-    """Recursively convert numpy scalars/arrays and complex numbers."""
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        if np.iscomplexobj(obj):
-            return np.stack([obj.real, obj.imag], -1).tolist()
-        return obj.tolist()
-    if isinstance(obj, (complex, np.complexfloating)):
-        return [float(obj.real), float(obj.imag)]
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    return obj
 
 
 def build_report(cfg: JobConfig, sysm: RingSystem, op: StabilityOperator | None = None,
@@ -131,13 +113,14 @@ def build_report(cfg: JobConfig, sysm: RingSystem, op: StabilityOperator | None 
         if fac.classical is not None:
             fdoc["classical"] = fac.classical
         doc["factorization"] = fdoc
-    return _plain(doc)
+    return doc
 
 
 def to_machine(doc: dict) -> str:
     """json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n" for
-    what `_plain` returns, with one join per list of a scalar type or of
-    [re, im] float pairs.  One value per line lets the timestamp be dropped."""
+    doc converted to plain Python: numpy scalars by .item(), arrays by
+    tolist(), complex values as [re, im] pairs.  Each 1-D float or complex
+    array is one join.  One value per line lets the timestamp be dropped."""
     out = []
     _write(doc, "\n", out)
     return "".join(out) + "\n"
@@ -156,32 +139,37 @@ _SCALARS = {str: encode_basestring_ascii, int: int.__repr__, type(None): lambda 
 
 
 def _write(obj, nl: str, out: list) -> None:
-    """Append obj's JSON text to out; nl starts the line obj is on."""
+    """Append obj's JSON text to out; nl starts the line obj is on.  The
+    only place numpy values become JSON."""
     inner = nl + "  "
     if type(obj) in _SCALARS:
         out.append(_SCALARS[type(obj)](obj))
+    elif isinstance(obj, np.generic):
+        _write(obj.item(), nl, out)
+    elif isinstance(obj, complex):
+        _write([obj.real, obj.imag], nl, out)
+    elif isinstance(obj, np.ndarray):
+        kind = obj.dtype.kind if obj.ndim == 1 and obj.size else "other"
+        if kind == "f":
+            floats = ("," + inner).join(map(float.__repr__, obj.tolist()))
+            out.append("[" + inner + _finite(floats) + nl + "]")
+        elif kind == "c":
+            deeper = inner + "  "
+            flat = map(float.__repr__, np.stack([obj.real, obj.imag], -1).ravel().tolist())
+            pairs = (inner + "]," + inner + "[" + deeper).join(map(("," + deeper).join, zip(flat, flat)))
+            out.append("[" + inner + "[" + deeper + _finite(pairs) + inner + "]" + nl + "]")
+        else:
+            _write(obj.tolist(), nl, out)
     elif isinstance(obj, dict) and obj:
         for i, key in enumerate(sorted(obj)):
             out.append(("," if i else "{") + inner + encode_basestring_ascii(key) + ": ")
             _write(obj[key], inner, out)
         out.append(nl + "}")
     elif isinstance(obj, (list, tuple)) and obj:
-        kinds = set(map(type, obj))
-        if kinds == {float}:
-            out.append("[" + inner + _finite(("," + inner).join(map(float.__repr__, obj))) + nl + "]")
-        elif len(kinds) == 1 and kinds <= _SCALARS.keys():
-            out.append("[" + inner + ("," + inner).join(map(_SCALARS[kinds.pop()], obj)) + nl + "]")
-        elif (kinds == {list} and set(map(len, obj)) == {2}
-              and set(map(type, itertools.chain(*obj))) == {float}):
-            deeper = inner + "  "
-            flat = map(float.__repr__, itertools.chain(*obj))
-            pairs = (inner + "]," + inner + "[" + deeper).join(map(("," + deeper).join, zip(flat, flat)))
-            out.append("[" + inner + "[" + deeper + _finite(pairs) + inner + "]" + nl + "]")
-        else:
-            for i, item in enumerate(obj):
-                out.append(("," if i else "[") + inner)
-                _write(item, inner, out)
-            out.append(nl + "]")
+        for i, item in enumerate(obj):
+            out.append(("," if i else "[") + inner)
+            _write(item, inner, out)
+        out.append(nl + "]")
     elif isinstance(obj, (dict, list, tuple)):
         out.append("{}" if isinstance(obj, dict) else "[]")
     else:
@@ -260,19 +248,11 @@ def block_matches(label: str, wanted: str) -> bool:
     return label == wanted or label.startswith(wanted + "_")
 
 
-def factor_rows(fac: FactorizationReport) -> list[list]:
-    rows = []
-    for blk in fac.blocks:
-        rows.append([blk.label, blk.size, blk.factor.degree]
-                    + blk.factor.coefficients.tolist())
-    return rows
-
-
 def factors_csv(fac: FactorizationReport, block: str | None = None) -> str:
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["label", "size", "degree", "coefficients..."])
-    for row in factor_rows(fac):
-        if block is None or block_matches(row[0], block):
-            w.writerow(row)
+    for blk in fac.blocks:
+        if block is None or block_matches(blk.label, block):
+            w.writerow([blk.label, blk.size, blk.factor.degree] + blk.factor.coefficients.tolist())
     return buf.getvalue()

@@ -200,18 +200,13 @@ def dense_oracle(op: StabilityOperator) -> tuple[np.ndarray, np.ndarray, np.ndar
 
 def _log_rel_errors(sp, lp, sd, ld) -> np.ndarray:
     """|p - d| / max(|d|, 1e-9 max|d|), all magnitudes carried as logs."""
-    ldmax = np.max(ld)
-    lden = np.maximum(ld, ldmax + np.log(1e-9))
-    out = np.empty(len(lp))
-    for i in range(len(lp)):
-        if sp[i] == sd[i]:
-            delta = lp[i] - ld[i]
-            diff = abs(np.expm1(delta))
-            lnum = ld[i] + (np.log(diff) if diff > 0 else -np.inf)
-        else:
-            lnum = np.logaddexp(lp[i], ld[i])
-        out[i] = np.exp(lnum - lden[i])
-    return out
+    lden = np.maximum(ld, np.max(ld) + np.log(1e-9))
+    # same signs: |p - d| = |d| |expm1(lp - ld)|, 0 where both are 0 (the
+    # difference is then nan); opposite signs: |p - d| = |p| + |d|
+    with np.errstate(divide="ignore", invalid="ignore"):
+        diff = np.abs(np.expm1(lp - ld))
+        same = ld + np.where(diff > 0, np.log(diff), -np.inf)
+    return np.exp(np.where(sp == sd, same, np.logaddexp(lp, ld)) - lden)
 
 
 def _factor_log_product(factors: list[PolyFactor], ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -644,3 +644,44 @@ def expected_degree_profile(n: int, a: int, b: int, c: int) -> list[int]:
     out += [2 * m["rho_%d" % k] for k in ks if k != 1]
     out.append(2 * m["rho_1"])
     return out
+
+
+def log_rel_errors_loop(sp, lp, sd, ld) -> np.ndarray:
+    """`stability._log_rel_errors` one sample at a time: |p - d| /
+    max(|d|, 1e-9 max|d|) from the signs and log magnitudes of p and d.
+    Where both are 0, lp - ld is -inf - -inf, which numpy warns of."""
+    ldmax = np.max(ld)
+    lden = np.maximum(ld, ldmax + np.log(1e-9))
+    out = np.empty(len(lp))
+    for i in range(len(lp)):
+        if sp[i] == sd[i]:
+            delta = lp[i] - ld[i]
+            diff = abs(np.expm1(delta))
+            lnum = ld[i] + (np.log(diff) if diff > 0 else -np.inf)
+        else:
+            lnum = np.logaddexp(lp[i], ld[i])
+        out[i] = np.exp(lnum - lden[i])
+    return out
+
+
+# ---------------------------------------------------------------------------
+# reports
+
+
+def plain(obj):
+    """obj with numpy scalars and arrays and complex numbers turned into
+    plain Python, complex values as [re, im]: what json.dumps takes, and
+    the reference for the machine writer, which reads numpy values itself."""
+    if isinstance(obj, dict):
+        return {str(k): plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [plain(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        if np.iscomplexobj(obj):
+            return np.stack([obj.real, obj.imag], -1).tolist()
+        return obj.tolist()
+    if isinstance(obj, (complex, np.complexfloating)):
+        return [float(obj.real), float(obj.imag)]
+    if isinstance(obj, (np.floating, np.integer, np.bool_)):
+        return obj.item()
+    return obj

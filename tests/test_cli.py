@@ -15,7 +15,7 @@ from ringstab.config import ConfigError, parse_config, parse_config_text
 from ringstab.geometry import RING_VALUES, RingSystem
 from ringstab.report import factors_csv, to_machine
 from ringstab.svg import emit_svg, render_svg
-from reference import sigma_matrices
+from reference import plain, sigma_matrices
 from test_acceptance import grid_system, type_grid
 from test_tracer_contract import CONFIG as TWO_RINGS
 
@@ -274,9 +274,9 @@ def test_emit_svg_column_selection(tmp_path, pentagon_cfg):
 # --- report ----------------------------------------------------------------
 
 def test_machine_report_is_sorted_json():
-    from ringstab.report import _plain
-    doc = _plain({"b": np.float64(1.5), "a": np.arange(3), "c": {"z": complex(1, 2)}})
+    doc = {"b": np.float64(1.5), "a": np.arange(3), "c": {"z": complex(1, 2)}}
     text = to_machine(doc)
+    assert text == dumps(plain(doc))
     parsed = json.loads(text)
     assert list(parsed) == ["a", "b", "c"]
     assert parsed["a"] == [0, 1, 2]
@@ -286,7 +286,7 @@ def test_machine_report_is_sorted_json():
 
 
 def dumps(doc) -> str:
-    """The reference bytes of the machine report."""
+    """The reference bytes of the machine report of a plain document."""
     return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
@@ -320,13 +320,14 @@ def test_machine_writer_equals_json_dumps_on_every_verb(n, tmp_path, monkeypatch
     capsys.readouterr()
     assert len(docs) == 5 * len(keys)
     for doc in docs:
-        assert to_machine(doc) == dumps(doc)
+        assert to_machine(doc) == dumps(plain(doc))
 
 
 #: documents at the edges of JSON: empty containers, signed zero, the
 #: extreme floats, ints and bools among floats, escapes, non-ASCII text,
 #: nesting, and lists that look like runs of floats or [re, im] pairs but
-#: are not
+#: are not; then numpy values: scalars, and arrays empty, 0-d, 1-D and 2-D
+#: of every dtype kind a report holds
 EDGE_DOCUMENTS = [
     [], {}, {"a": [], "b": {}}, [[]], [{}], -0.0, [-0.0, 0.0], 5e-324, 1e300, [5e-324, -1e300, 1e16],
     0, -7, 2 ** 70, [1, 2, 3], True, False, None, [True, False], [None, None],
@@ -335,32 +336,45 @@ EDGE_DOCUMENTS = [
     [1, 2.5, "x", None, True, [], {}, [1.5, [2.5]], {"k": [[1.0, 2.0]]}],
     [[1.0, 2.0], [3, 4.0]], [[1.0, 2.0], [3.0, 4.0]], [[-0.0, 5e-324]], [[1.0, 2.0, 3.0], [4.0]],
     [[1.0, 2.0], "ab"], [[1.0], [2.0, 3.0]], [[True, 1.0]], [[1.0, 2.0], (3.0, 4.0)],
-    [[[1.0, 2.0]], [[3.0, 4.0]]], {"z": {"y": {"x": [[]]}}}, (1.0, 2),
+    [[[1.0, 2.0]], [[3.0, 4.0]]], {"z": {"y": {"x": [[]]}}}, (1.0, 2), complex(-0.0, 1e300),
+    np.float64(-0.0), np.float32(0.1), np.int64(-7), np.uint8(255), np.bool_(True),
+    np.complex128(complex(1.5, -0.0)), [np.float64(2.5), np.int32(3), np.bool_(False)],
+    np.array([]), np.array([], dtype=complex), np.array([], dtype=int), np.zeros((0, 3)),
+    np.array(2.5), np.array(-0.0), np.array(3), np.array(True), np.array(complex(-0.0, 2.0)),
+    np.array([0.1, -0.0, 5e-324, -1e300, 1e16]), np.array([0.1, 2.5], dtype=np.float32),
+    np.array([1.5 - 0.0j, complex(-0.0, 2.0), 3e-300 + 1j]), np.array([1, -2, 2 ** 62]),
+    np.array([True, False]), np.array([[0.1, -0.0], [1e-310, 7.0]]), np.array([[1, 2], [3, 4]]),
+    np.array([[1.5 - 0.0j, complex(-0.0, 2.0)], [3e-300 + 1j, -4.25 - 1e300j]]),
+    np.array([[True], [False]]), np.arange(8.0).reshape(2, 2, 2), np.arange(6.0)[::2],
+    {"a": np.array([1.0]), "b": [np.array([2j]), {"c": np.array([[3.0]])}]},
 ]
 
 
 def test_machine_writer_equals_json_dumps_on_edge_documents():
     for doc in EDGE_DOCUMENTS:
-        assert to_machine(doc) == dumps(doc), doc
+        assert to_machine(doc) == dumps(plain(doc)), doc
     for bad in (float("nan"), float("inf"), -float("inf")):
         for doc in (bad, [bad], [1.0, bad], [1, bad], [[1.0, bad]], [[2.0, 3.0], [bad, 1.0]],
-                    {"a": bad}, {"a": [1, bad]}, [{"b": [bad]}]):
+                    {"a": bad}, {"a": [1, bad]}, [{"b": [bad]}], complex(1.0, bad),
+                    np.float64(bad), np.array(bad), np.array([1.0, bad]), np.array([[bad, 1.0]]),
+                    np.array([complex(1.0, bad)]), np.array([complex(bad, 1.0), 2j]),
+                    np.array([[complex(bad, 0.0)]]), np.array(complex(0.0, bad)),
+                    {"a": [np.array([bad], dtype=np.float32)]}):
             with pytest.raises(ValueError):
-                dumps(doc)
+                dumps(plain(doc))
             with pytest.raises(ValueError):
                 to_machine(doc)
 
 
 def test_plain_arrays_match_elementwise_conversion():
-    from ringstab.report import _plain
     z = np.array([[1.5 - 0.0j, complex(-0.0, 2.0)], [3e-300 + 1j, -4.25 - 1e300j]])
     x = np.array([[0.1, -0.0], [1e-310, 7.0]])
     want_z = [[[float(v.real), float(v.imag)] for v in row] for row in z.tolist()]
     want_x = [[float(v) for v in row] for row in x.tolist()]
-    assert to_machine(_plain(z)) == to_machine(want_z)
-    assert to_machine(_plain(x)) == to_machine(want_x)
-    assert _plain(np.array([True, False])) == [True, False]
-    assert _plain(np.arange(2)) == [0, 1]
+    assert to_machine(z) == to_machine(plain(z)) == to_machine(want_z)
+    assert to_machine(x) == to_machine(plain(x)) == to_machine(want_x)
+    assert plain(np.array([True, False])) == [True, False]
+    assert plain(np.arange(2)) == [0, 1]
 
 
 def test_factors_csv_layout():
@@ -861,6 +875,21 @@ def test_releq_reports_both_senses(tmp_path, pentagon_cfg):
     assert "reversed omega" in r.stdout, r.stdout + r.stderr
 
 
+def test_reversed_omega_residual_is_the_max_norm_of_the_balance(tmp_path, pentagon_cfg, capsys):
+    """Both releq residuals are max norms of the rotating-frame balance.  The
+    homogeneous balance is even in omega, so both read the same; a vortex
+    ring at -omega reads 2 omega max|m q|, 4 on the pentagon (omega = 2)."""
+    cfg = tmp_path / "two_rings.cfg"
+    cfg.write_text(TWO_RINGS)
+    for verb in ("releq", "analyze"):
+        assert cli.main([verb, "--config", str(cfg), "--format", "machine"]) == 0
+        rq = json.loads(capsys.readouterr().out)["releq"]
+        assert rq["residual_reversed_omega"] == rq["residual"] > 0.0
+    assert cli.main(["releq", "--config", str(pentagon_cfg), "--format", "machine"]) == 0
+    rq = json.loads(capsys.readouterr().out)["releq"]
+    assert rq["residual_reversed_omega"] == pytest.approx(4.0, rel=1e-12)
+
+
 def test_omega_zero_runs_without_classical_gates(tmp_path):
     cfg = tmp_path / "frozen.cfg"
     cfg.write_text("n = 4\nkind = homogeneous\ngamma = -1.5\nomega = 0.0\n"
@@ -1072,6 +1101,25 @@ def test_each_verb_takes_only_the_flags_it_reads(verb, flag, capsys):
             cli._parser().parse_args(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments: --%s" % flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", ["analyze", "diagram"])
+def test_unknown_block_label_exits_2_and_lists_the_labels(verb, tmp_path, pentagon_cfg, capsys):
+    """analyze and diagram share one --block rule: the basis blocks, their
+    halves and `block_matches`.  A label none of them knows exits 2 with the
+    labels on stderr, and nothing is printed or written."""
+    cfg = tmp_path / "pentagon.cfg"
+    cfg.write_text(PENTAGON.replace("omega = solve", "omega = solve\ncsv = true\nsvg = true"))
+    out = tmp_path / "out"
+    assert cli.main([verb, "--config", str(cfg), "--out", str(out), "--block", "nope"]) == 2
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    assert printed.err == ("unknown block label 'nope'; available: "
+                           "tau_alpha rho_2 sigma sigma_lead sigma_rest\n")
+    assert not out.exists()
+    for label in ("sigma_lead", "rho", "tau_alpha"):
+        assert cli.main([verb, "--config", str(cfg), "--out", str(out), "--block", label]) == 0
+        assert capsys.readouterr().err == ""
 
 
 def test_diagram_block_selects_split_halves(tmp_path, pentagon_cfg, capsys):

@@ -5,11 +5,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 import ringstab as rs
-from ringstab.stability import (_block_factors, _factor_log_product, _slogdets,
-                                classical_checks, dense_oracle, factorize)
+from ringstab.stability import (_block_factors, _factor_log_product, _log_rel_errors,
+                                _slogdets, classical_checks, dense_oracle, factorize)
 from ringstab.symbasis import standard_j
 from reference import (_off_residual, _pencils, expected_degree_profile, j_matrix,
-                       pencil, transform)
+                       log_rel_errors_loop, pencil, transform)
 from test_acceptance import grid_system, type_grid
 
 NEWT = rs.newtonian()
@@ -323,6 +323,29 @@ def test_factor_log_product_equals_loop():
     assert np.array_equal(got[0], ref[0]) and abs(got[1][1] - ref[1][1]) <= 1e-12
 
 
+def test_log_rel_errors_equal_the_sample_loop():
+    """Bit for bit the per-sample loop, on same-sign, opposite-sign, one-zero
+    and both-zero samples, then on every oracle of a grid of systems; both
+    zero reads 0, and no RuntimeWarning is raised (pytest makes it an error)."""
+    inf = np.inf
+    sp = np.array([1.0, -1.0, 1.0, 1.0, 1.0, -1.0, 0.0, 1.0, 0.0, 0.0, -1.0])
+    lp = np.array([2.0, -30.0, 7.0, 1.0, 1.0, 5.0, -inf, 3.0, -inf, -inf, 40.0])
+    sd = np.array([1.0, -1.0, 1.0, 1.0, -1.0, 1.0, 1.0, 0.0, -1.0, 0.0, -1.0])
+    ld = np.array([2.5, -30.0 + 1e-15, 7.0, 1.0 + 1e-9, 1.0, -2.0, 0.5, -inf, 4.0, -inf, 40.5])
+    got = _log_rel_errors(sp, lp, sd, ld)
+    with np.errstate(invalid="ignore"):
+        ref = log_rel_errors_loop(sp, lp, sd, ld)
+    assert np.array_equal(got, ref)
+    # equal samples read 0; |p - d| = 2 |d| at opposite signs, below the
+    # floor of 1e-9 of the largest |d|
+    assert got[2] == 0.0 and got[9] == 0.0
+    assert got[4] == pytest.approx(2.0 * np.exp(1.0 - 40.5) / 1e-9, rel=1e-12)
+    for op, basis in list(grid_operators())[::5] + solved_split_systems():
+        ts, sd, ld = dense_oracle(op)
+        sp, lp = _factor_log_product([b.factor for b in factorize(op, basis).blocks], ts)
+        assert np.array_equal(_log_rel_errors(sp, lp, sd, ld), log_rel_errors_loop(sp, lp, sd, ld))
+
+
 # --- factorization ---------------------------------------------------------
 
 def test_degree_profile_pentagon_vortex():
@@ -581,3 +604,27 @@ def test_vortex_polygon_stability_thomson_havelock(n):
         assert growth <= 1e-6 * w
     else:
         assert growth >= 0.5 * w
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_vortex_polygon_roots_are_havelocks(n):
+    """Every root of the regular vortex n-gon of vorticity G at radius R,
+    matched in both directions against Havelock's (1931) closed form
+    lambda^2 = (G / R^2)^2 k (n - k) (k (n - k) - 2 (n - 1)) / 4, k = 0..n-1,
+    with as many zero roots: k = 0's double zero (tau_alpha's) and, at
+    n = 7, k = 3 and 4's.  Measured: nonzero roots within 4.5e-15 omega;
+    zero roots within 2.7e-8 omega, the forward error of a double root
+    (Jordan block) at the rounding of A."""
+    G, R = 1.3, 0.7
+    op, basis = solved(n, [rs.regular(R, G)], VORT)
+    w = abs(op.omega)
+    got = np.concatenate([blk.factor.roots() for blk in factorize(op, basis).blocks])
+    k = np.arange(n)
+    root = np.sqrt((G / R ** 2) ** 2 * k * (n - k) * (k * (n - k) - 2 * (n - 1)) / 4 + 0j)
+    want = np.concatenate([root, -root])
+    zero = np.abs(got) <= 5e-8 * w
+    assert zero.sum() == np.sum(want == 0) == (6 if n == 7 else 2)
+    dist = np.abs(got[~zero][:, None] - want[want != 0][None, :])
+    assert dist.min(axis=1).max() <= 1e-14 * w
+    assert dist.min(axis=0).max() <= 1e-14 * w
+
